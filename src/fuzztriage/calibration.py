@@ -23,11 +23,8 @@ HEIGHT_FLOOR = 1e-6
 #: Class height used for attack classes never seen during calibration.
 NOVEL_CLASS_HEIGHT = 0.5
 
-# Substitutes for missing alert information.
+# Profile substituted for attack classes missing from the catalog.
 CVSS_DEFAULT = 5.0
-CF_DEFAULT = 0.5
-HEIGHT_DEFAULT = 0.5
-P_DEFAULT = 0.5
 UF_UNKNOWN_DEFAULT = 0.35
 
 
@@ -101,34 +98,6 @@ def instance_height(h_class: float, p: float) -> float:
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p must lie in [0, 1], got {p!r}")
     return max(min(h_class, p), HEIGHT_FLOOR)
-
-
-@dataclass(frozen=True)
-class ResolvedParams:
-    """Alert parameters after substituting defaults for missing fields."""
-
-    cvss: float
-    cf: float
-    p: float
-    h_class: float
-
-
-def resolve_defaults(
-    cvss: float | None = None,
-    cf: float | None = None,
-    p: float | None = None,
-    h_class: float | None = None,
-) -> ResolvedParams:
-    """Fill in neutral defaults for any missing alert parameter.
-
-    Fully specified inputs pass through unchanged.
-    """
-    return ResolvedParams(
-        cvss=CVSS_DEFAULT if cvss is None else cvss,
-        cf=CF_DEFAULT if cf is None else cf,
-        p=P_DEFAULT if p is None else p,
-        h_class=HEIGHT_DEFAULT if h_class is None else h_class,
-    )
 
 
 @dataclass(frozen=True)

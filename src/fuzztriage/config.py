@@ -4,66 +4,31 @@ A run is fully described by a RunConfig. The INI file is optional; every
 key has a default, command-line flags override the file, and the resolved
 configuration hashes to a short hex digest that gets stamped into every
 output artifact. Two runs with the same hash produce byte-identical CSVs.
+
+Each key, its default and its validation are declared once, as a field of
+a section dataclass (most live beside the stage they configure). The
+accepted INI keys, the INI reader and the canonical form that gets hashed
+are all derived from those fields.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, replace
+import math
+from collections import abc
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from .alerts import CfMode
 from .calibration import HeightParams
-from .errors import ConfigError
+from .detector import DetectorConfig, DetectorMode
+from .errors import ConfigError, DomainError, ValidationError
 from .evaluation import Band, ScenarioKind
-from .ingestion import (
-    DAY_COLUMN_DEFAULT,
-    LABEL_COLUMN_DEFAULT,
-    SplitMode,
-    SplitSpec,
-    SynthConfig,
-)
-
-SEED_DEFAULT = 42
-OUT_DIR_DEFAULT = "results"
-
-
-class DetectorMode(str, Enum):
-    TRAIN_FULL = "train_full"
-    TRAIN_FLAGS_ONLY = "train_flags_only"
-    EXTERNAL_SCORES = "external_scores"
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    source: str = "synth"  # synth | csv
-    path: str | None = None
-    label_column: str = LABEL_COLUMN_DEFAULT
-    day_column: str = DAY_COLUMN_DEFAULT
-    class_map: str | None = None  # raw-label override CSV
-    catalog: str | None = None  # attack-class profile CSV
-
-    def __post_init__(self) -> None:
-        if self.source not in ("synth", "csv"):
-            raise ConfigError(f"dataset.source must be synth or csv, got {self.source!r}")
-        if self.source == "csv" and not self.path:
-            raise ConfigError("dataset.source=csv requires dataset.path")
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    mode: DetectorMode = DetectorMode.TRAIN_FULL
-    scores_path: str | None = None
-    l2_c: float = 1.0
-    max_iters: int = 1000
-    tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.mode is DetectorMode.EXTERNAL_SCORES and not self.scores_path:
-            raise ConfigError("detector.mode=external_scores requires detector.scores_path")
+from .ingestion import DatasetConfig, SplitSpec, SynthConfig
+from .sgfn import check_kappa
 
 
 @dataclass(frozen=True)
@@ -75,20 +40,19 @@ class RankingConfig:
     def __post_init__(self) -> None:
         if not self.kappas:
             raise ConfigError("ranking.kappa must list at least one value")
-        if any(k < 0.0 for k in self.kappas):
-            raise ConfigError(f"ranking.kappa values must be >= 0, got {self.kappas!r}")
+        try:
+            for kappa in self.kappas:
+                check_kappa(kappa)
+        except DomainError as exc:
+            raise ConfigError(f"bad ranking.kappa: {exc}") from exc
         if not self.uf_scale > 0.0:
             raise ConfigError(f"ranking.uf_scale must be > 0, got {self.uf_scale!r}")
 
 
-DEFAULT_CUTOFFS = (10, 50, 100, 500)
-DEFAULT_BAND_EDGES = ((0.3, 0.5), (0.5, 0.7), (0.7, 1.0))
-
-
 @dataclass(frozen=True)
 class EvaluationConfig:
-    cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
-    bands: tuple[tuple[float, float], ...] = DEFAULT_BAND_EDGES
+    cutoffs: tuple[int, ...] = (10, 50, 100, 500)
+    bands: tuple[tuple[float, float], ...] = ((0.3, 0.5), (0.5, 0.7), (0.7, 1.0))
     bootstrap_k: int = 500
     bootstrap_resamples: int = 1000
     bootstrap_seed: int = 0
@@ -101,8 +65,12 @@ class EvaluationConfig:
             raise ConfigError(f"evaluation.cutoffs must be positive integers, got {self.cutoffs!r}")
         if self.bootstrap_k < 1 or self.bootstrap_resamples < 1:
             raise ConfigError("bootstrap settings must be >= 1")
-        if not self.noise_sd > 0.0:
-            raise ConfigError(f"evaluation.noise_sd must be > 0, got {self.noise_sd!r}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd > 0.0):
+            raise ConfigError(f"evaluation.noise_sd must be finite and > 0, got {self.noise_sd!r}")
+        try:
+            self.band_objects()
+        except ValueError as exc:
+            raise ConfigError(f"bad evaluation.bands {self.bands!r}: {exc}") from exc
 
     def band_objects(self) -> tuple[Band, ...]:
         return tuple(Band(lo, hi, closed=hi >= 1.0) for lo, hi in self.bands)
@@ -110,8 +78,8 @@ class EvaluationConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = SEED_DEFAULT
-    out_dir: str = OUT_DIR_DEFAULT
+    seed: int = 42
+    out_dir: str = "results"
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
@@ -121,117 +89,136 @@ class RunConfig:
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
 
 
+# --- text form of field values -----------------------------------------------
+
+_BOOLEANS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+             **dict.fromkeys(("false", "no", "off", "0"), False)}
+_BAD_CHOICE = "bad {key} {text!r}"
+
+
+class _Codec(NamedTuple):
+    """How values of one declared field type read from INI text and render
+    into the canonical form."""
+
+    parse: Callable[[str], Any] | None  # raises ValueError or KeyError; None: not an INI key
+    render: Callable[[Any], str]
+    bad: str = "bad value for {key}: {text!r}"  # report for text that does not parse
+
+
+def _codec(tp: Any, sep: str = ",") -> _Codec:
+    """Codec for a field type. Lists are comma-separated and skip blank
+    items; the items of a list of pairs read ``lo-hi``, where a blank bound
+    is an error. An optional choice spells None ``auto``; other optional
+    values leave it blank. Text that does not parse is reported as a bad
+    value for numbers, a bad boolean for flags, and as ``bad key 'text'``
+    for choices and lists of pairs."""
+    origin, args = get_origin(tp), get_args(tp)
+    if type(None) in args:
+        (inner_tp,) = (a for a in args if a is not type(None))
+        inner = _codec(inner_tp)
+        none = "auto" if issubclass(inner_tp, Enum) else ""
+        return inner._replace(
+            parse=lambda text: None if text == none else inner.parse(text),
+            render=lambda value: none if value is None else inner.render(value),
+        )
+    if origin is tuple:
+        item = _codec(args[0], "-")
+        return _Codec(
+            lambda text: tuple(
+                item.parse(part.strip()) for part in text.split(sep) if part.strip() or sep == "-"
+            ),
+            lambda value: sep.join(item.render(v) for v in value),
+            item.bad if sep == "," else _BAD_CHOICE,
+        )
+    if origin is abc.Mapping:
+        key, val = _codec(args[0]), _codec(args[1])
+        return _Codec(
+            None, lambda m: ",".join(f"{key.render(k)}:{val.render(v)}" for k, v in sorted(m.items()))
+        )
+    if tp is bool:
+        return _Codec(
+            lambda text: _BOOLEANS[text.lower()],
+            lambda v: "true" if v else "false",
+            "bad boolean for {key}: {text!r}",
+        )
+    if tp is int:
+        return _Codec(int, str)
+    if tp is float:
+        return _Codec(float, lambda v: format(float(v), ".12g"))
+    if tp is str:
+        return _Codec(str, str)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return _Codec(tp, lambda v: v.value, _BAD_CHOICE)
+    raise TypeError(f"no INI form for field type {tp!r}")
+
+
+# --- the field walk ------------------------------------------------------------
+
+# INI section -> config class; [run] holds RunConfig's own scalar fields.
+_SECTIONS: dict[str, type] = {
+    "run": RunConfig,
+    **{name: tp for name, tp in get_type_hints(RunConfig).items() if is_dataclass(tp)},
+}
+# The seeds of these sections are copies of run.seed, not keys of their own.
+_SEEDED = ("synth", "split")
+# INI keys spelled differently from their field.
+_INI_NAMES = {("ranking", "kappas"): "kappa"}
+
+
+def _walk(section: str, cls: type) -> dict[str, tuple[str, _Codec]]:
+    """INI key -> (field name, codec) for the fields of one section, in order."""
+    hints = get_type_hints(cls)
+    return {
+        _INI_NAMES.get((section, f.name), f.name): (f.name, _codec(hints[f.name]))
+        for f in fields(cls)
+        if not (is_dataclass(hints[f.name]) or (f.name == "seed" and section in _SEEDED))
+    }
+
+
+#: section -> key -> (field name, codec) for every field, in canonical order.
+#: Keys whose codec cannot parse (mappings) are hashed but not set by INI files.
+KEYS = {section: _walk(section, cls) for section, cls in _SECTIONS.items()}
+
+
 # --- parsing -----------------------------------------------------------------
 
-_KNOWN_KEYS: dict[str, set[str]] = {
-    "run": {"seed", "out_dir"},
-    "dataset": {"source", "path", "label_column", "day_column", "class_map", "catalog"},
-    "synth": {
-        "n_flows",
-        "attack_fraction",
-        "separation",
-        "attack_detectable_rate",
-        "attack_flag_level",
-        "attack_flag_sd",
-        "benign_outlier_rate",
-        "benign_outlier_level",
-        "benign_outlier_sd",
-    },
-    "split": {"mode", "fractions", "attack_share_threshold"},
-    "detector": {"mode", "scores_path", "l2_c", "max_iters", "tol"},
-    "heights": {"alpha", "h_min", "h_max"},
-    "ranking": {"kappa", "cf_mode", "uf_scale"},
-    "evaluation": {
-        "cutoffs",
-        "bands",
-        "bootstrap_k",
-        "bootstrap_resamples",
-        "bootstrap_seed",
-        "scenarios",
-        "noise_sd",
-        "sweep",
-    },
-}
-
-
-class _Ini:
-    """Typed accessors over a parsed INI file with strict key checking."""
-
-    def __init__(self, parser: configparser.ConfigParser, source: str) -> None:
-        self.parser = parser
-        self.source = source
-        for section in parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"{source}: unknown section [{section}]")
-            unknown = set(parser.options(section)) - _KNOWN_KEYS[section]
-            if unknown:
+def _read(parser: configparser.ConfigParser, source: str) -> dict[str, dict[str, Any]]:
+    """Field values set in the INI file, by section; blank values keep the default."""
+    for section in parser.sections():
+        if section not in KEYS:
+            raise ConfigError(f"{source}: unknown section [{section}]")
+    given: dict[str, dict[str, Any]] = {}
+    for section, keys in KEYS.items():
+        options = parser.options(section) if parser.has_section(section) else []
+        unknown = sorted(key for key in options if key not in keys or not keys[key][1].parse)
+        if unknown:
+            raise ConfigError(f"{source}: unknown key(s) in [{section}]: {', '.join(unknown)}")
+        values = given[section] = {}
+        for key in options:
+            text = parser.get(section, key).strip()
+            if not text:
+                continue
+            name, codec = keys[key]
+            try:
+                values[name] = codec.parse(text)
+            except (ValueError, KeyError) as exc:
                 raise ConfigError(
-                    f"{source}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
-                )
-
-    def _raw(self, section: str, key: str) -> str | None:
-        if self.parser.has_option(section, key):
-            value = self.parser.get(section, key).strip()
-            return value if value else None
-        return None
-
-    def text(self, section: str, key: str, default: str | None) -> str | None:
-        value = self._raw(section, key)
-        return default if value is None else value
-
-    def _cast(self, section: str, key: str, caster, default):
-        value = self._raw(section, key)
-        if value is None:
-            return default
-        try:
-            return caster(value)
-        except ValueError as exc:
-            raise ConfigError(f"{self.source}: bad value for {section}.{key}: {value!r}") from exc
-
-    def integer(self, section: str, key: str, default: int) -> int:
-        return self._cast(section, key, int, default)
-
-    def real(self, section: str, key: str, default: float) -> float:
-        return self._cast(section, key, float, default)
-
-    def flag(self, section: str, key: str, default: bool) -> bool:
-        value = self._raw(section, key)
-        if value is None:
-            return default
-        lowered = value.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{self.source}: bad boolean for {section}.{key}: {value!r}")
-
-    def reals(self, section: str, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-        return self._cast(
-            section, key, lambda s: tuple(float(x) for x in s.split(",") if x.strip()), default
-        )
-
-    def integers(self, section: str, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        return self._cast(
-            section, key, lambda s: tuple(int(x) for x in s.split(",") if x.strip()), default
-        )
+                    f"{source}: " + codec.bad.format(key=f"{section}.{key}", text=text)
+                ) from exc
+    return given
 
 
-def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
-    bands = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        lo_hi = part.split("-")
-        if len(lo_hi) != 2:
-            raise ValueError(part)
-        bands.append((float(lo_hi[0]), float(lo_hi[1])))
-    return tuple(bands)
-
-
-def _require_file(path: str | None, what: str) -> None:
-    if path is not None and not Path(path).exists():
-        raise ConfigError(f"{what} does not exist: {path}")
+def _require_files(config: RunConfig) -> None:
+    dataset, detector = config.dataset, config.detector
+    for what, path in (
+        ("dataset.path", dataset.path if dataset.source == "csv" else None),
+        ("dataset.class_map", dataset.class_map),
+        ("dataset.catalog", dataset.catalog),
+        ("detector.scores_path",
+         detector.scores_path if detector.mode is DetectorMode.EXTERNAL_SCORES else None),
+    ):
+        if path is not None and not Path(path).exists():
+            raise ConfigError(f"{what} does not exist: {path}")
 
 
 def load_config(
@@ -247,148 +234,30 @@ def load_config(
     missing file raises ConfigError.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    source = "<defaults>"
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
+    source = "<defaults>" if path is None else str(path)
+    try:
+        if path is not None and not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file does not exist: {path}")
-        source = str(path)
-        try:
-            parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    ini = _Ini(parser, source)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    given = _read(parser, source)
 
-    run_seed = seed if seed is not None else ini.integer("run", "seed", SEED_DEFAULT)
-    run_out = out_dir if out_dir is not None else ini.text("run", "out_dir", OUT_DIR_DEFAULT)
+    flags = {
+        "run": {"seed": seed, "out_dir": out_dir},
+        "ranking": {"kappas": None if kappas is None else tuple(kappas)},
+    }
+    for section, values in flags.items():
+        given[section].update((name, v) for name, v in values.items() if v is not None)
+    for section in _SEEDED:
+        given[section]["seed"] = given["run"].get("seed", RunConfig.seed)
 
-    dataset = DatasetConfig(
-        source=ini.text("dataset", "source", "synth"),
-        path=ini.text("dataset", "path", None),
-        label_column=ini.text("dataset", "label_column", LABEL_COLUMN_DEFAULT),
-        day_column=ini.text("dataset", "day_column", DAY_COLUMN_DEFAULT),
-        class_map=ini.text("dataset", "class_map", None),
-        catalog=ini.text("dataset", "catalog", None),
-    )
-    if dataset.source == "csv":
-        _require_file(dataset.path, "dataset.path")
-    _require_file(dataset.class_map, "dataset.class_map")
-    _require_file(dataset.catalog, "dataset.catalog")
-
-    base_synth = SynthConfig()
     try:
-        synth = SynthConfig(
-            n_flows=ini.integer("synth", "n_flows", base_synth.n_flows),
-            attack_fraction=ini.real("synth", "attack_fraction", base_synth.attack_fraction),
-            seed=run_seed,
-            separation=ini.real("synth", "separation", base_synth.separation),
-            attack_detectable_rate=ini.real(
-                "synth", "attack_detectable_rate", base_synth.attack_detectable_rate
-            ),
-            attack_flag_level=ini.real("synth", "attack_flag_level", base_synth.attack_flag_level),
-            attack_flag_sd=ini.real("synth", "attack_flag_sd", base_synth.attack_flag_sd),
-            benign_outlier_rate=ini.real(
-                "synth", "benign_outlier_rate", base_synth.benign_outlier_rate
-            ),
-            benign_outlier_level=ini.real(
-                "synth", "benign_outlier_level", base_synth.benign_outlier_level
-            ),
-            benign_outlier_sd=ini.real("synth", "benign_outlier_sd", base_synth.benign_outlier_sd),
-        )
-    except (ConfigError, ValueError) as exc:
+        sections = {name: cls(**given[name]) for name, cls in _SECTIONS.items() if name != "run"}
+    except (ConfigError, ValidationError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-
-    mode_text = ini.text("split", "mode", "auto")
-    if mode_text == "auto":
-        split_mode = None
-    else:
-        try:
-            split_mode = SplitMode(mode_text)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: bad split.mode {mode_text!r}") from exc
-    fractions = ini.reals("split", "fractions", (0.5, 0.2, 0.3))
-    if len(fractions) != 3:
-        raise ConfigError(f"{source}: split.fractions needs three values, got {fractions!r}")
-    split_spec = SplitSpec(
-        mode=split_mode,
-        fractions=(fractions[0], fractions[1], fractions[2]),
-        attack_share_threshold=ini.real("split", "attack_share_threshold", 0.05),
-        seed=run_seed,
-    )
-
-    det_mode_text = ini.text("detector", "mode", DetectorMode.TRAIN_FULL.value)
-    try:
-        det_mode = DetectorMode(det_mode_text)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: bad detector.mode {det_mode_text!r}") from exc
-    detector = DetectorConfig(
-        mode=det_mode,
-        scores_path=ini.text("detector", "scores_path", None),
-        l2_c=ini.real("detector", "l2_c", 1.0),
-        max_iters=ini.integer("detector", "max_iters", 1000),
-        tol=ini.real("detector", "tol", 1e-8),
-    )
-    if detector.mode is DetectorMode.EXTERNAL_SCORES:
-        _require_file(detector.scores_path, "detector.scores_path")
-
-    base_heights = HeightParams()
-    heights = HeightParams(
-        alpha=ini.real("heights", "alpha", base_heights.alpha),
-        h_min=ini.real("heights", "h_min", base_heights.h_min),
-        h_max=ini.real("heights", "h_max", base_heights.h_max),
-    )
-
-    cf_text = ini.text("ranking", "cf_mode", CfMode.CONTINUOUS.value)
-    try:
-        cf_mode = CfMode(cf_text)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: bad ranking.cf_mode {cf_text!r}") from exc
-    ranking = RankingConfig(
-        kappas=tuple(kappas) if kappas is not None else ini.reals("ranking", "kappa", (1.0,)),
-        cf_mode=cf_mode,
-        uf_scale=ini.real("ranking", "uf_scale", 1.0),
-    )
-
-    bands_text = ini.text("evaluation", "bands", None)
-    if bands_text is None:
-        bands = DEFAULT_BAND_EDGES
-    else:
-        try:
-            bands = _parse_bands(bands_text)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: bad evaluation.bands {bands_text!r}") from exc
-    scenario_text = ini.text("evaluation", "scenarios", None)
-    if scenario_text is None:
-        scenarios = tuple(ScenarioKind)
-    else:
-        try:
-            scenarios = tuple(
-                ScenarioKind(part.strip()) for part in scenario_text.split(",") if part.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}: bad evaluation.scenarios {scenario_text!r}") from exc
-    evaluation = EvaluationConfig(
-        cutoffs=ini.integers("evaluation", "cutoffs", DEFAULT_CUTOFFS),
-        bands=bands,
-        bootstrap_k=ini.integer("evaluation", "bootstrap_k", 500),
-        bootstrap_resamples=ini.integer("evaluation", "bootstrap_resamples", 1000),
-        bootstrap_seed=ini.integer("evaluation", "bootstrap_seed", 0),
-        scenarios=scenarios,
-        noise_sd=ini.real("evaluation", "noise_sd", 0.2),
-        sweep=ini.flag("evaluation", "sweep", False),
-    )
-
-    return RunConfig(
-        seed=run_seed,
-        out_dir=run_out,
-        dataset=dataset,
-        synth=synth,
-        split=split_spec,
-        detector=detector,
-        heights=heights,
-        ranking=ranking,
-        evaluation=evaluation,
-    )
+    config = RunConfig(**given["run"], **sections)
+    _require_files(config)
+    return config
 
 
 def with_detector_mode(config: RunConfig, mode: DetectorMode) -> RunConfig:
@@ -398,62 +267,19 @@ def with_detector_mode(config: RunConfig, mode: DetectorMode) -> RunConfig:
 
 # --- canonical form and hashing ------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
 def canonical_lines(config: RunConfig) -> list[str]:
     """Deterministic key=value lines covering everything that shapes output
     content. The output directory is deliberately excluded: where results
     land must not change what they contain."""
-    c = config
-    weights = ",".join(
-        f"{cls}:{_fmt(w)}" for cls, w in sorted(c.synth.class_weights.items())
-    )
-    return [
-        f"run.seed={c.seed}",
-        f"dataset.source={c.dataset.source}",
-        f"dataset.path={c.dataset.path or ''}",
-        f"dataset.label_column={c.dataset.label_column}",
-        f"dataset.day_column={c.dataset.day_column}",
-        f"dataset.class_map={c.dataset.class_map or ''}",
-        f"dataset.catalog={c.dataset.catalog or ''}",
-        f"synth.n_flows={c.synth.n_flows}",
-        f"synth.attack_fraction={_fmt(c.synth.attack_fraction)}",
-        f"synth.separation={_fmt(c.synth.separation)}",
-        f"synth.class_weights={weights}",
-        f"synth.attack_detectable_rate={_fmt(c.synth.attack_detectable_rate)}",
-        f"synth.attack_flag_level={_fmt(c.synth.attack_flag_level)}",
-        f"synth.attack_flag_sd={_fmt(c.synth.attack_flag_sd)}",
-        "synth.class_flag_factor="
-        + ",".join(f"{cls}:{_fmt(f)}" for cls, f in sorted(c.synth.class_flag_factor.items())),
-        f"synth.benign_outlier_rate={_fmt(c.synth.benign_outlier_rate)}",
-        f"synth.benign_outlier_level={_fmt(c.synth.benign_outlier_level)}",
-        f"synth.benign_outlier_sd={_fmt(c.synth.benign_outlier_sd)}",
-        f"split.mode={c.split.mode.value if c.split.mode else 'auto'}",
-        f"split.fractions={','.join(_fmt(f) for f in c.split.fractions)}",
-        f"split.attack_share_threshold={_fmt(c.split.attack_share_threshold)}",
-        f"detector.mode={c.detector.mode.value}",
-        f"detector.scores_path={c.detector.scores_path or ''}",
-        f"detector.l2_c={_fmt(c.detector.l2_c)}",
-        f"detector.max_iters={c.detector.max_iters}",
-        f"detector.tol={_fmt(c.detector.tol)}",
-        f"heights.alpha={_fmt(c.heights.alpha)}",
-        f"heights.h_min={_fmt(c.heights.h_min)}",
-        f"heights.h_max={_fmt(c.heights.h_max)}",
-        f"ranking.kappa={','.join(_fmt(k) for k in c.ranking.kappas)}",
-        f"ranking.cf_mode={c.ranking.cf_mode.value}",
-        f"ranking.uf_scale={_fmt(c.ranking.uf_scale)}",
-        f"evaluation.cutoffs={','.join(str(k) for k in c.evaluation.cutoffs)}",
-        "evaluation.bands="
-        + ",".join(f"{_fmt(lo)}-{_fmt(hi)}" for lo, hi in c.evaluation.bands),
-        f"evaluation.bootstrap_k={c.evaluation.bootstrap_k}",
-        f"evaluation.bootstrap_resamples={c.evaluation.bootstrap_resamples}",
-        f"evaluation.bootstrap_seed={c.evaluation.bootstrap_seed}",
-        f"evaluation.scenarios={','.join(s.value for s in c.evaluation.scenarios)}",
-        f"evaluation.noise_sd={_fmt(c.evaluation.noise_sd)}",
-        f"evaluation.sweep={'true' if c.evaluation.sweep else 'false'}",
-    ]
+    lines = []
+    for section, keys in KEYS.items():
+        owner = config if section == "run" else getattr(config, section)
+        lines += [
+            f"{section}.{key}={codec.render(getattr(owner, name))}"
+            for key, (name, codec) in keys.items()
+            if (section, name) != ("run", "out_dir")
+        ]
+    return lines
 
 
 def config_hash(config: RunConfig) -> str:

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, TrainingError, ValidationError
+from .errors import ConfigError, ParseError, TrainingError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -46,12 +48,41 @@ class TrainConfig:
     class_weighting: str = "balanced"  # "balanced" or "none"
 
     def __post_init__(self) -> None:
-        if self.l2_c <= 0.0:
+        if not self.l2_c > 0.0:
             raise ValidationError(f"l2_c must be positive, got {self.l2_c!r}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValidationError(f"tol must be finite and >= 0, got {self.tol!r}")
         if self.class_weighting not in ("balanced", "none"):
             raise ValidationError(f"unknown class_weighting {self.class_weighting!r}")
+
+
+class DetectorMode(str, Enum):
+    """Feature subset the detector trains on, or an external score source."""
+
+    TRAIN_FULL = "train_full"
+    TRAIN_FLAGS_ONLY = "train_flags_only"
+    EXTERNAL_SCORES = "external_scores"
+
+
+@dataclass(frozen=True)
+class DetectorConfig:
+    """The [detector] section of a run; solver defaults and rules are TrainConfig's."""
+
+    mode: DetectorMode = DetectorMode.TRAIN_FULL
+    scores_path: str | None = None
+    l2_c: float = TrainConfig.l2_c
+    max_iters: int = TrainConfig.max_iters
+    tol: float = TrainConfig.tol
+
+    def __post_init__(self) -> None:
+        if self.mode is DetectorMode.EXTERNAL_SCORES and not self.scores_path:
+            raise ConfigError("detector.mode=external_scores requires detector.scores_path")
+        self.train_config()  # the trainer's own rules validate the solver settings
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(l2_c=self.l2_c, max_iters=self.max_iters, tol=self.tol)
 
 
 @dataclass(frozen=True)

@@ -314,8 +314,10 @@ class SplitSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if len(self.fractions) != 3 or any(f < 0.0 for f in self.fractions):
-            raise ValidationError(f"fractions must be three non-negative reals, got {self.fractions!r}")
+        if len(self.fractions) != 3:
+            raise ValidationError(f"split.fractions needs three values, got {self.fractions!r}")
+        if any(f < 0.0 for f in self.fractions):
+            raise ValidationError(f"fractions must be non-negative, got {self.fractions!r}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValidationError(f"fractions must sum to 1, got {self.fractions!r}")
         if not 0.0 <= self.attack_share_threshold <= 1.0:
@@ -473,6 +475,24 @@ DEFAULT_CLASS_FLAG_FACTOR: dict[str, float] = {
     "Infiltration": 0.85,
     "PortScan": 0.70,
 }
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    """The [dataset] section of a run: where the flows come from."""
+
+    source: str = "synth"  # synth | csv
+    path: str | None = None
+    label_column: str = LABEL_COLUMN_DEFAULT
+    day_column: str = DAY_COLUMN_DEFAULT
+    class_map: str | None = None  # raw-label override CSV
+    catalog: str | None = None  # attack-class profile CSV
+
+    def __post_init__(self) -> None:
+        if self.source not in ("synth", "csv"):
+            raise ConfigError(f"dataset.source must be synth or csv, got {self.source!r}")
+        if self.source == "csv" and not self.path:
+            raise ConfigError("dataset.source=csv requires dataset.path")
 
 
 @dataclass(frozen=True)

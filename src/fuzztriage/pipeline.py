@@ -20,7 +20,6 @@ from .calibration import CalibrationRow, build_height_table, per_class_counts, w
 from .config import DetectorMode, RunConfig, artifact_stamp, with_detector_mode
 from .detector import (
     DetectorReport,
-    TrainConfig,
     flags_only_subset,
     load_external_scores,
     platt_calibrate,
@@ -132,12 +131,7 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
     X_va = apply_normalization(prep.dataset.features[va][:, keep], stats)
     X_te = apply_normalization(prep.dataset.features[te][:, keep], stats)
 
-    train_config = TrainConfig(
-        l2_c=config.detector.l2_c,
-        max_iters=config.detector.max_iters,
-        tol=config.detector.tol,
-    )
-    model = train_lr(X_tr, y[tr], train_config, feature_names=used_names)
+    model = train_lr(X_tr, y[tr], config.detector.train_config(), feature_names=used_names)
     model = platt_calibrate(model, X_va, y[va])
     p_val = model.predict_proba(X_va)
     p_test = model.predict_proba(X_te)

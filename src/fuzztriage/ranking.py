@@ -7,7 +7,6 @@ so every ranking is a deterministic permutation of its input.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -16,8 +15,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .alerts import PreparedAlert
-from .errors import DomainError, ValidationError
-from .sgfn import ranking_index
+from .errors import ValidationError
+from .sgfn import check_kappa, ranking_index
 
 
 class Method(str, Enum):
@@ -34,8 +33,7 @@ class RiskProfile:
     kappa: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise DomainError(f"kappa must be finite and >= 0, got {self.kappa!r}")
+        check_kappa(self.kappa)
 
 
 @dataclass(frozen=True)

@@ -90,14 +90,23 @@ def alpha_cut(number: GaussianFuzzyNumber, alpha: float) -> AlphaInterval:
     return AlphaInterval(number.core - radius, number.core + radius, alpha)
 
 
+def check_kappa(kappa: float) -> None:
+    """Reject a risk attitude that is not finite and >= 0.
+
+    Negative values would reward implausibility; non-finite ones make every
+    score infinite or undefined.
+    """
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
+
+
 def ranking_index(number: GaussianFuzzyNumber, kappa: float = 1.0) -> float:
     """Risk-averse priority score: ``core + kappa * spread * log10(height)``.
 
     ``kappa`` is the risk-attitude parameter; zero ignores confidence entirely
-    and larger values penalize wide, low-height numbers harder. Negative
-    values would reward implausibility and are rejected.
+    and larger values penalize wide, low-height numbers harder. Values that
+    :func:`check_kappa` rejects raise DomainError.
     """
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
+    check_kappa(kappa)
     penalty = math.log(number.height) / math.log(PENALTY_LOG_BASE)
     return number.core + kappa * number.spread * penalty

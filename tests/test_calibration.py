@@ -16,7 +16,6 @@ from fuzztriage.calibration import (
     instance_height,
     per_class_counts,
     read_calibration_csv,
-    resolve_defaults,
     write_calibration_csv,
 )
 from fuzztriage.errors import ParseError, ValidationError
@@ -128,16 +127,6 @@ class TestInstanceHeight:
         h = instance_height(h_class, p)
         assert HEIGHT_FLOOR <= h <= h_class
         assert h <= max(p, HEIGHT_FLOOR)
-
-
-class TestDefaults:
-    def test_all_missing(self):
-        r = resolve_defaults()
-        assert (r.cvss, r.cf, r.p, r.h_class) == (5.0, 0.5, 0.5, 0.5)
-
-    def test_identity_when_specified(self):
-        r = resolve_defaults(cvss=9.8, cf=0.8, p=0.9, h_class=0.7)
-        assert (r.cvss, r.cf, r.p, r.h_class) == (9.8, 0.8, 0.9, 0.7)
 
 
 class TestPerClassCounts:

@@ -289,6 +289,13 @@ class TestMain:
         assert rc == 2
         assert "kappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa", ["nan", "inf"])
+    def test_non_finite_kappa_exits_2(self, tmp_path, capsys, kappa):
+        rc = cli.main(["rank", "--out", str(tmp_path), "--kappa", kappa])
+        assert rc == 2
+        assert "kappa must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_bad_ini_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("[rankings]\nkappa = 1\n", encoding="utf-8")

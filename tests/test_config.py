@@ -1,27 +1,33 @@
 """Run configuration: INI parsing, CLI overrides, validation, canonical hash."""
 
+import configparser
 import dataclasses
+from enum import Enum
+from pathlib import Path
+from typing import Mapping
 
 import pytest
 
 from fuzztriage.alerts import CfMode
 from fuzztriage.config import (
-    DEFAULT_BAND_EDGES,
-    DEFAULT_CUTOFFS,
+    KEYS,
     DatasetConfig,
     DetectorConfig,
     DetectorMode,
     EvaluationConfig,
     RankingConfig,
+    RunConfig,
     artifact_stamp,
     canonical_lines,
     config_hash,
     load_config,
     with_detector_mode,
 )
-from fuzztriage.errors import ConfigError
+from fuzztriage.errors import ConfigError, ValidationError
 from fuzztriage.evaluation import ScenarioKind
 from fuzztriage.ingestion import SplitMode
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -41,8 +47,8 @@ class TestDefaults:
         assert config.detector.mode is DetectorMode.TRAIN_FULL
         assert config.ranking.kappas == (1.0,)
         assert config.ranking.cf_mode is CfMode.CONTINUOUS
-        assert config.evaluation.cutoffs == DEFAULT_CUTOFFS
-        assert config.evaluation.bands == DEFAULT_BAND_EDGES
+        assert config.evaluation.cutoffs == (10, 50, 100, 500)
+        assert config.evaluation.bands == ((0.3, 0.5), (0.5, 0.7), (0.7, 1.0))
         assert config.evaluation.bootstrap_k == 500
         assert config.evaluation.scenarios == tuple(ScenarioKind)
         assert config.evaluation.sweep is False
@@ -145,6 +151,21 @@ sweep = yes
         path = write_ini(tmp_path, "[split]\nmode = auto\n")
         assert load_config(path).split.mode is None
 
+    def test_readme_example_is_the_defaults(self, tmp_path):
+        text = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert load_config(write_ini(tmp_path, block)) == load_config(None)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(block)
+        named = {(section, key) for section in parser.sections() for key in parser.options(section)}
+        settable = {
+            (section, key)
+            for section, keys in KEYS.items()
+            for key, (_, codec) in keys.items()
+            if codec.parse
+        }
+        assert named == settable
+
 
 class TestIniErrors:
     def test_missing_file(self, tmp_path):
@@ -173,6 +194,15 @@ class TestIniErrors:
             ("[evaluation]\nbands = 0.3:0.5\n", "bad evaluation.bands"),
             ("[evaluation]\nscenarios = meteor\n", "bad evaluation.scenarios"),
             ("[evaluation]\nsweep = maybe\n", "bad boolean for evaluation.sweep"),
+            ("[evaluation]\nbands = 0.7-0.3\n", "bad evaluation.bands"),
+            ("[evaluation]\nbands = -0.1-0.5\n", "bad evaluation.bands"),
+            ("[evaluation]\nnoise_sd = inf\n", "evaluation.noise_sd must be finite"),
+            ("[ranking]\nkappa = 1, nan\n", "kappa must be finite"),
+            ("[ranking]\nkappa = inf\n", "kappa must be finite"),
+            ("[detector]\nmax_iters = 0\n", "max_iters must be >= 1"),
+            ("[detector]\nl2_c = -1\n", "l2_c must be positive"),
+            ("[detector]\ntol = nan\n", "tol must be finite"),
+            ("[heights]\nalpha = 2\n", "alpha must lie in"),
         ],
     )
     def test_bad_values(self, tmp_path, body, message):
@@ -229,10 +259,19 @@ class TestDataclassValidation:
             DetectorConfig(mode=DetectorMode.EXTERNAL_SCORES)
 
     @pytest.mark.parametrize(
+        "kwargs", [{"l2_c": 0.0}, {"max_iters": 0}, {"tol": float("nan")}, {"tol": float("inf")}]
+    )
+    def test_detector_config_rejects(self, kwargs):
+        with pytest.raises(ValidationError):
+            DetectorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"kappas": ()},
             {"kappas": (1.0, -0.5)},
+            {"kappas": (float("nan"),)},
+            {"kappas": (1.0, float("inf"))},
             {"uf_scale": 0.0},
             {"uf_scale": -1.0},
         ],
@@ -249,6 +288,10 @@ class TestDataclassValidation:
             {"bootstrap_k": 0},
             {"bootstrap_resamples": 0},
             {"noise_sd": 0.0},
+            {"noise_sd": float("inf")},
+            {"bands": ((0.7, 0.3),)},
+            {"bands": ((0.3, 0.5, 0.7),)},
+            {"bands": ((0.5, 1.5),)},
         ],
     )
     def test_evaluation_config_rejects(self, kwargs):
@@ -290,6 +333,65 @@ class TestHashing:
         assert diffs == [("detector.mode=train_full", "detector.mode=train_flags_only")]
         assert config_hash(stress) != config_hash(base)
 
+    def test_hash_is_pinned(self):
+        assert config_hash(load_config(None)) == "c50d31636d03"
+        assert config_hash(load_config(None, seed=5)) == "ab579ab6ddbc"
+
+    def test_every_hashed_field_changes_the_hash(self):
+        base = load_config(None)
+        # a dataset path lets dataset.source change to csv on its own
+        base = dataclasses.replace(base, dataset=dataclasses.replace(base.dataset, path="f.csv"))
+        changes = dict(_single_field_changes(base))
+        moved = {name for name, config in changes.items() if config_hash(config) != config_hash(base)}
+        # out_dir never shapes content; the section seeds are copies of run.seed
+        assert changes.keys() - moved == {"run.out_dir", "synth.seed", "split.seed"}
+
     def test_stamp_format(self):
         config = load_config(None, seed=5)
         assert artifact_stamp(config) == f"config_hash={config_hash(config)} seed=5"
+
+
+# Fields where the generic change in _other_value would be invalid.
+_OTHER_VALUES = {
+    "dataset.source": "csv",
+    "split.mode": SplitMode.STRATIFIED,
+    "split.fractions": (0.3, 0.2, 0.5),
+}
+
+
+def _other_value(name, value):
+    """A different value of the same type that the config classes accept."""
+    if name in _OTHER_VALUES:
+        return _OTHER_VALUES[name]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, Enum):
+        return next(member for member in type(value) if member is not value)
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    if value is None or isinstance(value, str):
+        return f"{value or ''}x"
+    if isinstance(value, tuple):
+        return value[:-1] if len(value) > 1 else value * 2
+    if isinstance(value, Mapping):
+        first = sorted(value)[0]
+        return {**value, first: value[first] * 2}
+    raise TypeError(f"no other value for {name}={value!r}")
+
+
+def _single_field_changes(base):
+    """(section.field, config) for each field of RunConfig and its sections,
+    with only that field changed."""
+    for outer in dataclasses.fields(RunConfig):
+        section = getattr(base, outer.name)
+        if dataclasses.is_dataclass(section):
+            for inner in dataclasses.fields(section):
+                name = f"{outer.name}.{inner.name}"
+                other = _other_value(name, getattr(section, inner.name))
+                moved = dataclasses.replace(section, **{inner.name: other})
+                yield name, dataclasses.replace(base, **{outer.name: moved})
+        else:
+            name = f"run.{outer.name}"
+            yield name, dataclasses.replace(base, **{outer.name: _other_value(name, section)})

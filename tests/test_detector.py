@@ -78,7 +78,11 @@ class TestTraining:
         with pytest.raises(ValidationError):
             TrainConfig(l2_c=0.0)
         with pytest.raises(ValidationError):
+            TrainConfig(l2_c=float("nan"))
+        with pytest.raises(ValidationError):
             TrainConfig(max_iters=0)
+        with pytest.raises(ValidationError):
+            TrainConfig(tol=float("nan"))
         with pytest.raises(ValidationError):
             TrainConfig(class_weighting="focal")
 
