@@ -168,15 +168,10 @@ def spread_value(core: float, uf: float) -> float:
     return spread if spread > 0.0 else SPREAD_FLOOR
 
 
-def to_sgfn(
-    alert: Alert,
-    profile: AttackClassProfile,
-    cf: ContextualFactor,
-    height: float,
-) -> GaussianFuzzyNumber:
-    """Assemble the fuzzy number for one alert from its resolved parts."""
-    core = core_value(profile.cvss, cf.value)
-    return GaussianFuzzyNumber(core, spread_value(core, profile.uf), height)
+def check_uf_scale(uf_scale: float) -> None:
+    """Reject a global uncertainty-factor scale that is not finite and > 0."""
+    if not (math.isfinite(uf_scale) and uf_scale > 0.0):
+        raise ValidationError(f"uf_scale must be positive and finite, got {uf_scale!r}")
 
 
 # --- severity catalog ------------------------------------------------------
@@ -337,8 +332,7 @@ def assemble(
     per-alert probability cap. ``uf_scale`` globally rescales the uncertainty
     factors used for spread construction.
     """
-    if not (uf_scale > 0.0 and math.isfinite(uf_scale)):
-        raise ValidationError(f"uf_scale must be positive and finite, got {uf_scale!r}")
+    check_uf_scale(uf_scale)
     prepared: list[PreparedAlert] = []
     for alert in alerts:
         profile, unknown = resolve_profile(alert.attack_class, catalog)

@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
-from .alerts import CfMode
+from .alerts import CfMode, check_uf_scale
 from .calibration import HeightParams
 from .detector import DetectorConfig, DetectorMode
 from .errors import ConfigError, DomainError, ValidationError
@@ -43,10 +43,9 @@ class RankingConfig:
         try:
             for kappa in self.kappas:
                 check_kappa(kappa)
-        except DomainError as exc:
-            raise ConfigError(f"bad ranking.kappa: {exc}") from exc
-        if not self.uf_scale > 0.0:
-            raise ConfigError(f"ranking.uf_scale must be > 0, got {self.uf_scale!r}")
+            check_uf_scale(self.uf_scale)
+        except (DomainError, ValidationError) as exc:
+            raise ConfigError(f"bad [ranking] value: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -184,6 +183,8 @@ KEYS = {section: _walk(section, cls) for section, cls in _SECTIONS.items()}
 
 def _read(parser: configparser.ConfigParser, source: str) -> dict[str, dict[str, Any]]:
     """Field values set in the INI file, by section; blank values keep the default."""
+    if parser.defaults():
+        raise ConfigError(f"{source}: unknown section [DEFAULT]")
     for section in parser.sections():
         if section not in KEYS:
             raise ConfigError(f"{source}: unknown section [{section}]")

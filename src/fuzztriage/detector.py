@@ -327,8 +327,8 @@ def load_external_scores(path: str | Path) -> dict[str, float]:
     scores: dict[str, float] = {}
     with open(path, newline="") as fh:
         rows = [line for line in fh if line.strip() and not line.startswith("#")]
-    if not rows:
-        return scores
+    if len(rows) < 2:  # every row after the header is a score or an error
+        raise ParseError(f"{path}: no scores")
     reader = csv.reader(rows)
     header = next(reader, None)
     if header != SCORES_HEADER:

@@ -58,7 +58,7 @@ def ndcg_at_k(rels: Sequence[float], k: int) -> float:
 
 def queue_relevances(queue: RankedQueue, rel_by_id: Mapping[str, float]) -> list[float]:
     try:
-        return [rel_by_id[entry.alert_id] for entry in queue]
+        return [rel_by_id[queue.records[i].alert_id] for i in queue.order.tolist()]
     except KeyError as exc:
         raise EvaluationError(f"queue references unknown alert id {exc.args[0]!r}") from exc
 
@@ -67,12 +67,8 @@ def ndcg_of_queue(queue: RankedQueue, rel_by_id: Mapping[str, float], k: int) ->
     return ndcg_at_k(queue_relevances(queue, rel_by_id), k)
 
 
-def _renumber(queue: RankedQueue, entries: Sequence) -> RankedQueue:
-    return RankedQueue(
-        queue.method,
-        queue.kappa,
-        tuple(replace(e, rank=i) for i, e in enumerate(entries, start=1)),
-    )
+def _p_column(queue: RankedQueue) -> np.ndarray:
+    return np.array([r.p for r in queue.records], dtype=float)
 
 
 def predicted_queue(
@@ -80,8 +76,7 @@ def predicted_queue(
 ) -> RankedQueue:
     """Restrict a queue to detector-predicted attacks (p >= threshold),
     preserving order and renumbering ranks."""
-    kept = [e for e in queue if e.explanation.p >= threshold]
-    return _renumber(queue, kept)
+    return queue.where(_p_column(queue) >= threshold)
 
 
 # --- confidence bands ------------------------------------------------------
@@ -99,11 +94,9 @@ class Band:
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise ValidationError(f"band bounds must satisfy 0 <= lo < hi <= 1, got {self!r}")
 
-    def contains(self, p: float) -> bool:
-        return self.lo <= p <= self.hi if self.closed else self.lo <= p < self.hi
-
-
-DEFAULT_BANDS = (Band(0.3, 0.5), Band(0.5, 0.7), Band(0.7, 1.0, closed=True))
+    def contains(self, p: float | np.ndarray) -> bool | np.ndarray:
+        """Whether p lies in the band; elementwise for an array."""
+        return (self.lo <= p) & ((p <= self.hi) if self.closed else (p < self.hi))
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,7 @@ class BandResult:
 def band_eval(
     queue: RankedQueue,
     rel_by_id: Mapping[str, float],
-    bands: Sequence[Band] = DEFAULT_BANDS,
+    bands: Sequence[Band],
     k: int = 100,
 ) -> list[BandResult]:
     """NDCG within each confidence band.
@@ -124,14 +117,12 @@ def band_eval(
     The restriction keeps the method's own ordering (the band view is a
     subsequence of the queue). Empty bands report no score rather than zero.
     """
+    p = _p_column(queue)
     results = []
     for band in bands:
-        entries = [e for e in queue if band.contains(e.explanation.p)]
-        if not entries:
-            results.append(BandResult(band, 0, None))
-            continue
-        sub = _renumber(queue, entries)
-        results.append(BandResult(band, len(entries), ndcg_of_queue(sub, rel_by_id, k)))
+        view = queue.where(band.contains(p))
+        ndcg = ndcg_of_queue(view, rel_by_id, k) if len(view) else None
+        results.append(BandResult(band, len(view), ndcg))
     return results
 
 

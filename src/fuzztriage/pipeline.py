@@ -326,14 +326,12 @@ def write_calibration(config: RunConfig, table: Mapping[str, CalibrationRow]) ->
     return path
 
 
-def write_queues(
-    config: RunConfig, queues: Mapping[str, RankedQueue], records: Sequence[PreparedAlert]
-) -> list[Path]:
+def write_queues(config: RunConfig, queues: Mapping[str, RankedQueue]) -> list[Path]:
     stamp = artifact_stamp(config)
     written = []
     for name, queue in queues.items():
         path = _out(config, "queues", f"queue_{name}.csv")
-        write_queue_csv(path, queue, records, header_comment=stamp)
+        write_queue_csv(path, queue, header_comment=stamp)
         written.append(path)
     return written
 
@@ -504,7 +502,7 @@ def cmd_rank(config: RunConfig) -> RunOutput:
     queues = rank_all(config, records)
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
-    written.extend(write_queues(config, queues, records))
+    written.extend(write_queues(config, queues))
     return RunOutput(config, prep, detector_out, table, records, queues, written=tuple(written))
 
 
@@ -517,7 +515,7 @@ def cmd_evaluate(config: RunConfig) -> RunOutput:
     tables = evaluate_all(config, prep, detector_out, table, records, catalog, queues)
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
-    written.extend(write_queues(config, queues, records))
+    written.extend(write_queues(config, queues))
     written.extend(write_eval(config, tables))
     return RunOutput(
         config, prep, detector_out, table, records, queues, tables, tuple(written)

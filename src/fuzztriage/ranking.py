@@ -10,7 +10,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,42 +36,45 @@ class RiskProfile:
         check_kappa(self.kappa)
 
 
-@dataclass(frozen=True)
-class ScoreExplanation:
-    """Inputs that produced a score, kept for audit output."""
+class RankedAlert(NamedTuple):
+    """One queue position, built on demand when a queue is iterated."""
 
-    core: float
-    spread: float
-    height: float
-    p: float
-    cf: float
-    uf: float
-    kappa: float | None
-
-
-@dataclass(frozen=True)
-class RankedAlert:
-    alert_id: str
-    method: Method
-    score: float
     rank: int
-    explanation: ScoreExplanation
+    alert_id: str
+    score: float
 
 
 @dataclass(frozen=True)
 class RankedQueue:
+    """A ranking of one alert batch.
+
+    ``records`` is the batch in input order and ``scores`` is aligned with
+    it; ``order`` holds record indices from best to worst, so a rank is a
+    position in ``order``. A view of the queue (see :meth:`where`) shares
+    the records and scores and keeps a subsequence of the order.
+    """
+
     method: Method
     kappa: float | None
-    alerts: tuple[RankedAlert, ...]
+    records: Sequence[PreparedAlert]
+    scores: np.ndarray
+    order: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.alerts)
+        return len(self.order)
 
     def __iter__(self) -> Iterator[RankedAlert]:
-        return iter(self.alerts)
+        for position, i in enumerate(self.order.tolist(), start=1):
+            yield RankedAlert(position, self.records[i].alert_id, float(self.scores[i]))
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(a.alert_id for a in self.alerts)
+        return tuple(self.records[i].alert_id for i in self.order.tolist())
+
+    def where(self, keep: np.ndarray) -> RankedQueue:
+        """The view of the records where the mask ``keep`` (aligned with
+        ``records``) holds, in this queue's order and ranked from 1."""
+        order = self.order[keep[self.order]]
+        return RankedQueue(self.method, self.kappa, self.records, self.scores, order)
 
 
 def minmax_norm(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -117,31 +120,14 @@ def rank(
     """Rank a batch of alerts; an empty batch yields an empty queue."""
     kappa = profile.kappa if method is Method.RISK_AVERSE else None
     if not alerts:
-        return RankedQueue(method, kappa, ())
+        return RankedQueue(method, kappa, alerts, np.empty(0), np.empty(0, dtype=np.intp))
     ids = [a.alert_id for a in alerts]
     if len(set(ids)) != len(ids):
         raise ValidationError("alert ids must be unique within a batch")
     scores = method_scores(alerts, method, profile)
-    order = sorted(range(len(alerts)), key=lambda i: (-scores[i], ids[i]))
-    ranked = tuple(
-        RankedAlert(
-            alert_id=alerts[i].alert_id,
-            method=method,
-            score=float(scores[i]),
-            rank=position,
-            explanation=ScoreExplanation(
-                core=alerts[i].core,
-                spread=alerts[i].spread,
-                height=alerts[i].height,
-                p=alerts[i].p,
-                cf=alerts[i].cf,
-                uf=alerts[i].uf,
-                kappa=kappa,
-            ),
-        )
-        for position, i in enumerate(order, start=1)
-    )
-    return RankedQueue(method, kappa, ranked)
+    keys = (-scores).tolist()
+    order = sorted(range(len(alerts)), key=lambda i: (keys[i], ids[i]))
+    return RankedQueue(method, kappa, alerts, scores, np.array(order, dtype=np.intp))
 
 
 def kappa_sweep(
@@ -155,25 +141,22 @@ QUEUE_HEADER = ["rank", "id", "method", "score", "c", "sigma", "h", "p", "attack
 
 
 def write_queue_csv(
-    path: str | Path,
-    queue: RankedQueue,
-    records: Sequence[PreparedAlert],
-    header_comment: str | None = None,
+    path: str | Path, queue: RankedQueue, header_comment: str | None = None
 ) -> None:
-    by_id = {r.alert_id: r for r in records}
+    scores = queue.scores.tolist()
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(QUEUE_HEADER)
-        for entry in queue:
-            record = by_id[entry.alert_id]
+        for position, i in enumerate(queue.order.tolist(), start=1):
+            record = queue.records[i]
             writer.writerow(
                 [
-                    entry.rank,
-                    entry.alert_id,
-                    entry.method.value,
-                    f"{entry.score:.10g}",
+                    position,
+                    record.alert_id,
+                    queue.method.value,
+                    f"{scores[i]:.10g}",
                     f"{record.core:.10g}",
                     f"{record.spread:.10g}",
                     f"{record.height:.10g}",

@@ -22,7 +22,6 @@ from fuzztriage.alerts import (
     load_catalog,
     resolve_profile,
     spread_value,
-    to_sgfn,
     write_alerts_csv,
 )
 from fuzztriage.calibration import HEIGHT_FLOOR
@@ -120,16 +119,6 @@ class TestCoreAndSpread:
             spread_value(-1.0, 0.2)
         with pytest.raises(ValidationError):
             spread_value(5.0, 0.6)
-
-
-class TestToSgfn:
-    def test_worked_example(self):
-        alert = Alert("a1", "WebAttack", p=0.9)
-        profile = AttackClassProfile("WebAttack", 7.5, 0.15)
-        fuzzy = to_sgfn(alert, profile, ContextualFactor(0.8, CfMode.CONTINUOUS), 0.626)
-        assert fuzzy.core == pytest.approx(6.00, abs=1e-12)
-        assert fuzzy.spread == pytest.approx(0.90, abs=1e-12)
-        assert fuzzy.height == 0.626
 
 
 class TestAlertValidation:

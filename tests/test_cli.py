@@ -313,6 +313,19 @@ class TestMain:
         assert rc == 2
         assert "validation split is empty" in capsys.readouterr().err
 
+    def test_scores_file_without_scores_exits_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,p\n", encoding="utf-8")
+        path = tmp_path / "run.ini"
+        path.write_text(
+            f"[synth]\nn_flows = 300\n[detector]\nmode = external_scores\nscores_path = {scores}\n",
+            encoding="utf-8",
+        )
+        rc = cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "no scores" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_runtime_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(config):
             raise EvaluationError("queues do not cover the same alerts")

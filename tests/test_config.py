@@ -176,6 +176,10 @@ class TestIniErrors:
         path = write_ini(tmp_path, "[rankings]\nkappa = 1.0\n")
         with pytest.raises(ConfigError, match=r"unknown section \[rankings\]"):
             load_config(path)
+        for body in ("[DEFAULT]\nseed = 1\n", "[DEFAULT]\nseed = 1\n[run]\nout_dir = r\n"):
+            path = write_ini(tmp_path, body)
+            with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+                load_config(path)
 
     def test_unknown_key(self, tmp_path):
         path = write_ini(tmp_path, "[ranking]\nkapa = 1.0\n")
@@ -274,6 +278,8 @@ class TestDataclassValidation:
             {"kappas": (1.0, float("inf"))},
             {"uf_scale": 0.0},
             {"uf_scale": -1.0},
+            {"uf_scale": float("inf")},
+            {"uf_scale": float("nan")},
         ],
     )
     def test_ranking_config_rejects(self, kwargs):

@@ -235,6 +235,13 @@ class TestExternalScores:
         with pytest.raises(ParseError, match="row 2"):
             load_external_scores(path)
 
+    @pytest.mark.parametrize("text", ["", "# comment only\n", "id,p\n", "id,p\n\n"])
+    def test_no_scores(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="no scores"):
+            load_external_scores(path)
+
     def test_defaults_for_missing(self, caplog):
         with caplog.at_level(logging.WARNING):
             values = scores_with_defaults(["a", "b"], {"a": 0.9})

@@ -10,9 +10,9 @@ import pytest
 from conftest import make_record, random_batch
 from fuzztriage.alerts import Alert, Criticality, load_catalog
 from fuzztriage.calibration import instance_height
+from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import EvaluationError, ValidationError
 from fuzztriage.evaluation import (
-    DEFAULT_BANDS,
     Band,
     ScenarioKind,
     ScenarioResult,
@@ -159,9 +159,10 @@ class TestBands:
         assert band.contains(1.0)
 
     def test_default_band_edges(self):
-        assert [b.contains(0.5) for b in DEFAULT_BANDS] == [False, True, False]
-        assert [b.contains(0.29) for b in DEFAULT_BANDS] == [False, False, False]
-        assert [b.contains(1.0) for b in DEFAULT_BANDS] == [False, False, True]
+        bands = EvaluationConfig().band_objects()
+        assert [b.contains(0.5) for b in bands] == [False, True, False]
+        assert [b.contains(0.29) for b in bands] == [False, False, False]
+        assert [b.contains(1.0) for b in bands] == [False, False, True]
 
     @pytest.mark.parametrize("lo,hi", [(0.5, 0.5), (0.7, 0.3), (-0.1, 0.5), (0.5, 1.1)])
     def test_bad_bounds(self, lo, hi):
@@ -180,7 +181,11 @@ class TestBands:
 
     def test_empty_band_reports_none(self):
         records = [make_record("a", 8.0, 1.2, 0.9, 0.9)]
-        results = band_eval(rank(records, Method.SEVERITY_ONLY), relevance_by_id(records))
+        results = band_eval(
+            rank(records, Method.SEVERITY_ONLY),
+            relevance_by_id(records),
+            EvaluationConfig().band_objects(),
+        )
         assert results[0].count == 0 and results[0].ndcg is None
         assert results[1].count == 0 and results[1].ndcg is None
         assert results[2].count == 1

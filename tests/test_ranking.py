@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_record, random_batch
+from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import DomainError, ValidationError
+from fuzztriage.evaluation import band_eval, ndcg_at_k, predicted_queue, relevance_by_id
 from fuzztriage.ranking import (
     QUEUE_HEADER,
     Method,
@@ -124,7 +129,7 @@ class TestRankMechanics:
     def test_single_alert_rank_one(self, method):
         queue = rank([make_record("only", 6.0, 0.9, 0.63, 0.8)], method)
         assert len(queue) == 1
-        assert queue.alerts[0].rank == 1
+        assert next(iter(queue)).rank == 1
         assert queue.ids() == ("only",)
 
     def test_ranks_contiguous_from_one(self, rng):
@@ -147,20 +152,20 @@ class TestRankMechanics:
 
     def test_explanation_carries_inputs(self):
         record = make_record("e", 6.0, 0.9, 0.626, 0.75, cf=0.8, uf=0.15)
-        entry = rank([record], Method.RISK_AVERSE, RiskProfile(1.5)).alerts[0]
-        assert entry.explanation.core == 6.0
-        assert entry.explanation.spread == 0.9
-        assert entry.explanation.height == 0.626
-        assert entry.explanation.p == 0.75
-        assert entry.explanation.cf == 0.8
-        assert entry.explanation.uf == 0.15
-        assert entry.explanation.kappa == 1.5
+        queue = rank([record], Method.RISK_AVERSE, RiskProfile(1.5))
+        inputs = queue.records[queue.order[0]]
+        assert inputs.core == 6.0
+        assert inputs.spread == 0.9
+        assert inputs.height == 0.626
+        assert inputs.p == 0.75
+        assert inputs.cf == 0.8
+        assert inputs.uf == 0.15
+        assert queue.kappa == 1.5
 
     def test_kappa_none_outside_risk_averse(self):
         record = make_record("e", 6.0, 0.9, 0.626, 0.75)
         queue = rank([record], Method.CONFIDENCE_ONLY)
         assert queue.kappa is None
-        assert queue.alerts[0].explanation.kappa is None
 
 
 class TestKappaSweep:
@@ -200,7 +205,7 @@ class TestQueueCsv:
         records[0] = make_record(records[0].alert_id, 5.0, 1.0, 0.9, 0.5, label=None)
         queue = rank(records, Method.RISK_AVERSE, RiskProfile(1.0))
         path = tmp_path / "queue.csv"
-        write_queue_csv(path, queue, records, header_comment="config_hash=abc seed=7")
+        write_queue_csv(path, queue, header_comment="config_hash=abc seed=7")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash=abc seed=7"
         assert lines[1] == ",".join(QUEUE_HEADER)
@@ -210,3 +215,64 @@ class TestQueueCsv:
         assert first[2] == "risk_averse"
         label_blank = [ln for ln in lines[2:] if ln.endswith(",")]
         assert len(label_blank) == 1
+
+
+@st.composite
+def tied_batches(draw):
+    """Batches whose cores, heights and probabilities repeat, so every
+    method sees exact ties, and whose ids are arbitrary text. Ids from a
+    small alphabet often differ only by a trailing NUL ("b", "b\\x00"),
+    which a numpy string array would treat as equal."""
+    id_text = st.one_of(st.text("ab\x00", min_size=1, max_size=3), st.text(min_size=1, max_size=4))
+    ids = draw(st.lists(id_text, max_size=30, unique=True))
+    records = []
+    for alert_id in ids:
+        core = draw(st.sampled_from([0.0, 2.5, 5.0, 7.5]))
+        p = draw(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)))
+        records.append(
+            make_record(
+                alert_id,
+                core,
+                max(core * 0.2, 1e-6),
+                draw(st.sampled_from([0.25, 0.5, 1.0])),
+                p,
+                label=draw(st.sampled_from([0, 1])),
+            )
+        )
+    return records
+
+
+class TestQueueProperties:
+    @given(tied_batches(), st.sampled_from(list(Method)))
+    @settings(max_examples=150, deadline=None)
+    def test_order_and_views_match_scalar_reference(self, records, method):
+        queue = rank(records, method)
+        scores = method_scores(records, method) if records else []
+        score = {r.alert_id: float(s) for r, s in zip(records, scores)}
+        reference = sorted(score, key=lambda i: (-score[i], i))
+        assert queue.ids() == tuple(reference)
+        assert [e.rank for e in queue] == list(range(1, len(records) + 1))
+        assert [(e.alert_id, e.score) for e in queue] == [(i, score[i]) for i in reference]
+
+        p = {r.alert_id: r.p for r in records}
+        pred = predicted_queue(queue)
+        assert pred.ids() == tuple(i for i in reference if p[i] >= 0.5)
+        assert [e.rank for e in pred] == list(range(1, len(pred) + 1))
+
+        rel = relevance_by_id(records)
+        bands = EvaluationConfig().band_objects()
+        for band, result in zip(bands, band_eval(queue, rel, bands)):
+            kept = [i for i in reference if band.contains(p[i])]
+            view = queue.where(band.contains(np.array([r.p for r in records], dtype=float)))
+            assert view.ids() == tuple(kept)
+            assert result.count == len(kept)
+            assert result.ndcg == (ndcg_at_k([rel[i] for i in kept], 100) if kept else None)
+
+
+class TestLibraryUse:
+    def test_readme_example_runs(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+        exec(text.split("```python\n", 1)[1].split("```", 1)[0], {})
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["1", "a-001"], ["2", "a-002"]]
