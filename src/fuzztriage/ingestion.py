@@ -10,9 +10,13 @@ onto eight attack classes plus benign; unmapped labels become a flagged
 from __future__ import annotations
 
 import csv
+import io
 import logging
+import operator
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -73,8 +77,8 @@ class FlowDataset:
         return FlowDataset(
             self.features[idx],
             self.feature_names,
-            tuple(self.labels[i] for i in idx),
-            None if self.days is None else tuple(self.days[i] for i in idx),
+            tuple(map(self.labels.__getitem__, idx.tolist())),
+            None if self.days is None else tuple(map(self.days.__getitem__, idx.tolist())),
         )
 
 
@@ -93,79 +97,97 @@ def load_csv(
     """Load a flow CSV, dropping rows with non-numeric or non-finite features.
 
     The day column is optional even when named: if the header lacks it the
-    dataset simply carries no day tags. A missing label column or a file with
-    no data rows is an error.
+    dataset simply carries no day tags. A missing label column, a repeated
+    column name or a file with no data rows is an error. A UTF-8 byte order
+    mark is accepted.
     """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [name.strip() for name in rows[0]]
-    if label_column not in header:
-        raise ParseError(f"{path}: missing label column {label_column!r}")
-    label_idx = header.index(label_column)
-    day_idx = header.index(day_column) if day_column and day_column in header else None
-    feature_idx = [
-        i for i in range(len(header)) if i != label_idx and i != day_idx
-    ]
-    if not feature_idx:
-        raise ParseError(f"{path}: no feature columns")
-    if len(rows) == 1:
-        raise ParseError(f"{path}: no data rows")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        rows = (row for row in csv.reader(fh) if row and not row[0].startswith("#"))
+        header = [name.strip() for name in next(rows, ())]
+        if not header:
+            raise ParseError(f"{path}: empty file")
+        repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+        if repeated is not None:
+            raise ParseError(f"{path}: duplicate column {repeated!r}")
+        if label_column not in header:
+            raise ParseError(f"{path}: missing label column {label_column!r}")
+        label_idx = header.index(label_column)
+        day_idx = header.index(day_column) if day_column and day_column in header else None
+        feature_idx = [i for i in range(len(header)) if i != label_idx and i != day_idx]
+        if not feature_idx:
+            raise ParseError(f"{path}: no feature columns")
+        getter = operator.itemgetter(*feature_idx)
+        # itemgetter returns a bare field, not a 1-tuple, for one column.
+        fields = getter if len(feature_idx) > 1 else lambda row: (getter(row),)
 
-    matrix: list[list[float]] = []
-    labels: list[str] = []
-    days: list[str] = []
-    dropped = 0
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {len(matrix) + dropped + 2} has {len(row)} fields, expected {len(header)}")
-        try:
-            values = [float(row[i]) for i in feature_idx]
-        except ValueError:
-            dropped += 1
-            continue
-        if not all(np.isfinite(values)):
-            dropped += 1
-            continue
-        matrix.append(values)
-        labels.append(row[label_idx].strip())
-        if day_idx is not None:
-            days.append(row[day_idx].strip())
-    if not matrix:
+        values = array("d")  # parsed rows, flat; non-finite ones are dropped below
+        labels: list[str] = []
+        days: list[str] = []
+        dropped = 0
+        for n, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row {n} has {len(row)} fields, expected {len(header)}")
+            try:
+                values.extend(map(float, fields(row)))
+            except ValueError:
+                del values[len(labels) * len(feature_idx):]
+                dropped += 1
+                continue
+            labels.append(row[label_idx].strip())
+            if day_idx is not None:
+                days.append(row[day_idx].strip())
+    if not labels and not dropped:
+        raise ParseError(f"{path}: no data rows")
+    matrix = np.frombuffer(values, dtype=float).reshape(len(labels), len(feature_idx))
+    finite = np.isfinite(matrix).all(axis=1)
+    kept = int(finite.sum())
+    dropped += len(labels) - kept
+    if not kept:
         raise ParseError(f"{path}: all {dropped} data rows were dropped")
     dataset = FlowDataset(
-        np.asarray(matrix, dtype=float),
+        matrix[finite],
         tuple(header[i] for i in feature_idx),
-        tuple(labels),
-        tuple(days) if day_idx is not None else None,
+        tuple(compress(labels, finite)),
+        tuple(compress(days, finite)) if day_idx is not None else None,
     )
-    return dataset, LoadReport(len(matrix), dropped)
+    return dataset, LoadReport(kept, dropped)
 
 
 def write_flow_csv(
     dataset: FlowDataset, path: str | Path, header_comment: str | None = None
 ) -> None:
-    """Write a dataset in the same schema load_csv reads."""
+    """Write a dataset in the same schema load_csv reads: the bytes of
+    ``csv.writer`` given ``f"{v:.6g}"`` for each feature, the label and the day."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = list(dataset.feature_names) + [LABEL_COLUMN_DEFAULT]
+    tags = [dataset.labels]
     if dataset.days is not None:
         header.append(DAY_COLUMN_DEFAULT)
+        tags.append(dataset.days)
+    # "%.6g" % v is f"{v:.6g}", which never needs quoting; the rest of a row
+    # is written by csv.writer once per distinct (label, day).
+    values_format = ",".join(["%.6g"] * len(dataset.feature_names))
+    tails = {key: _csv_row(("",) + key) for key in set(zip(*tags))}
     with path.open("w", newline="", encoding="utf-8") as fh:
         if header_comment is not None:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [f"{v:.6g}" for v in dataset.features[i]]
-            row.append(dataset.labels[i])
-            if dataset.days is not None:
-                row.append(dataset.days[i])
-            writer.writerow(row)
+        fh.write(_csv_row(header))
+        chunk = 8192  # rows per write
+        for start in range(0, len(dataset), chunk):
+            stop = start + chunk
+            keys = zip(*(tag[start:stop] for tag in tags))
+            block = zip(dataset.features[start:stop].tolist(), keys)
+            fh.write("".join([values_format % tuple(v) + tails[key] for v, key in block]))
+
+
+def _csv_row(fields: Sequence[str]) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
 
 
 # --- attack-class mapping --------------------------------------------------
@@ -214,7 +236,7 @@ def load_class_map_override(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"class map override not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
     if not rows or [c.strip().lower() for c in rows[0]] != ["raw", "class"]:
         raise ParseError(f"{path}: expected header raw,class")
@@ -240,7 +262,8 @@ def map_attack_types(
     table = dict(DEFAULT_CLASS_MAP)
     if override:
         table.update(override)
-    return tuple(table.get(_canon(raw), UNKNOWN_CLASS) for raw in labels)
+    mapped = {raw: table.get(_canon(raw), UNKNOWN_CLASS) for raw in set(labels)}
+    return tuple(map(mapped.__getitem__, labels))
 
 
 def binary_labels(classes: Sequence[str]) -> np.ndarray:

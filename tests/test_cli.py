@@ -326,6 +326,15 @@ class TestMain:
         assert "no scores" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_duplicate_column_exits_2(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("Fwd Header Length,Fwd Header Length,Label\n1,2,BENIGN\n", encoding="utf-8")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[dataset]\nsource = csv\npath = {flows}\n", encoding="utf-8")
+        rc = cli.main(["prepare", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert f"{flows}: duplicate column 'Fwd Header Length'" in capsys.readouterr().err
+
     def test_runtime_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(config):
             raise EvaluationError("queues do not cover the same alerts")

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzztriage.alerts import UNKNOWN_CLASS
 from fuzztriage.detector import DetectorReport, train_lr
@@ -128,6 +133,148 @@ class TestLoadCsv:
         ds, _ = load_csv(path)
         assert len(ds) == 1
 
+    def test_duplicate_column_named(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text("Fwd Header Length,f2,Fwd Header Length,Label\n1,2,3,BENIGN\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: duplicate column 'Fwd Header Length'"
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text("\ufeffLabel,f1\nBENIGN,1.0\n", encoding="utf-8")
+        ds, _ = load_csv(path)
+        assert ds.feature_names == ("f1",)
+        assert ds.labels == ("BENIGN",)
+
+
+# --- scalar references for the flow CSV reader and writer ----------------------
+
+def reference_flow_csv(dataset, header_comment=None) -> bytes:
+    """``write_flow_csv`` one value at a time: csv.writer over f"{v:.6g}" fields."""
+    out = io.StringIO(newline="")
+    if header_comment is not None:
+        out.write(f"# {header_comment}\n")
+    writer = csv.writer(out)
+    writer.writerow([*dataset.feature_names, "Label"] + (["Day"] if dataset.days is not None else []))
+    for i in range(len(dataset)):
+        row = [f"{v:.6g}" for v in dataset.features[i]] + [dataset.labels[i]]
+        if dataset.days is not None:
+            row.append(dataset.days[i])
+        writer.writerow(row)
+    return out.getvalue().encode("utf-8")
+
+
+def reference_load(text):
+    """``load_csv`` one row at a time with float() and isfinite: the error
+    message (without the path) or (features, names, labels, days, dropped)."""
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
+    header = [name.strip() for name in rows[0]]
+    label_idx = header.index("Label")
+    day_idx = header.index("Day") if "Day" in header else None
+    feature_idx = [i for i in range(len(header)) if i not in (label_idx, day_idx)]
+    if len(rows) == 1:
+        return "no data rows"
+    kept, dropped = [], 0
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            return f"row {n} has {len(row)} fields, expected {len(header)}"
+        try:
+            values = [float(row[i]) for i in feature_idx]
+        except ValueError:
+            dropped += 1
+            continue
+        if not all(math.isfinite(v) for v in values):
+            dropped += 1
+            continue
+        kept.append((values, row[label_idx].strip(), None if day_idx is None else row[day_idx].strip()))
+    if not kept:
+        return f"all {dropped} data rows were dropped"
+    features = np.array([values for values, _, _ in kept], dtype=float)
+    names = tuple(header[i] for i in feature_idx)
+    days = None if day_idx is None else tuple(day for _, _, day in kept)
+    return features, names, tuple(label for _, label, _ in kept), days, dropped
+
+
+def csv_line(fields) -> str:
+    out = io.StringIO(newline="")
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
+
+
+# Labels and days with the characters csv quoting depends on, and any text.
+tag_text = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\t#é–')), max_size=6) | st.text(max_size=6)
+feature_values = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300]
+)
+cells = st.floats().map(repr) | st.sampled_from(
+    ["1", "-2.5", "1e-300", "1e400", "Infinity", "-inf", "NaN", "n/a", "", " 1.5 ", "1_0", "+3."]
+)
+
+
+@st.composite
+def flow_datasets(draw):
+    d, n = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    values = draw(st.lists(feature_values, min_size=n * d, max_size=n * d))
+    names = draw(st.lists(tag_text, min_size=d, max_size=d, unique=True))
+    labels = draw(st.lists(tag_text, min_size=n, max_size=n))
+    days = draw(st.none() | st.lists(tag_text, min_size=n, max_size=n).map(tuple))
+    return FlowDataset(np.array(values, dtype=float).reshape(n, d), tuple(names), tuple(labels), days)
+
+
+@st.composite
+def flow_files(draw):
+    """CSV text with a shuffled header, 1 to 3 feature columns, an optional
+    Day column, and data rows mixed with comment, blank and ragged lines."""
+    d = draw(st.integers(1, 3))
+    names = [f"f{i}" for i in range(d)] + ["Label"] + (["Day"] if draw(st.booleans()) else [])
+    header = draw(st.permutations(names))
+    lines = [csv_line([draw(st.sampled_from([name, f" {name} "])) for name in header])]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank", "ragged"]))
+        if kind == "comment":
+            lines.append("# " + csv_line(["note", "x"]))
+        elif kind == "blank":
+            lines.append("\r\n")
+        else:
+            row = [draw(cells) if name.startswith("f") else draw(tag_text) for name in header]
+            if kind == "ragged":
+                row = row[:-1] if draw(st.booleans()) else row + ["1"]
+            lines.append(csv_line(row))
+    return "".join(lines)
+
+
+class TestFlowCsvProperties:
+    @given(flow_datasets(), st.none() | st.just("config_hash=abc seed=1"))
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_reference(self, tmp_path_factory, dataset, comment):
+        path = tmp_path_factory.getbasetemp() / "written.csv"
+        write_flow_csv(dataset, path, header_comment=comment)
+        assert path.read_bytes() == reference_flow_csv(dataset, comment)
+
+    def test_writer_matches_reference_across_chunks(self, tmp_path):
+        dataset = synth_generate(SynthConfig(n_flows=8300, seed=4))
+        write_flow_csv(dataset, tmp_path / "flows.csv")
+        assert (tmp_path / "flows.csv").read_bytes() == reference_flow_csv(dataset)
+
+    @given(flow_files(), st.sampled_from(["", "\ufeff"]))
+    @settings(max_examples=300, deadline=None)
+    def test_loader_matches_reference(self, tmp_path_factory, text, bom):
+        path = tmp_path_factory.getbasetemp() / "loaded.csv"
+        path.write_bytes((bom + text).encode("utf-8"))
+        expected = reference_load(text)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as err:
+                load_csv(path)
+            assert str(err.value) == f"{path}: {expected}"
+            return
+        features, names, labels, days, dropped = expected
+        ds, report = load_csv(path)
+        assert ds.features.shape == features.shape
+        assert ds.features.tobytes() == features.tobytes()
+        assert (ds.feature_names, ds.labels, ds.days) == (names, labels, days)
+        assert (report.rows_kept, report.rows_dropped) == (len(labels), dropped)
+
 
 class TestClassMapping:
     def test_known_raw_labels(self):
@@ -156,6 +303,11 @@ class TestClassMapping:
         path.write_text("raw,class\nQuantum-Exfil,Infiltration\n")
         override = load_class_map_override(path)
         assert override == {"quantum exfil": "Infiltration"}
+
+    def test_override_file_with_utf8_bom(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("\ufeffraw,class\nQuantum-Exfil,Infiltration\n", encoding="utf-8")
+        assert load_class_map_override(path) == {"quantum exfil": "Infiltration"}
 
     def test_override_bad_header(self, tmp_path):
         path = tmp_path / "map.csv"
