@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .calibration import (
     CVSS_DEFAULT,
@@ -24,7 +26,6 @@ from .calibration import (
     instance_height,
 )
 from .errors import ParseError, ValidationError
-from .sgfn import GaussianFuzzyNumber
 
 #: Class name given to alerts whose raw label cannot be mapped.
 UNKNOWN_CLASS = "unknown_novel"
@@ -123,13 +124,13 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def contextual_factor(
+def cf_value(
     alert_id: str,
     attack_class: str,
     mode: CfMode = CfMode.CONTINUOUS,
     criticality: Criticality | None = None,
-) -> ContextualFactor:
-    """Derive the contextual factor for one alert.
+) -> float:
+    """Derive the contextual factor of one alert as a bare number.
 
     An explicit criticality category wins and yields its fixed categorical
     value. Otherwise the factor is derived deterministically from the alert
@@ -137,35 +138,23 @@ def contextual_factor(
     kept continuous or snapped to the nearest categorical level.
     """
     if criticality is not None:
-        return ContextualFactor(CRITICALITY_FACTORS[criticality], CfMode.CATEGORICAL)
+        return CRITICALITY_FACTORS[criticality]
     u = fnv1a64(f"{alert_id}|{attack_class}".encode()) / _UINT64
     value = 0.2 + 0.8 * u
     if mode is CfMode.CATEGORICAL:
         value = min(CATEGORICAL_LEVELS, key=lambda level: abs(level - value))
-    return ContextualFactor(value, mode)
+    return value
 
 
-def core_value(cvss: float, cf: float) -> float:
-    """Fuzzy core: base CVSS scaled by the contextual factor."""
-    if not (0.0 <= cvss <= 10.0):
-        raise ValidationError(f"cvss must lie in [0, 10], got {cvss!r}")
-    if not (0.2 <= cf <= 1.0):
-        raise ValidationError(f"cf must lie in [0.2, 1.0], got {cf!r}")
-    return cvss * cf
-
-
-def spread_value(core: float, uf: float) -> float:
-    """Fuzzy spread: core scaled by the class uncertainty factor.
-
-    A zero core (benign or fully discounted alerts) gets the positive floor
-    :data:`SPREAD_FLOOR` so the fuzzy number stays well-formed.
-    """
-    if not (core >= 0.0 and math.isfinite(core)):
-        raise ValidationError(f"core must be finite and >= 0, got {core!r}")
-    if not (0.0 < uf <= 0.5):
-        raise ValidationError(f"uf must lie in (0, 0.5], got {uf!r}")
-    spread = core * uf
-    return spread if spread > 0.0 else SPREAD_FLOOR
+def contextual_factor(
+    alert_id: str,
+    attack_class: str,
+    mode: CfMode = CfMode.CONTINUOUS,
+    criticality: Criticality | None = None,
+) -> ContextualFactor:
+    """The validated contextual factor of one alert (see :func:`cf_value`)."""
+    value = cf_value(alert_id, attack_class, mode, criticality)
+    return ContextualFactor(value, CfMode.CATEGORICAL if criticality is not None else mode)
 
 
 def check_uf_scale(uf_scale: float) -> None:
@@ -220,16 +209,12 @@ def load_catalog(path: str | Path | None = None) -> dict[str, AttackClassProfile
 
 def resolve_profile(
     attack_class: str, catalog: Mapping[str, AttackClassProfile]
-) -> tuple[AttackClassProfile, bool]:
-    """Look up a class profile, falling back to defaults for unknown classes.
-
-    Returns the profile and a flag that is True when the class was not in the
-    catalog (novel from the severity model's point of view).
-    """
+) -> AttackClassProfile:
+    """Look up a class profile, falling back to defaults for unknown classes."""
     profile = catalog.get(attack_class)
     if profile is not None:
-        return profile, False
-    return AttackClassProfile(attack_class, CVSS_DEFAULT, UF_UNKNOWN_DEFAULT), True
+        return profile
+    return AttackClassProfile(attack_class, CVSS_DEFAULT, UF_UNKNOWN_DEFAULT)
 
 
 # --- alert CSV schema ------------------------------------------------------
@@ -267,32 +252,11 @@ def load_alerts_csv(path: str | Path) -> list[Alert]:
     return alerts
 
 
-def write_alerts_csv(
-    path: str | Path, alerts: Sequence[Alert], header_comment: str | None = None
-) -> None:
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(ALERT_HEADER)
-        for a in alerts:
-            writer.writerow(
-                [
-                    a.alert_id,
-                    a.attack_class,
-                    f"{a.p:.10g}",
-                    "" if a.label is None else a.label,
-                    "" if a.criticality is None else a.criticality.value,
-                ]
-            )
-
-
 # --- batch assembly --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreparedAlert:
-    """An alert with every ranked-ready quantity resolved and frozen."""
+class PreparedAlert(NamedTuple):
+    """One alert of a batch with every ranked-ready quantity resolved."""
 
     alert_id: str
     attack_class: str
@@ -300,21 +264,62 @@ class PreparedAlert:
     cf: float
     uf: float
     h_class: float
-    fuzzy: GaussianFuzzyNumber
+    core: float
+    spread: float
+    height: float
     label: int | None = None
-    novel: bool = False
 
-    @property
-    def core(self) -> float:
-        return self.fuzzy.core
 
-    @property
-    def spread(self) -> float:
-        return self.fuzzy.spread
+_FLOAT_COLUMNS = ("p", "cf", "uf", "h_class", "core", "spread", "height")
 
-    @property
-    def height(self) -> float:
-        return self.fuzzy.height
+
+@dataclass(frozen=True)
+class AlertBatch:
+    """Prepared alerts as aligned columns, one entry per alert; ids are unique.
+
+    ``p`` to ``height`` are read-only float64 arrays. Indexing and iteration
+    build :class:`PreparedAlert` rows on demand.
+    """
+
+    ids: tuple[str, ...]
+    classes: tuple[str, ...]
+    labels: tuple[int | None, ...]
+    p: np.ndarray
+    cf: np.ndarray
+    uf: np.ndarray
+    h_class: np.ndarray
+    core: np.ndarray
+    spread: np.ndarray
+    height: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        for name in _FLOAT_COLUMNS:
+            column = np.array(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        shapes = {(len(self.classes),), (len(self.labels),)}
+        if shapes | {getattr(self, f).shape for f in _FLOAT_COLUMNS} != {(n,)}:
+            raise ValidationError("alert batch columns must all have one entry per id")
+        if len(set(self.ids)) != n:
+            raise ValidationError("alert ids must be unique within a batch")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> PreparedAlert:
+        floats = (getattr(self, name)[i].item() for name in _FLOAT_COLUMNS)
+        return PreparedAlert(self.ids[i], self.classes[i], *floats, self.labels[i])
+
+    def __iter__(self) -> Iterator[PreparedAlert]:
+        floats = (getattr(self, name).tolist() for name in _FLOAT_COLUMNS)
+        return map(PreparedAlert._make, zip(self.ids, self.classes, *floats, self.labels))
+
+    def with_p(self, p: Sequence[float] | np.ndarray) -> AlertBatch:
+        """The same alerts under new probabilities: ``p`` and the capped
+        ``height`` are recomputed, every other column is held fixed."""
+        p = np.asarray(p, dtype=float)
+        return replace(self, p=p, height=instance_height(self.h_class, p))
 
 
 def assemble(
@@ -324,43 +329,30 @@ def assemble(
     *,
     cf_mode: CfMode = CfMode.CONTINUOUS,
     uf_scale: float = 1.0,
-) -> list[PreparedAlert]:
-    """Resolve every alert into a :class:`PreparedAlert`.
+) -> AlertBatch:
+    """Resolve a sequence of alerts into one :class:`AlertBatch`.
 
     ``heights`` maps calibrated classes to their class heights; classes absent
     from it are treated as novel and given the neutral height 0.5 before the
     per-alert probability cap. ``uf_scale`` globally rescales the uncertainty
-    factors used for spread construction.
+    factors used for spread construction. The core is the class CVSS scaled
+    by the contextual factor and the spread is the core scaled by the
+    uncertainty factor; a zero core gets the spread :data:`SPREAD_FLOOR`.
     """
     check_uf_scale(uf_scale)
-    prepared: list[PreparedAlert] = []
-    for alert in alerts:
-        profile, unknown = resolve_profile(alert.attack_class, catalog)
-        uf = profile.uf * uf_scale
-        if not (0.0 < uf <= 0.5):
-            raise ValidationError(
-                f"scaled uf {uf!r} for class {alert.attack_class!r} outside (0, 0.5]"
-            )
-        h_class = heights.get(alert.attack_class)
-        novel = unknown or h_class is None
-        if h_class is None:
-            h_class = NOVEL_CLASS_HEIGHT
-        cf = contextual_factor(alert.alert_id, alert.attack_class, cf_mode, alert.criticality)
-        core = core_value(profile.cvss, cf.value)
-        fuzzy = GaussianFuzzyNumber(
-            core, spread_value(core, uf), instance_height(h_class, alert.p)
-        )
-        prepared.append(
-            PreparedAlert(
-                alert_id=alert.alert_id,
-                attack_class=alert.attack_class,
-                p=alert.p,
-                cf=cf.value,
-                uf=uf,
-                h_class=h_class,
-                fuzzy=fuzzy,
-                label=alert.label,
-                novel=novel,
-            )
-        )
-    return prepared
+    classes = tuple(a.attack_class for a in alerts)
+    profiles = {c: resolve_profile(c, catalog) for c in dict.fromkeys(classes)}
+    for c, profile in profiles.items():
+        scaled = profile.uf * uf_scale
+        if not (0.0 < scaled <= 0.5):
+            raise ValidationError(f"scaled uf {scaled!r} for class {c!r} outside (0, 0.5]")
+    ids = tuple(a.alert_id for a in alerts)
+    labels = tuple(a.label for a in alerts)
+    p = np.array([a.p for a in alerts], dtype=float)
+    cf = np.array([cf_value(a.alert_id, a.attack_class, cf_mode, a.criticality) for a in alerts])
+    uf = np.array([profiles[c].uf for c in classes]) * uf_scale
+    h_class = np.array([heights.get(c, NOVEL_CLASS_HEIGHT) for c in classes], dtype=float)
+    core = np.array([profiles[c].cvss for c in classes]) * cf
+    spread = np.where(core * uf > 0.0, core * uf, SPREAD_FLOOR)
+    height = instance_height(h_class, p)
+    return AlertBatch(ids, classes, labels, p, cf, uf, h_class, core, spread, height)

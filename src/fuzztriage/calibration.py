@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ParseError, ValidationError
+import numpy as np
+
+from .errors import ValidationError
 
 #: Lower bound applied to instance heights so the log penalty stays finite
 #: even for probability-zero alerts.
@@ -91,13 +93,19 @@ def class_height(f1: float, params: HeightParams = HeightParams()) -> float:
     return min(max(raw, params.h_min), params.h_max)
 
 
-def instance_height(h_class: float, p: float) -> float:
-    """Per-alert height: ``min(h_class, p)`` floored at :data:`HEIGHT_FLOOR`."""
-    if not (0.0 < h_class <= 1.0):
-        raise ValidationError(f"h_class must lie in (0, 1], got {h_class!r}")
-    if not (0.0 <= p <= 1.0):
-        raise ValidationError(f"p must lie in [0, 1], got {p!r}")
-    return max(min(h_class, p), HEIGHT_FLOOR)
+def instance_height(
+    h_class: float | np.ndarray, p: float | np.ndarray
+) -> float | np.ndarray:
+    """Per-alert height: ``min(h_class, p)`` floored at :data:`HEIGHT_FLOOR`;
+    elementwise for arrays."""
+    h_class, p = np.asarray(h_class, dtype=float), np.asarray(p, dtype=float)
+    h_ok = (0.0 < h_class) & (h_class <= 1.0)
+    if not h_ok.all():
+        raise ValidationError(f"h_class must lie in (0, 1], got {h_class[~h_ok].tolist()[0]!r}")
+    p_ok = (0.0 <= p) & (p <= 1.0)
+    if not p_ok.all():
+        raise ValidationError(f"p must lie in [0, 1], got {p[~p_ok].tolist()[0]!r}")
+    return np.maximum(np.minimum(h_class, p), HEIGHT_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,6 @@ class CalibrationRow:
     class_name: str
     metrics: ClassMetrics
     h_class: float
-    novel: bool = False
 
 
 def per_class_counts(
@@ -176,24 +183,3 @@ def write_calibration_csv(
                 [cls, m.tp, m.fp, m.fn, f"{m.precision:.10g}", f"{m.recall:.10g}",
                  f"{m.f1:.10g}", f"{row.h_class:.10g}"]
             )
-
-
-def read_calibration_csv(path: str | Path) -> dict[str, CalibrationRow]:
-    table: dict[str, CalibrationRow] = {}
-    with open(path, newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader, None)
-    if header != CALIBRATION_HEADER:
-        raise ParseError(f"{path}: expected header {CALIBRATION_HEADER}, got {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            cls = row[0]
-            tp, fp, fn = int(row[1]), int(row[2]), int(row[3])
-            h_class = float(row[7])
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"{path}: bad calibration row {lineno}: {row!r}") from exc
-        table[cls] = CalibrationRow(cls, class_metrics(tp, fp, fn), h_class)
-    return table

@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .calibration import class_metrics
 from .errors import ConfigError, ParseError, TrainingError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -309,11 +310,8 @@ class DetectorReport:
         tn = int(np.sum((y_true == 0) & (y_pred == 0)))
         total = tp + fp + fn + tn
         accuracy = (tp + tn) / total if total else 0.0
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        denom = precision + recall
-        f1 = 2.0 * precision * recall / denom if denom else 0.0
-        return cls(accuracy, precision, recall, f1)
+        m = class_metrics(tp, fp, fn)
+        return cls(accuracy, m.precision, m.recall, m.f1)
 
 
 # --- external scores -------------------------------------------------------

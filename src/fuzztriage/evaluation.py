@@ -16,24 +16,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alerts import Alert, AttackClassProfile, CfMode, PreparedAlert, assemble
-from .calibration import HeightParams, heights_from_f1, instance_height
+from .alerts import Alert, AlertBatch, AttackClassProfile, CfMode, assemble
+from .calibration import HeightParams, heights_from_f1
 from .errors import EvaluationError, ValidationError
 from .ranking import Method, RankedQueue, RiskProfile, rank
-from .sgfn import GaussianFuzzyNumber
 
 PREDICTION_THRESHOLD = 0.5
 
 
-def relevance(record: PreparedAlert) -> float:
-    """Graded relevance: ``core * (1 - uf)`` for true attacks, else 0."""
-    if record.label is None:
-        raise EvaluationError(f"alert {record.alert_id!r} has no ground-truth label")
-    return record.core * (1.0 - record.uf) if record.label == 1 else 0.0
-
-
-def relevance_by_id(records: Sequence[PreparedAlert]) -> dict[str, float]:
-    return {r.alert_id: relevance(r) for r in records}
+def relevance(batch: AlertBatch) -> np.ndarray:
+    """Graded relevance, aligned with the batch: ``core * (1 - uf)`` for
+    true attacks, else 0."""
+    if None in batch.labels:
+        alert_id = batch.ids[batch.labels.index(None)]
+        raise EvaluationError(f"alert {alert_id!r} has no ground-truth label")
+    return np.where(np.array(batch.labels) == 1, batch.core * (1.0 - batch.uf), 0.0)
 
 
 def dcg_at_k(rels: Sequence[float], k: int) -> float:
@@ -50,25 +47,24 @@ def dcg_at_k(rels: Sequence[float], k: int) -> float:
 
 def ndcg_at_k(rels: Sequence[float], k: int) -> float:
     """Normalized DCG; a queue with no relevant items scores 0.0."""
-    ideal = dcg_at_k(sorted(rels, reverse=True), k)
+    ideal = dcg_at_k(np.sort(np.asarray(rels, dtype=float))[::-1], k)
     if ideal == 0.0:
         return 0.0
     return dcg_at_k(rels, k) / ideal
 
 
-def queue_relevances(queue: RankedQueue, rel_by_id: Mapping[str, float]) -> list[float]:
-    try:
-        return [rel_by_id[queue.records[i].alert_id] for i in queue.order.tolist()]
-    except KeyError as exc:
-        raise EvaluationError(f"queue references unknown alert id {exc.args[0]!r}") from exc
+def queue_relevances(queue: RankedQueue, rel: np.ndarray) -> np.ndarray:
+    """Relevance of each queue position, best first; ``rel`` is aligned with
+    the queue's batch (see :func:`relevance`)."""
+    if len(rel) != len(queue.records):
+        raise EvaluationError(
+            f"{len(rel)} relevance values for a batch of {len(queue.records)} alerts"
+        )
+    return np.asarray(rel, dtype=float)[queue.order]
 
 
-def ndcg_of_queue(queue: RankedQueue, rel_by_id: Mapping[str, float], k: int) -> float:
-    return ndcg_at_k(queue_relevances(queue, rel_by_id), k)
-
-
-def _p_column(queue: RankedQueue) -> np.ndarray:
-    return np.array([r.p for r in queue.records], dtype=float)
+def ndcg_of_queue(queue: RankedQueue, rel: np.ndarray, k: int) -> float:
+    return ndcg_at_k(queue_relevances(queue, rel), k)
 
 
 def predicted_queue(
@@ -76,7 +72,7 @@ def predicted_queue(
 ) -> RankedQueue:
     """Restrict a queue to detector-predicted attacks (p >= threshold),
     preserving order and renumbering ranks."""
-    return queue.where(_p_column(queue) >= threshold)
+    return queue.where(queue.records.p >= threshold)
 
 
 # --- confidence bands ------------------------------------------------------
@@ -108,7 +104,7 @@ class BandResult:
 
 def band_eval(
     queue: RankedQueue,
-    rel_by_id: Mapping[str, float],
+    rel: np.ndarray,
     bands: Sequence[Band],
     k: int = 100,
 ) -> list[BandResult]:
@@ -117,11 +113,10 @@ def band_eval(
     The restriction keeps the method's own ordering (the band view is a
     subsequence of the queue). Empty bands report no score rather than zero.
     """
-    p = _p_column(queue)
     results = []
     for band in bands:
-        view = queue.where(band.contains(p))
-        ndcg = ndcg_of_queue(view, rel_by_id, k) if len(view) else None
+        view = queue.where(band.contains(queue.records.p))
+        ndcg = ndcg_of_queue(view, rel, k) if len(view) else None
         results.append(BandResult(band, len(view), ndcg))
     return results
 
@@ -142,7 +137,7 @@ class BootstrapResult:
 def paired_bootstrap(
     queue_a: RankedQueue,
     queue_b: RankedQueue,
-    rel_by_id: Mapping[str, float],
+    rel: np.ndarray,
     *,
     k: int = 500,
     resamples: int = 1000,
@@ -168,8 +163,7 @@ def paired_bootstrap(
         raise EvaluationError("paired bootstrap requires non-empty queues")
     gains = []
     for queue in (queue_a, queue_b):
-        rels = np.asarray(queue_relevances(queue, rel_by_id)[:k_eff], dtype=float)
-        gains.append(np.exp2(rels) - 1.0)
+        gains.append(np.exp2(queue_relevances(queue, rel)[:k_eff]) - 1.0)
     discounts = np.log2(np.arange(2, k_eff + 2, dtype=float))
 
     rng = np.random.default_rng(seed)
@@ -209,22 +203,16 @@ _SCENARIO_SCALES = {ScenarioKind.OVERCONFIDENT: 1.15, ScenarioKind.UNDERCONFIDEN
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: ScenarioKind
-    scale: float | None = None  # defaults to 1.15 / 0.85 by kind
     noise_sd: float = 0.2
     seed: int = 42
-
-    def effective_scale(self) -> float:
-        if self.scale is not None:
-            return self.scale
-        return _SCENARIO_SCALES.get(self.kind, 1.0)
 
 
 def perturb(p: Sequence[float] | np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     """Perturb a probability vector according to a miscalibration scenario.
 
-    Overconfident multiplies by the scale and caps at 1; underconfident
-    multiplies by the scale; noise adds seeded Gaussian noise. All results
-    are clipped to [0, 1].
+    Overconfident multiplies by 1.15 and caps at 1; underconfident
+    multiplies by 0.85; noise adds seeded Gaussian noise. All results are
+    clipped to [0, 1].
     """
     arr = np.asarray(p, dtype=float)
     if arr.size and not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
@@ -233,26 +221,17 @@ def perturb(p: Sequence[float] | np.ndarray, spec: ScenarioSpec) -> np.ndarray:
         rng = np.random.default_rng(spec.seed)
         out = arr + rng.normal(0.0, spec.noise_sd, size=arr.shape)
     else:
-        out = arr * spec.effective_scale()
+        out = arr * _SCENARIO_SCALES[spec.kind]
     return np.clip(out, 0.0, 1.0)
 
 
-def apply_scenario(
-    records: Sequence[PreparedAlert], spec: ScenarioSpec
-) -> list[PreparedAlert]:
-    """Rebuild alerts under perturbed probabilities.
+def apply_scenario(batch: AlertBatch, spec: ScenarioSpec) -> AlertBatch:
+    """The batch under perturbed probabilities.
 
     The alert set is held fixed: cores, spreads, and class heights do not
     move; only p and the probability-capped instance height are recomputed.
     """
-    perturbed = perturb([r.p for r in records], spec)
-    out = []
-    for record, p_new in zip(records, perturbed):
-        fuzzy = GaussianFuzzyNumber(
-            record.core, record.spread, instance_height(record.h_class, float(p_new))
-        )
-        out.append(replace(record, p=float(p_new), fuzzy=fuzzy))
-    return out
+    return batch.with_p(perturb(batch.p, spec))
 
 
 @dataclass(frozen=True)
@@ -271,7 +250,7 @@ class ScenarioResult:
 
 
 def scenario_eval(
-    records: Sequence[PreparedAlert],
+    records: AlertBatch,
     scenarios: Sequence[ScenarioSpec],
     *,
     methods: Sequence[Method] = tuple(Method),
@@ -279,7 +258,7 @@ def scenario_eval(
     k: int = 100,
 ) -> list[ScenarioResult]:
     """NDCG@k before/after each scenario, per ranking method, on the full queue."""
-    rel = relevance_by_id(records)
+    rel = relevance(records)
     profile = RiskProfile(kappa)
     before = {
         m: ndcg_of_queue(rank(records, m, profile), rel, k) for m in methods
@@ -336,7 +315,7 @@ def _sweep_point(
     height_params: HeightParams,
     uf_scale: float,
     kappa: float,
-    rel_by_id: Mapping[str, float],
+    rel: np.ndarray,
     cutoffs: Sequence[int],
     threshold: float,
 ) -> tuple[float, ...]:
@@ -348,7 +327,7 @@ def _sweep_point(
     queue = predicted_queue(rank(records, Method.RISK_AVERSE, RiskProfile(kappa)), threshold)
     if len(queue) == 0:
         raise EvaluationError("sensitivity sweep: predicted queue is empty")
-    return tuple(ndcg_of_queue(queue, rel_by_id, k) for k in cutoffs)
+    return tuple(ndcg_of_queue(queue, rel, k) for k in cutoffs)
 
 
 def sensitivity_sweep(
@@ -377,7 +356,7 @@ def sensitivity_sweep(
         heights_from_f1(inputs.f1_by_class, defaults),
         cf_mode=inputs.cf_mode, uf_scale=uf_scale,
     )
-    rel = relevance_by_id(base_records)
+    rel = relevance(base_records)
 
     points: list[SweepPoint] = []
     parameter_spread: dict[str, tuple[float, ...]] = {}

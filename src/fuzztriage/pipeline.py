@@ -11,11 +11,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .alerts import Alert, AttackClassProfile, PreparedAlert, assemble, load_catalog
+from .alerts import Alert, AlertBatch, AttackClassProfile, assemble, load_catalog
 from .calibration import CalibrationRow, build_height_table, per_class_counts, write_calibration_csv
 from .config import DetectorMode, RunConfig, artifact_stamp, with_detector_mode
 from .detector import (
@@ -38,7 +38,7 @@ from .evaluation import (
     ndcg_of_queue,
     paired_bootstrap,
     predicted_queue,
-    relevance_by_id,
+    relevance,
     scenario_eval,
     sensitivity_sweep,
 )
@@ -157,8 +157,8 @@ def build_alerts(
     prep: PreparedData,
     detector_out: DetectorOutput,
     table: Mapping[str, CalibrationRow],
-) -> tuple[list[PreparedAlert], dict[str, AttackClassProfile]]:
-    """Turn the test split into prepared alerts with fuzzy severities."""
+) -> tuple[AlertBatch, dict[str, AttackClassProfile]]:
+    """Turn the test split into an alert batch with fuzzy severities."""
     te = prep.split.test_idx
     y_test = binary_labels(prep.classes)[te]
     alerts = [
@@ -186,7 +186,7 @@ def _kappa_label(kappa: float) -> str:
     return format(kappa, ".12g")
 
 
-def rank_all(config: RunConfig, records: Sequence[PreparedAlert]) -> dict[str, RankedQueue]:
+def rank_all(config: RunConfig, records: AlertBatch) -> dict[str, RankedQueue]:
     """All configured queues keyed by method name (risk-averse per kappa)."""
     queues: dict[str, RankedQueue] = {
         Method.SEVERITY_ONLY.value: rank(records, Method.SEVERITY_ONLY),
@@ -224,11 +224,11 @@ def evaluate_all(
     prep: PreparedData,
     detector_out: DetectorOutput,
     table: Mapping[str, CalibrationRow],
-    records: Sequence[PreparedAlert],
+    records: AlertBatch,
     catalog: Mapping[str, AttackClassProfile],
     queues: Mapping[str, RankedQueue],
 ) -> EvalTables:
-    rel = relevance_by_id(records)
+    rel = relevance(records)
     first_kappa = config.ranking.kappas[0]
     ra_name = f"risk_averse_k{_kappa_label(first_kappa)}"
 
@@ -273,7 +273,7 @@ def evaluate_all(
     if config.evaluation.sweep:
         inputs = SweepInputs(
             alerts=tuple(
-                Alert(r.alert_id, r.attack_class, r.p, r.label) for r in records
+                map(Alert, records.ids, records.classes, records.p.tolist(), records.labels)
             ),
             catalog=catalog,
             f1_by_class={cls: row.metrics.f1 for cls, row in table.items()},
@@ -473,7 +473,7 @@ class RunOutput:
     prep: PreparedData
     detector_out: DetectorOutput | None = None
     table: dict[str, CalibrationRow] | None = None
-    records: list[PreparedAlert] | None = None
+    records: AlertBatch | None = None
     queues: dict[str, RankedQueue] | None = None
     tables: EvalTables | None = None
     written: tuple[Path, ...] = ()

@@ -1,4 +1,4 @@
-"""Alert queue construction: four ranking methods over prepared alerts.
+"""Alert queue construction: four ranking methods over an alert batch.
 
 All methods sort descending by score with ties broken by ascending alert id,
 so every ranking is a deterministic permutation of its input.
@@ -9,14 +9,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .alerts import PreparedAlert
+from .alerts import AlertBatch
 from .errors import ValidationError
-from .sgfn import check_kappa, ranking_index
+from .sgfn import check_kappa, risk_averse_score
 
 
 class Method(str, Enum):
@@ -56,7 +57,7 @@ class RankedQueue:
 
     method: Method
     kappa: float | None
-    records: Sequence[PreparedAlert]
+    records: AlertBatch
     scores: np.ndarray
     order: np.ndarray
 
@@ -64,11 +65,13 @@ class RankedQueue:
         return len(self.order)
 
     def __iter__(self) -> Iterator[RankedAlert]:
+        ids, scores = self.records.ids, self.scores.tolist()
         for position, i in enumerate(self.order.tolist(), start=1):
-            yield RankedAlert(position, self.records[i].alert_id, float(self.scores[i]))
+            yield RankedAlert(position, ids[i], scores[i])
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(self.records[i].alert_id for i in self.order.tolist())
+        ids = self.records.ids
+        return tuple(ids[i] for i in self.order.tolist())
 
     def where(self, keep: np.ndarray) -> RankedQueue:
         """The view of the records where the mask ``keep`` (aligned with
@@ -92,47 +95,39 @@ def minmax_norm(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def method_scores(
-    alerts: Sequence[PreparedAlert],
+    alerts: AlertBatch,
     method: Method,
     profile: RiskProfile = RiskProfile(),
 ) -> np.ndarray:
-    """Score vector for one method over the alert batch."""
+    """Score vector for one method, aligned with the alert batch."""
     if method is Method.SEVERITY_ONLY:
-        return np.array([a.core for a in alerts], dtype=float)
+        return alerts.core
     if method is Method.CONFIDENCE_ONLY:
-        return np.array([a.p for a in alerts], dtype=float)
+        return alerts.p
     if method is Method.WEIGHTED_SUM:
-        cores = minmax_norm([a.core for a in alerts])
-        probs = minmax_norm([a.p for a in alerts])
-        return 0.5 * cores + 0.5 * probs
+        return 0.5 * minmax_norm(alerts.core) + 0.5 * minmax_norm(alerts.p)
     if method is Method.RISK_AVERSE:
+        columns = (alerts.core.tolist(), alerts.spread.tolist(), alerts.height.tolist())
         return np.array(
-            [ranking_index(a.fuzzy, profile.kappa) for a in alerts], dtype=float
+            list(map(risk_averse_score, *columns, repeat(profile.kappa))), dtype=float
         )
     raise ValidationError(f"unknown ranking method {method!r}")
 
 
 def rank(
-    alerts: Sequence[PreparedAlert],
+    alerts: AlertBatch,
     method: Method,
     profile: RiskProfile = RiskProfile(),
 ) -> RankedQueue:
     """Rank a batch of alerts; an empty batch yields an empty queue."""
     kappa = profile.kappa if method is Method.RISK_AVERSE else None
-    if not alerts:
-        return RankedQueue(method, kappa, alerts, np.empty(0), np.empty(0, dtype=np.intp))
-    ids = [a.alert_id for a in alerts]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("alert ids must be unique within a batch")
-    scores = method_scores(alerts, method, profile)
-    keys = (-scores).tolist()
-    order = sorted(range(len(alerts)), key=lambda i: (keys[i], ids[i]))
+    scores = method_scores(alerts, method, profile) if len(alerts) else np.empty(0)
+    keys, ids = (-scores).tolist(), alerts.ids
+    order = sorted(range(len(ids)), key=lambda i: (keys[i], ids[i]))
     return RankedQueue(method, kappa, alerts, scores, np.array(order, dtype=np.intp))
 
 
-def kappa_sweep(
-    alerts: Sequence[PreparedAlert], kappas: Iterable[float]
-) -> list[RankedQueue]:
+def kappa_sweep(alerts: AlertBatch, kappas: Iterable[float]) -> list[RankedQueue]:
     """One risk-averse queue per kappa value, in the given order."""
     return [rank(alerts, Method.RISK_AVERSE, RiskProfile(k)) for k in kappas]
 
@@ -143,25 +138,27 @@ QUEUE_HEADER = ["rank", "id", "method", "score", "c", "sigma", "h", "p", "attack
 def write_queue_csv(
     path: str | Path, queue: RankedQueue, header_comment: str | None = None
 ) -> None:
-    scores = queue.scores.tolist()
+    batch = queue.records
+    columns = (queue.scores, batch.core, batch.spread, batch.height, batch.p)
+    scores, core, spread, height, p = (column.tolist() for column in columns)
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(QUEUE_HEADER)
         for position, i in enumerate(queue.order.tolist(), start=1):
-            record = queue.records[i]
+            label = batch.labels[i]
             writer.writerow(
                 [
                     position,
-                    record.alert_id,
+                    batch.ids[i],
                     queue.method.value,
                     f"{scores[i]:.10g}",
-                    f"{record.core:.10g}",
-                    f"{record.spread:.10g}",
-                    f"{record.height:.10g}",
-                    f"{record.p:.10g}",
-                    record.attack_class,
-                    "" if record.label is None else record.label,
+                    f"{core[i]:.10g}",
+                    f"{spread[i]:.10g}",
+                    f"{height[i]:.10g}",
+                    f"{p[i]:.10g}",
+                    batch.classes[i],
+                    "" if label is None else label,
                 ]
             )

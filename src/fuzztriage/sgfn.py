@@ -100,6 +100,13 @@ def check_kappa(kappa: float) -> None:
         raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
 
 
+def risk_averse_score(core: float, spread: float, height: float, kappa: float) -> float:
+    """The ranking index of plain numbers, unchecked. Its logarithm is
+    ``math.log`` per number: numpy's ``log`` and ``log10`` differ from it in
+    the last bit for some heights, which would change scores and order."""
+    return core + kappa * spread * (math.log(height) / math.log(PENALTY_LOG_BASE))
+
+
 def ranking_index(number: GaussianFuzzyNumber, kappa: float = 1.0) -> float:
     """Risk-averse priority score: ``core + kappa * spread * log10(height)``.
 
@@ -108,5 +115,4 @@ def ranking_index(number: GaussianFuzzyNumber, kappa: float = 1.0) -> float:
     :func:`check_kappa` rejects raise DomainError.
     """
     check_kappa(kappa)
-    penalty = math.log(number.height) / math.log(PENALTY_LOG_BASE)
-    return number.core + kappa * number.spread * penalty
+    return risk_averse_score(number.core, number.spread, number.height, kappa)

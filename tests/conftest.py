@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 import pytest
 
-from fuzztriage.alerts import PreparedAlert
-from fuzztriage.sgfn import GaussianFuzzyNumber
+from fuzztriage.alerts import AlertBatch, PreparedAlert
 
 
 def make_record(
@@ -21,7 +22,7 @@ def make_record(
     uf: float = 0.2,
     h_class: float | None = None,
 ) -> PreparedAlert:
-    """PreparedAlert with explicit fuzzy parameters, bypassing assembly."""
+    """One alert row with explicit fuzzy parameters, bypassing assembly."""
     return PreparedAlert(
         alert_id=alert_id,
         attack_class=attack_class,
@@ -29,12 +30,29 @@ def make_record(
         cf=cf,
         uf=uf,
         h_class=height if h_class is None else h_class,
-        fuzzy=GaussianFuzzyNumber(core, spread, height),
+        core=core,
+        spread=spread,
+        height=height,
         label=label,
     )
 
 
-def random_batch(rng: np.random.Generator, n: int) -> list[PreparedAlert]:
+def make_batch(records: Iterable[PreparedAlert]) -> AlertBatch:
+    """AlertBatch holding the given rows in order, bypassing assembly."""
+    rows = list(records)
+
+    def column(name: str) -> tuple:
+        return tuple(getattr(r, name) for r in rows)
+
+    return AlertBatch(
+        ids=column("alert_id"),
+        classes=column("attack_class"),
+        labels=column("label"),
+        **{name: column(name) for name in ("p", "cf", "uf", "h_class", "core", "spread", "height")},
+    )
+
+
+def random_batch(rng: np.random.Generator, n: int) -> AlertBatch:
     """Batch of n alerts with randomized cores, heights, probabilities."""
     records = []
     for i in range(n):
@@ -51,7 +69,7 @@ def random_batch(rng: np.random.Generator, n: int) -> list[PreparedAlert]:
                 uf=uf,
             )
         )
-    return records
+    return make_batch(records)
 
 
 @pytest.fixture

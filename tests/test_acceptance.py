@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_record, random_batch
+from conftest import make_batch, make_record, random_batch
 from fuzztriage.alerts import Alert, AttackClassProfile, Criticality, assemble
 from fuzztriage.calibration import HeightParams, build_height_table
 from fuzztriage.config import load_config
@@ -23,7 +23,7 @@ from fuzztriage.evaluation import (
     ndcg_at_k,
     paired_bootstrap,
     predicted_queue,
-    relevance_by_id,
+    relevance,
 )
 from fuzztriage.pipeline import cmd_evaluate, cmd_stress
 from fuzztriage.ranking import Method, kappa_sweep, rank
@@ -114,7 +114,7 @@ def test_criterion_03_ordering_invariances():
     for seed in range(500):
         rng = np.random.default_rng(seed)
         records = random_batch(rng, n=int(rng.integers(2, 40)))
-        deflated = [dataclasses.replace(r, p=0.85 * r.p) for r in records]
+        deflated = make_batch(r._replace(p=0.85 * r.p) for r in records)
         assert (
             rank(deflated, Method.CONFIDENCE_ONLY).ids()
             == rank(records, Method.CONFIDENCE_ONLY).ids()
@@ -126,7 +126,7 @@ def test_criterion_03_ordering_invariances():
         records = random_batch(rng, n=int(rng.integers(2, 40)))
         a = float(rng.uniform(0.1, 3.0))
         b = float(rng.uniform(-1.0, 1.0))
-        mapped = [dataclasses.replace(r, p=a * r.p + b) for r in records]
+        mapped = make_batch(r._replace(p=a * r.p + b) for r in records)
         assert (
             rank(mapped, Method.WEIGHTED_SUM).ids()
             == rank(records, Method.WEIGHTED_SUM).ids()
@@ -146,7 +146,7 @@ def test_criterion_04_kappa_demotes_unreliable_severity():
         make_record(f"peer-{i}", core=8.0 + 0.1 * i, spread=1.0, height=0.95, p=0.95)
         for i in range(8)
     ]
-    queues = kappa_sweep([target] + peers, (0.0, 0.5, 1.0, 1.5, 2.0))
+    queues = kappa_sweep(make_batch([target] + peers), (0.0, 0.5, 1.0, 1.5, 2.0))
     ranks = [next(a.rank for a in q if a.alert_id == "target") for q in queues]
     assert ranks[0] == 1
     assert all(later >= earlier for earlier, later in zip(ranks, ranks[1:]))
@@ -173,7 +173,7 @@ def test_criterion_06_full_feature_near_parity(full_run):
 
 def test_criterion_07_bootstrap_correctness(stress_run):
     run, _ = stress_run
-    rel = relevance_by_id(run.records)
+    rel = relevance(run.records)
 
     ra_pred = predicted_queue(run.queues["risk_averse_k1"])
     self_test = paired_bootstrap(ra_pred, ra_pred, rel, k=500, resamples=1000, seed=0)

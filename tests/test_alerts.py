@@ -2,30 +2,36 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_batch, make_record
 from fuzztriage.alerts import (
     CATEGORICAL_LEVELS,
     SPREAD_FLOOR,
     UNKNOWN_CLASS,
     Alert,
+    AlertBatch,
     AttackClassProfile,
     CfMode,
     ContextualFactor,
     Criticality,
+    PreparedAlert,
     assemble,
     contextual_factor,
-    core_value,
     fnv1a64,
     load_alerts_csv,
     load_catalog,
     resolve_profile,
-    spread_value,
-    write_alerts_csv,
 )
 from fuzztriage.calibration import HEIGHT_FLOOR
 from fuzztriage.errors import ParseError, ValidationError
+from fuzztriage.evaluation import ScenarioKind, ScenarioSpec, apply_scenario, perturb
+from fuzztriage.ranking import Method, RiskProfile, method_scores
+from fuzztriage.sgfn import GaussianFuzzyNumber, ranking_index
 
 id_strings = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=24
@@ -85,40 +91,50 @@ class TestContextualFactor:
             ContextualFactor(0.1, CfMode.CONTINUOUS)
 
 
+def assembled(cvss, uf, criticality=Criticality.CRITICAL, uf_scale=1.0):
+    """The one alert of class X with the given profile and criticality."""
+    catalog = {"X": AttackClassProfile("X", cvss, uf)}
+    alerts = [Alert("a1", "X", 0.9, criticality=criticality)]
+    return assemble(alerts, catalog, {"X": 0.8}, uf_scale=uf_scale)[0]
+
+
 class TestCoreAndSpread:
     def test_worked_core(self):
-        assert core_value(7.5, 0.8) == 6.0
+        assert assembled(7.5, 0.15, Criticality.IMPORTANT).core == 6.0
 
     def test_identity_scaling(self):
-        assert core_value(4.2, 1.0) == 4.2
+        assert assembled(4.2, 0.2, Criticality.CRITICAL).core == 4.2
 
     def test_zero_cvss(self):
-        assert core_value(0.0, 0.7) == 0.0
+        assert assembled(0.0, 0.2, criticality=None).core == 0.0
 
     def test_core_domain(self):
         with pytest.raises(ValidationError):
-            core_value(11.0, 0.8)
+            assembled(11.0, 0.2)
         with pytest.raises(ValidationError):
-            core_value(5.0, 0.1)
+            ContextualFactor(0.1, CfMode.CONTINUOUS)
 
     def test_worked_spread(self):
-        assert spread_value(6.0, 0.15) == pytest.approx(0.90, abs=1e-12)
+        spread = assembled(7.5, 0.15, Criticality.IMPORTANT).spread
+        assert spread == pytest.approx(0.90, abs=1e-12)
 
     def test_extreme_spread(self):
-        assert spread_value(10.0, 0.5) == 5.0
+        assert assembled(10.0, 0.5).spread == 5.0
 
     def test_catalog_ratio(self):
         # back-solved: a 7.8 core with sigma 1.248 implies uf 0.16
-        assert spread_value(7.8, 0.16) == pytest.approx(1.248, abs=1e-12)
+        assert assembled(7.8, 0.16).spread == pytest.approx(1.248, abs=1e-12)
 
     def test_zero_core_floor(self):
-        assert spread_value(0.0, 0.2) == SPREAD_FLOOR
+        assert assembled(0.0, 0.2).spread == SPREAD_FLOOR
 
     def test_spread_domain(self):
         with pytest.raises(ValidationError):
-            spread_value(-1.0, 0.2)
+            assembled(-1.0, 0.2)
         with pytest.raises(ValidationError):
-            spread_value(5.0, 0.6)
+            assembled(5.0, 0.6)
+        with pytest.raises(ValidationError, match="scaled uf"):
+            assembled(5.0, 0.3, uf_scale=2.0)
 
 
 class TestAlertValidation:
@@ -144,12 +160,12 @@ class TestCatalog:
 
     def test_resolve_known(self):
         catalog = load_catalog()
-        profile, novel = resolve_profile("DoS", catalog)
-        assert not novel and profile.cvss > 0
+        profile = resolve_profile("DoS", catalog)
+        assert profile is catalog["DoS"] and profile.cvss > 0
 
     def test_resolve_unknown_uses_defaults(self):
-        profile, novel = resolve_profile("QuantumExfil", {})
-        assert novel
+        profile = resolve_profile("QuantumExfil", {})
+        assert profile.class_name == "QuantumExfil"
         assert profile.cvss == 5.0 and profile.uf == 0.35
 
     def test_custom_catalog_file(self, tmp_path):
@@ -185,15 +201,19 @@ class TestCatalog:
 
 class TestAlertsCsv:
     def test_round_trip(self, tmp_path):
-        alerts = [
+        path = tmp_path / "alerts.csv"
+        path.write_text(
+            "# config_hash=abc seed=1\n"
+            "id,attack_class,p,label,criticality\n"
+            "a1,DoS,0.83,1,\n"
+            "a2,benign,0.12,0,important\n"
+            "a3,Bot,0.5,,\n"
+        )
+        assert load_alerts_csv(path) == [
             Alert("a1", "DoS", 0.83, label=1),
             Alert("a2", "benign", 0.12, label=0, criticality=Criticality.IMPORTANT),
             Alert("a3", "Bot", 0.5),
         ]
-        path = tmp_path / "alerts.csv"
-        write_alerts_csv(path, alerts, header_comment="config_hash=abc seed=1")
-        loaded = load_alerts_csv(path)
-        assert loaded == alerts
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "alerts.csv"
@@ -220,7 +240,7 @@ class TestAssemble:
         records = assemble([Alert("a1", "DoS", 0.9, label=1)], catalog, {"DoS": 0.8})
         (r,) = records
         assert r.attack_class == "DoS"
-        assert not r.novel
+        assert r.h_class == 0.8
         assert r.core == pytest.approx(catalog["DoS"].cvss * r.cf)
         assert r.spread == pytest.approx(r.core * r.uf)
         assert r.height == pytest.approx(min(0.8, 0.9))
@@ -229,7 +249,7 @@ class TestAssemble:
         # unseen class: conservative class height 0.5, capped by p
         records = assemble([Alert("a1", "QuantumExfil", 0.9)], load_catalog(), {})
         (r,) = records
-        assert r.novel and r.h_class == 0.5
+        assert r.h_class == 0.5
         assert r.height == 0.5
 
     def test_zero_probability_height_floor(self):
@@ -262,3 +282,148 @@ class TestAssemble:
             {"DoS": 0.8},
         )
         assert records[0].cf == 0.2
+
+
+class TestAlertBatch:
+    def batch(self):
+        return make_batch(
+            [
+                make_record("a", 6.0, 0.9, 0.6, 0.6, h_class=0.9),
+                make_record("b", 0.0, SPREAD_FLOOR, 0.3, 0.3, label=0, h_class=0.5),
+            ]
+        )
+
+    def test_rows_on_demand(self):
+        batch = self.batch()
+        rows = list(batch)
+        assert rows == [batch[0], batch[1]]
+        assert rows[0] == PreparedAlert("a", "DoS", 0.6, 0.8, 0.2, 0.9, 6.0, 0.9, 0.6, 1)
+        assert type(rows[0].p) is float and type(batch[1].core) is float
+
+    def test_columns_are_read_only(self):
+        batch = self.batch()
+        assert batch.p.dtype == np.float64
+        with pytest.raises(ValueError):
+            batch.p[0] = 0.1
+
+    def test_duplicate_ids_rejected(self):
+        record = make_record("a", 6.0, 0.9, 0.6, 0.6)
+        with pytest.raises(ValidationError, match="unique"):
+            make_batch([record, record])
+
+    def test_column_length_mismatch_rejected(self):
+        batch = self.batch()
+        columns = {f.name: getattr(batch, f.name) for f in dataclasses.fields(batch)}
+        with pytest.raises(ValidationError, match="one entry per id"):
+            AlertBatch(**{**columns, "spread": columns["spread"][:1]})
+        with pytest.raises(ValidationError, match="one entry per id"):
+            AlertBatch(**{**columns, "labels": (1,)})
+
+    def test_with_p_recomputes_capped_height(self):
+        batch = self.batch()
+        shifted = batch.with_p([0.95, 0.0])
+        assert shifted.p.tolist() == [0.95, 0.0]
+        assert shifted.height.tolist() == [0.9, HEIGHT_FLOOR]
+        for name in ("cf", "uf", "h_class", "core", "spread"):
+            assert getattr(shifted, name).tolist() == getattr(batch, name).tolist()
+        assert shifted.ids == batch.ids and shifted.labels == batch.labels
+        assert batch.p.tolist() == [0.6, 0.3]
+
+    def test_with_p_out_of_range_rejected(self):
+        with pytest.raises(ValidationError):
+            self.batch().with_p([0.5, 1.5])
+
+    def test_empty_assembly(self):
+        batch = assemble([], load_catalog(), {})
+        assert len(batch) == 0 and list(batch) == []
+        assert batch.core.dtype == np.float64 and batch.core.shape == (0,)
+
+
+# Catalog classes, the zero-core benign class, and a class the catalog
+# lacks (CVSS 5.0 / uf 0.35 defaults).
+SAMPLE_CLASSES = ("DoS", "PortScan", "Heartbleed", "benign", "QuantumExfil")
+
+
+@st.composite
+def assembly_inputs(draw):
+    ids = draw(st.lists(id_strings, max_size=25, unique=True))
+    alerts = [
+        Alert(
+            alert_id,
+            draw(st.one_of(st.sampled_from(SAMPLE_CLASSES), id_strings)),
+            draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+            label=draw(st.sampled_from([None, 0, 1])),
+            criticality=draw(st.one_of(st.none(), st.sampled_from(list(Criticality)))),
+        )
+        for alert_id in ids
+    ]
+    heights = draw(
+        st.dictionaries(
+            st.sampled_from(SAMPLE_CLASSES), st.floats(0.0, 1.0, exclude_min=True)
+        )
+    )
+    return alerts, heights
+
+
+def assert_bits(column, reference):
+    assert np.asarray(column, dtype=float).tobytes() == np.array(reference, dtype=float).tobytes()
+
+
+class TestAssembleMatchesScalarReference:
+    """The batch columns, risk-averse scores and scenario heights equal the
+    per-alert scalar rules bit for bit."""
+
+    @given(
+        assembly_inputs(),
+        st.sampled_from(list(CfMode)),
+        st.sampled_from([0.5, 1.0, 1.2]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_columns_scores_and_scenarios(self, inputs, cf_mode, uf_scale, kappa):
+        alerts, heights = inputs
+        catalog = load_catalog()
+        batch = assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=uf_scale)
+
+        profiles = [resolve_profile(a.attack_class, catalog) for a in alerts]
+        cf = [
+            contextual_factor(a.alert_id, a.attack_class, cf_mode, a.criticality).value
+            for a in alerts
+        ]
+        core = [profile.cvss * c for profile, c in zip(profiles, cf)]
+        uf = [profile.uf * uf_scale for profile in profiles]
+        spread = [c * u if c * u > 0.0 else SPREAD_FLOOR for c, u in zip(core, uf)]
+        h_class = [heights.get(a.attack_class, 0.5) for a in alerts]
+        height = [max(min(h, a.p), HEIGHT_FLOOR) for h, a in zip(h_class, alerts)]
+
+        assert batch.ids == tuple(a.alert_id for a in alerts)
+        assert batch.classes == tuple(a.attack_class for a in alerts)
+        assert batch.labels == tuple(a.label for a in alerts)
+        for name, reference in (
+            ("p", [a.p for a in alerts]),
+            ("cf", cf),
+            ("uf", uf),
+            ("h_class", h_class),
+            ("core", core),
+            ("spread", spread),
+            ("height", height),
+        ):
+            assert_bits(getattr(batch, name), reference)
+
+        scores = method_scores(batch, Method.RISK_AVERSE, RiskProfile(kappa))
+        assert_bits(
+            scores,
+            [
+                ranking_index(GaussianFuzzyNumber(c, s, h), kappa)
+                for c, s, h in zip(core, spread, height)
+            ],
+        )
+
+        for kind in ScenarioKind:
+            spec = ScenarioSpec(kind, seed=3)
+            shifted = apply_scenario(batch, spec)
+            p_new = perturb([a.p for a in alerts], spec).tolist()
+            assert_bits(shifted.p, p_new)
+            assert_bits(shifted.height, [max(min(h, q), HEIGHT_FLOOR) for h, q in zip(h_class, p_new)])
+            assert_bits(shifted.core, core)
+            assert_bits(shifted.spread, spread)

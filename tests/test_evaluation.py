@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_record, random_batch
+from conftest import make_batch, make_record, random_batch
 from fuzztriage.alerts import Alert, Criticality, load_catalog
 from fuzztriage.calibration import instance_height
 from fuzztriage.config import EvaluationConfig
@@ -28,37 +28,39 @@ from fuzztriage.evaluation import (
     predicted_queue,
     queue_relevances,
     relevance,
-    relevance_by_id,
     scenario_eval,
     sensitivity_sweep,
 )
 from fuzztriage.ranking import Method, RiskProfile, rank
+from fuzztriage.sgfn import GaussianFuzzyNumber, ranking_index
 
 
 class TestRelevance:
     def test_true_attack_discounted_core(self):
         record = make_record("a", 6.0, 0.9, 0.6, 0.8, label=1, uf=0.15)
-        assert relevance(record) == pytest.approx(5.1)
+        assert relevance(make_batch([record]))[0] == pytest.approx(5.1)
 
     def test_false_positive_is_zero(self):
         record = make_record("a", 6.0, 0.9, 0.6, 0.8, label=0)
-        assert relevance(record) == 0.0
+        assert relevance(make_batch([record]))[0] == 0.0
 
     def test_zero_core_attack_is_zero(self):
         record = make_record("a", 0.0, 1e-6, 0.6, 0.8, label=1)
-        assert relevance(record) == 0.0
+        assert relevance(make_batch([record]))[0] == 0.0
 
     def test_missing_label_rejected(self):
         record = make_record("a", 6.0, 0.9, 0.6, 0.8, label=None)
-        with pytest.raises(EvaluationError):
-            relevance(record)
+        with pytest.raises(EvaluationError, match="'a' has no ground-truth label"):
+            relevance(make_batch([make_record("b", 6.0, 0.9, 0.6, 0.8), record]))
 
     def test_by_id_map(self):
-        records = [
+        records = make_batch([
             make_record("x", 4.0, 0.6, 0.9, 0.9, label=1, uf=0.25),
             make_record("y", 8.0, 1.2, 0.9, 0.9, label=0),
-        ]
-        assert relevance_by_id(records) == {"x": pytest.approx(3.0), "y": 0.0}
+        ])
+        rel = relevance(records)
+        assert rel.shape == (2,)
+        assert dict(zip(records.ids, rel)) == {"x": pytest.approx(3.0), "y": 0.0}
 
 
 def brute_force_ndcg(rels, k):
@@ -105,45 +107,46 @@ class TestNdcg:
 class TestQueueMetrics:
     def test_queue_relevances_align_with_ranks(self, rng):
         records = random_batch(rng, 12)
-        rel = relevance_by_id(records)
+        rel = relevance(records)
         queue = rank(records, Method.SEVERITY_ONLY)
         rels = queue_relevances(queue, rel)
-        assert rels == [rel[i] for i in queue.ids()]
+        rel_by_id = dict(zip(records.ids, rel.tolist()))
+        assert rels.tolist() == [rel_by_id[i] for i in queue.ids()]
 
     def test_unknown_id_rejected(self, rng):
         records = random_batch(rng, 5)
         queue = rank(records, Method.SEVERITY_ONLY)
-        rel = relevance_by_id(records[:-1])
-        with pytest.raises(EvaluationError):
+        rel = relevance(make_batch(list(records)[:-1]))
+        with pytest.raises(EvaluationError, match="4 relevance values for a batch of 5"):
             queue_relevances(queue, rel)
 
     def test_severity_queue_with_uniform_uf_is_perfect(self):
-        records = [
+        records = make_batch(
             make_record(f"a{i}", float(c), float(c) * 0.2, 0.9, 0.9, label=1, uf=0.2)
             for i, c in enumerate([9.0, 7.0, 5.0, 3.0])
-        ]
+        )
         queue = rank(records, Method.SEVERITY_ONLY)
-        assert ndcg_of_queue(queue, relevance_by_id(records), 4) == pytest.approx(1.0)
+        assert ndcg_of_queue(queue, relevance(records), 4) == pytest.approx(1.0)
 
 
 class TestPredictedQueue:
     def test_mixed_batch_keeps_order_and_renumbers(self):
-        records = [
+        records = make_batch([
             make_record("a", 9.0, 1.0, 0.9, 0.9),
             make_record("b", 8.0, 1.0, 0.9, 0.49),
             make_record("c", 7.0, 1.0, 0.9, 0.5),
             make_record("d", 6.0, 1.0, 0.9, 0.1),
-        ]
+        ])
         queue = predicted_queue(rank(records, Method.SEVERITY_ONLY))
         assert queue.ids() == ("a", "c")
         assert [e.rank for e in queue] == [1, 2]
 
     def test_all_below_threshold_is_empty(self):
-        records = [make_record("a", 9.0, 1.0, 0.9, 0.4)]
+        records = make_batch([make_record("a", 9.0, 1.0, 0.9, 0.4)])
         assert len(predicted_queue(rank(records, Method.SEVERITY_ONLY))) == 0
 
     def test_custom_threshold(self):
-        records = [make_record("a", 9.0, 1.0, 0.9, 0.4)]
+        records = make_batch([make_record("a", 9.0, 1.0, 0.9, 0.4)])
         queue = predicted_queue(rank(records, Method.SEVERITY_ONLY), threshold=0.3)
         assert queue.ids() == ("a",)
 
@@ -170,20 +173,20 @@ class TestBands:
             Band(lo, hi)
 
     def test_single_true_positive_scores_one(self):
-        records = [
+        records = make_batch([
             make_record("tp", 8.0, 1.2, 0.6, 0.6, label=1),
             make_record("out", 5.0, 1.0, 0.9, 0.9, label=1),
-        ]
+        ])
         queue = rank(records, Method.SEVERITY_ONLY)
-        results = band_eval(queue, relevance_by_id(records), bands=[Band(0.5, 0.7)])
+        results = band_eval(queue, relevance(records), bands=[Band(0.5, 0.7)])
         assert results[0].count == 1
         assert results[0].ndcg == pytest.approx(1.0)
 
     def test_empty_band_reports_none(self):
-        records = [make_record("a", 8.0, 1.2, 0.9, 0.9)]
+        records = make_batch([make_record("a", 8.0, 1.2, 0.9, 0.9)])
         results = band_eval(
             rank(records, Method.SEVERITY_ONLY),
-            relevance_by_id(records),
+            relevance(records),
             EvaluationConfig().band_objects(),
         )
         assert results[0].count == 0 and results[0].ndcg is None
@@ -202,7 +205,8 @@ class TestBands:
         for i in range(8):
             p = 0.62 + 0.005 * i
             records.append(make_record(f"fp-{i}", 5.0, 1.0, p, p, label=0))
-        rel = relevance_by_id(records)
+        records = make_batch(records)
+        rel = relevance(records)
         band = [Band(0.5, 0.7)]
         co = band_eval(rank(records, Method.CONFIDENCE_ONLY), rel, bands=band)[0]
         ra = band_eval(rank(records, Method.RISK_AVERSE, RiskProfile(1.0)), rel, bands=band)[0]
@@ -213,7 +217,7 @@ class TestBands:
 class TestPairedBootstrap:
     def test_queue_against_itself(self, rng):
         records = random_batch(rng, 30)
-        rel = relevance_by_id(records)
+        rel = relevance(records)
         queue = rank(records, Method.RISK_AVERSE, RiskProfile(1.0))
         result = paired_bootstrap(queue, queue, rel, k=20, resamples=200, seed=1)
         assert result.delta == 0.0
@@ -230,7 +234,8 @@ class TestPairedBootstrap:
             records.append(
                 make_record(f"atk-{i}", 7.0 + 0.1 * i, 1.4, 0.9, p, label=1)
             )
-        rel = relevance_by_id(records)
+        records = make_batch(records)
+        rel = relevance(records)
         co = rank(records, Method.CONFIDENCE_ONLY)
         so = rank(records, Method.SEVERITY_ONLY)
         result = paired_bootstrap(co, so, rel, k=40, resamples=1000, seed=0)
@@ -240,23 +245,25 @@ class TestPairedBootstrap:
 
     def test_mismatched_universe_rejected(self, rng):
         a = random_batch(rng, 10)
-        b = a[:-1] + [make_record("intruder", core=5.0, spread=1.0, height=0.5, p=0.5)]
-        rel = relevance_by_id(a) | relevance_by_id(b)
-        with pytest.raises(EvaluationError):
+        b = make_batch(
+            [*list(a)[:-1], make_record("intruder", core=5.0, spread=1.0, height=0.5, p=0.5)]
+        )
+        rel = relevance(a)
+        with pytest.raises(EvaluationError, match="same alert universe"):
             paired_bootstrap(
                 rank(a, Method.SEVERITY_ONLY), rank(b, Method.SEVERITY_ONLY), rel
             )
 
     def test_k_clamped_to_queue_length(self, rng):
         records = random_batch(rng, 8)
-        rel = relevance_by_id(records)
+        rel = relevance(records)
         queue = rank(records, Method.SEVERITY_ONLY)
         result = paired_bootstrap(queue, queue, rel, k=500, resamples=50, seed=2)
         assert result.k == 8
 
     def test_p_value_floor(self, rng):
         records = random_batch(rng, 10)
-        rel = relevance_by_id(records)
+        rel = relevance(records)
         q1 = rank(records, Method.SEVERITY_ONLY)
         q2 = rank(records, Method.CONFIDENCE_ONLY)
         result = paired_bootstrap(q1, q2, rel, k=10, resamples=100, seed=3)
@@ -287,10 +294,6 @@ class TestPerturb:
         with pytest.raises(ValidationError):
             perturb([1.2], ScenarioSpec(ScenarioKind.NOISE))
 
-    def test_explicit_scale_override(self):
-        spec = ScenarioSpec(ScenarioKind.OVERCONFIDENT, scale=2.0)
-        np.testing.assert_allclose(perturb([0.3], spec), [0.6])
-
 
 class TestApplyScenario:
     def consistent_batch(self, seed, n):
@@ -306,7 +309,7 @@ class TestApplyScenario:
                     h_class=h_class,
                 )
             )
-        return records
+        return make_batch(records)
 
     def test_core_and_spread_held_fixed(self):
         records = self.consistent_batch(5, 10)
@@ -318,20 +321,21 @@ class TestApplyScenario:
 
     def test_height_tracks_perturbed_p(self):
         record = make_record("a", 6.0, 0.9, 0.6, 0.6, h_class=0.9)
-        shifted = apply_scenario([record], ScenarioSpec(ScenarioKind.OVERCONFIDENT))[0]
+        shifted = apply_scenario(make_batch([record]), ScenarioSpec(ScenarioKind.OVERCONFIDENT))[0]
         assert shifted.p == pytest.approx(0.69)
         assert shifted.height == pytest.approx(0.69)
 
     def test_overconfident_score_shift_is_bounded(self):
         # heights cannot fall under scenario 1, and the per-alert risk-averse
         # score gain is capped by kappa * sigma * log10(scale)
-        from fuzztriage.sgfn import ranking_index
+        def index(r):
+            return ranking_index(GaussianFuzzyNumber(r.core, r.spread, r.height), 1.0)
 
         records = self.consistent_batch(7, 50)
         shifted = apply_scenario(records, ScenarioSpec(ScenarioKind.OVERCONFIDENT))
         for before, after in zip(records, shifted):
             assert after.height >= before.height - 1e-15
-            change = ranking_index(after.fuzzy, 1.0) - ranking_index(before.fuzzy, 1.0)
+            change = index(after) - index(before)
             assert -1e-12 <= change <= before.spread * np.log10(1.15) + 1e-12
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_record, random_batch
+from conftest import make_batch, make_record, random_batch
 from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import DomainError, ValidationError
-from fuzztriage.evaluation import band_eval, ndcg_at_k, predicted_queue, relevance_by_id
+from fuzztriage.evaluation import band_eval, ndcg_at_k, predicted_queue, relevance
 from fuzztriage.ranking import (
     QUEUE_HEADER,
     Method,
@@ -29,11 +29,11 @@ def reference_triple():
     # three alerts with hand-checked risk-averse scores at kappa=1:
     # 7.6785 > 7.2483 > 6.6318, so the confident high-core alert wins
     # and the low-height one drops to the bottom
-    return [
+    return make_batch([
         make_record("353856", 7.2504, 1.4706, 0.3796, 0.3796),
         make_record("192641", 7.3872, 1.4267, 0.7992, 0.9872),
         make_record("230833", 7.8000, 1.2480, 0.7992, 1.0000),
-    ]
+    ])
 
 
 class TestMinMaxNorm:
@@ -88,20 +88,20 @@ class TestReferenceTriple:
 
 class TestMethodScores:
     def test_weighted_sum_blends_normalized_halves(self):
-        alerts = [
+        alerts = make_batch([
             make_record("a", 5.0, 0.75, 0.9, 0.0),
             make_record("b", 7.5, 1.10, 0.9, 0.5),
             make_record("c", 10.0, 1.50, 0.9, 1.0),
-        ]
+        ])
         np.testing.assert_allclose(
             method_scores(alerts, Method.WEIGHTED_SUM), [0.0, 0.5, 1.0]
         )
 
     def test_weighted_sum_constant_p_reduces_to_severity_shape(self):
-        alerts = [
+        alerts = make_batch([
             make_record("a", 5.0, 0.75, 0.9, 0.7),
             make_record("b", 10.0, 1.50, 0.9, 0.7),
-        ]
+        ])
         np.testing.assert_allclose(
             method_scores(alerts, Method.WEIGHTED_SUM), [0.25, 0.75]
         )
@@ -116,18 +116,18 @@ class TestMethodScores:
 
 class TestRankMechanics:
     def test_empty_batch(self):
-        queue = rank([], Method.SEVERITY_ONLY)
+        queue = rank(make_batch([]), Method.SEVERITY_ONLY)
         assert len(queue) == 0
         assert queue.ids() == ()
 
     def test_duplicate_ids_rejected(self):
         alerts = [make_record("x", 5.0, 1.0, 0.9, 0.5), make_record("x", 6.0, 1.0, 0.9, 0.5)]
-        with pytest.raises(ValidationError):
-            rank(alerts, Method.SEVERITY_ONLY)
+        with pytest.raises(ValidationError, match="unique"):
+            rank(make_batch(alerts), Method.SEVERITY_ONLY)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_single_alert_rank_one(self, method):
-        queue = rank([make_record("only", 6.0, 0.9, 0.63, 0.8)], method)
+        queue = rank(make_batch([make_record("only", 6.0, 0.9, 0.63, 0.8)]), method)
         assert len(queue) == 1
         assert next(iter(queue)).rank == 1
         assert queue.ids() == ("only",)
@@ -137,22 +137,22 @@ class TestRankMechanics:
         assert [a.rank for a in queue] == list(range(1, 26))
 
     def test_tie_breaks_ascending_id(self):
-        alerts = [
+        alerts = make_batch([
             make_record("beta", 6.0, 0.9, 0.8, 0.4),
             make_record("alpha", 6.0, 0.9, 0.8, 0.9),
-        ]
+        ])
         queue = rank(alerts, Method.SEVERITY_ONLY)
         assert queue.ids() == ("alpha", "beta")
 
     @pytest.mark.parametrize("method", list(Method))
     def test_input_order_irrelevant(self, method, rng):
         alerts = random_batch(rng, 30)
-        shuffled = [alerts[i] for i in rng.permutation(30)]
+        shuffled = make_batch(alerts[i] for i in rng.permutation(30))
         assert rank(alerts, method).ids() == rank(shuffled, method).ids()
 
     def test_explanation_carries_inputs(self):
         record = make_record("e", 6.0, 0.9, 0.626, 0.75, cf=0.8, uf=0.15)
-        queue = rank([record], Method.RISK_AVERSE, RiskProfile(1.5))
+        queue = rank(make_batch([record]), Method.RISK_AVERSE, RiskProfile(1.5))
         inputs = queue.records[queue.order[0]]
         assert inputs.core == 6.0
         assert inputs.spread == 0.9
@@ -164,7 +164,7 @@ class TestRankMechanics:
 
     def test_kappa_none_outside_risk_averse(self):
         record = make_record("e", 6.0, 0.9, 0.626, 0.75)
-        queue = rank([record], Method.CONFIDENCE_ONLY)
+        queue = rank(make_batch([record]), Method.CONFIDENCE_ONLY)
         assert queue.kappa is None
 
 
@@ -175,7 +175,7 @@ class TestKappaSweep:
             make_record(f"peer-{i}", 8.0 + 0.1 * i, 1.2, 0.95, 0.95) for i in range(8)
         ]
         ranks = []
-        for queue in kappa_sweep(alerts, [0.0, 0.5, 1.0, 1.5, 2.0]):
+        for queue in kappa_sweep(make_batch(alerts), [0.0, 0.5, 1.0, 1.5, 2.0]):
             position = {a.alert_id: a.rank for a in queue}
             ranks.append(position["target"])
         assert ranks[0] == 1
@@ -191,18 +191,19 @@ class TestKappaSweep:
         assert [a.score for a in swept[0]] == [a.score for a in direct]
 
     def test_full_height_neutralizes_kappa(self, rng):
-        alerts = [
+        alerts = make_batch(
             make_record(f"a{i}", float(c), max(float(c) * 0.2, 1e-6), 1.0, 0.9)
             for i, c in enumerate(np.random.default_rng(3).uniform(1, 10, size=15))
-        ]
+        )
         queues = kappa_sweep(alerts, [0.0, 1.0, 2.0])
         assert queues[0].ids() == queues[1].ids() == queues[2].ids()
 
 
 class TestQueueCsv:
     def test_round_trip_shape(self, tmp_path, rng):
-        records = random_batch(rng, 10)
+        records = list(random_batch(rng, 10))
         records[0] = make_record(records[0].alert_id, 5.0, 1.0, 0.9, 0.5, label=None)
+        records = make_batch(records)
         queue = rank(records, Method.RISK_AVERSE, RiskProfile(1.0))
         path = tmp_path / "queue.csv"
         write_queue_csv(path, queue, header_comment="config_hash=abc seed=7")
@@ -239,7 +240,7 @@ def tied_batches(draw):
                 label=draw(st.sampled_from([0, 1])),
             )
         )
-    return records
+    return make_batch(records)
 
 
 class TestQueueProperties:
@@ -254,19 +255,20 @@ class TestQueueProperties:
         assert [e.rank for e in queue] == list(range(1, len(records) + 1))
         assert [(e.alert_id, e.score) for e in queue] == [(i, score[i]) for i in reference]
 
-        p = {r.alert_id: r.p for r in records}
+        p = dict(zip(records.ids, records.p.tolist()))
         pred = predicted_queue(queue)
         assert pred.ids() == tuple(i for i in reference if p[i] >= 0.5)
         assert [e.rank for e in pred] == list(range(1, len(pred) + 1))
 
-        rel = relevance_by_id(records)
+        rel = relevance(records)
+        rel_by_id = dict(zip(records.ids, rel.tolist()))
         bands = EvaluationConfig().band_objects()
         for band, result in zip(bands, band_eval(queue, rel, bands)):
             kept = [i for i in reference if band.contains(p[i])]
-            view = queue.where(band.contains(np.array([r.p for r in records], dtype=float)))
+            view = queue.where(band.contains(records.p))
             assert view.ids() == tuple(kept)
             assert result.count == len(kept)
-            assert result.ndcg == (ndcg_at_k([rel[i] for i in kept], 100) if kept else None)
+            assert result.ndcg == (ndcg_at_k([rel_by_id[i] for i in kept], 100) if kept else None)
 
 
 class TestLibraryUse:
