@@ -1,128 +1,3 @@
 """Alert triage with fuzzy severity, detector confidence, and risk-aware ranking."""
 
-from .alerts import (
-    Alert,
-    AlertBatch,
-    AttackClassProfile,
-    CfMode,
-    Criticality,
-    PreparedAlert,
-    assemble,
-    contextual_factor,
-    load_catalog,
-)
-from .calibration import (
-    HeightParams,
-    class_height,
-    class_metrics,
-    instance_height,
-    per_class_counts,
-)
-from .config import DetectorMode, RunConfig, config_hash, load_config
-from .errors import (
-    ConfigError,
-    DomainError,
-    EvaluationError,
-    FuzztriageError,
-    ParseError,
-    TrainingError,
-    ValidationError,
-)
-from .evaluation import (
-    Band,
-    BootstrapResult,
-    ScenarioKind,
-    ScenarioSpec,
-    band_eval,
-    dcg_at_k,
-    ndcg_at_k,
-    paired_bootstrap,
-    predicted_queue,
-    relevance,
-    sensitivity_sweep,
-)
-from .detector import DetectorReport, LinearModel, TrainConfig, platt_calibrate, train_lr
-from .ingestion import (
-    FlowDataset,
-    SplitSpec,
-    SynthConfig,
-    load_csv,
-    map_attack_types,
-    normalize,
-    split,
-    synth_generate,
-)
-from .ranking import Method, RankedQueue, RiskProfile, rank
-from .sgfn import (
-    PENALTY_LOG_BASE,
-    AlphaInterval,
-    GaussianFuzzyNumber,
-    alpha_cut,
-    membership,
-    ranking_index,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Alert",
-    "AlertBatch",
-    "AlphaInterval",
-    "AttackClassProfile",
-    "Band",
-    "BootstrapResult",
-    "CfMode",
-    "ConfigError",
-    "Criticality",
-    "DetectorMode",
-    "DetectorReport",
-    "DomainError",
-    "EvaluationError",
-    "FlowDataset",
-    "FuzztriageError",
-    "GaussianFuzzyNumber",
-    "HeightParams",
-    "LinearModel",
-    "Method",
-    "PENALTY_LOG_BASE",
-    "ParseError",
-    "PreparedAlert",
-    "RankedQueue",
-    "RiskProfile",
-    "RunConfig",
-    "ScenarioKind",
-    "ScenarioSpec",
-    "SplitSpec",
-    "SynthConfig",
-    "TrainConfig",
-    "TrainingError",
-    "ValidationError",
-    "alpha_cut",
-    "assemble",
-    "band_eval",
-    "class_height",
-    "class_metrics",
-    "config_hash",
-    "contextual_factor",
-    "dcg_at_k",
-    "instance_height",
-    "load_catalog",
-    "load_config",
-    "load_csv",
-    "map_attack_types",
-    "membership",
-    "ndcg_at_k",
-    "normalize",
-    "paired_bootstrap",
-    "per_class_counts",
-    "platt_calibrate",
-    "predicted_queue",
-    "rank",
-    "ranking_index",
-    "relevance",
-    "sensitivity_sweep",
-    "split",
-    "synth_generate",
-    "train_lr",
-    "__version__",
-]

@@ -99,22 +99,6 @@ class AttackClassProfile:
             raise ValidationError(f"uf must lie in (0, 0.5], got {self.uf!r}")
 
 
-@dataclass(frozen=True)
-class ContextualFactor:
-    """Environment scaling applied to the base CVSS score."""
-
-    value: float
-    mode: CfMode
-
-    def __post_init__(self) -> None:
-        if not (0.2 <= self.value <= 1.0):
-            raise ValidationError(f"cf value must lie in [0.2, 1.0], got {self.value!r}")
-        if self.mode is CfMode.CATEGORICAL and self.value not in CATEGORICAL_LEVELS:
-            raise ValidationError(
-                f"categorical cf must be one of {CATEGORICAL_LEVELS}, got {self.value!r}"
-            )
-
-
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash (XOR then multiply, per byte)."""
     h = _FNV64_OFFSET
@@ -130,7 +114,7 @@ def cf_value(
     mode: CfMode = CfMode.CONTINUOUS,
     criticality: Criticality | None = None,
 ) -> float:
-    """Derive the contextual factor of one alert as a bare number.
+    """Derive the contextual factor of one alert, a number in [0.2, 1.0].
 
     An explicit criticality category wins and yields its fixed categorical
     value. Otherwise the factor is derived deterministically from the alert
@@ -144,17 +128,6 @@ def cf_value(
     if mode is CfMode.CATEGORICAL:
         value = min(CATEGORICAL_LEVELS, key=lambda level: abs(level - value))
     return value
-
-
-def contextual_factor(
-    alert_id: str,
-    attack_class: str,
-    mode: CfMode = CfMode.CONTINUOUS,
-    criticality: Criticality | None = None,
-) -> ContextualFactor:
-    """The validated contextual factor of one alert (see :func:`cf_value`)."""
-    value = cf_value(alert_id, attack_class, mode, criticality)
-    return ContextualFactor(value, CfMode.CATEGORICAL if criticality is not None else mode)
 
 
 def check_uf_scale(uf_scale: float) -> None:

@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .config import config_hash, load_config
-from .errors import ConfigError, FuzztriageError, ParseError, ValidationError
+from .errors import ConfigError, FuzztriageError, ParseError, TrainingError, ValidationError
 from .pipeline import cmd_calibrate, cmd_evaluate, cmd_prepare, cmd_rank, cmd_stress
 
 _COMMANDS = {
@@ -78,10 +78,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         kappas = _parse_kappas(args.kappa) if args.kappa else None
         config = load_config(args.config, seed=args.seed, out_dir=args.out, kappas=kappas)
         result = _COMMANDS[args.command](config)
-    except (ConfigError, ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, ParseError, ValidationError, TrainingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FuzztriageError as exc:

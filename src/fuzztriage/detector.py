@@ -178,7 +178,8 @@ def train_lr(
         raise ValidationError(f"X/y shape mismatch: {X.shape} vs {y.shape}")
     classes = np.unique(y)
     if classes.size < 2:
-        raise TrainingError(f"training data contains a single class {classes!r}")
+        found = ", ".join(f"{c:g}" for c in classes.tolist())
+        raise TrainingError(f"training data contains a single class: {found}")
     if not np.all(np.isin(classes, (0.0, 1.0))):
         raise ValidationError(f"labels must be binary 0/1, got {classes!r}")
     if feature_names is not None and len(feature_names) != X.shape[1]:

@@ -17,8 +17,8 @@ class ValidationError(FuzztriageError, ValueError):
 
 
 class DomainError(FuzztriageError, ValueError):
-    """A mathematically undefined operation was requested (e.g. an alpha cut
-    above the height of the fuzzy number)."""
+    """A mathematically undefined operation was requested (e.g. a ranking
+    index with a negative or non-finite kappa)."""
 
 
 class ParseError(FuzztriageError):
@@ -30,7 +30,8 @@ class ConfigError(FuzztriageError):
 
 
 class TrainingError(FuzztriageError):
-    """Detector training cannot proceed (e.g. single-class training data)."""
+    """Detector training cannot proceed on the given data (single-class
+    labels); the CLI reports it as an input error."""
 
 
 class EvaluationError(FuzztriageError):

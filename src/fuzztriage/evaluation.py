@@ -286,16 +286,6 @@ _HEIGHT_PARAM_NAMES = ("alpha", "h_min", "h_max")
 
 
 @dataclass(frozen=True)
-class SweepInputs:
-    """Everything needed to rebuild the ranked queue from scratch."""
-
-    alerts: tuple[Alert, ...]
-    catalog: Mapping[str, AttackClassProfile]
-    f1_by_class: Mapping[str, float]
-    cf_mode: CfMode = CfMode.CONTINUOUS
-
-
-@dataclass(frozen=True)
 class SweepPoint:
     parameter: str
     value: float
@@ -310,30 +300,13 @@ class SweepReport:
     parameter_spread: dict[str, tuple[float, ...]]
 
 
-def _sweep_point(
-    inputs: SweepInputs,
-    height_params: HeightParams,
-    uf_scale: float,
-    kappa: float,
-    rel: np.ndarray,
-    cutoffs: Sequence[int],
-    threshold: float,
-) -> tuple[float, ...]:
-    heights = heights_from_f1(inputs.f1_by_class, height_params)
-    records = assemble(
-        list(inputs.alerts), inputs.catalog, heights,
-        cf_mode=inputs.cf_mode, uf_scale=uf_scale,
-    )
-    queue = predicted_queue(rank(records, Method.RISK_AVERSE, RiskProfile(kappa)), threshold)
-    if len(queue) == 0:
-        raise EvaluationError("sensitivity sweep: predicted queue is empty")
-    return tuple(ndcg_of_queue(queue, rel, k) for k in cutoffs)
-
-
 def sensitivity_sweep(
-    inputs: SweepInputs,
+    alerts: Sequence[Alert],
+    catalog: Mapping[str, AttackClassProfile],
+    f1_by_class: Mapping[str, float],
     grid: Mapping[str, Sequence[float]] | None = None,
     *,
+    cf_mode: CfMode = CfMode.CONTINUOUS,
     defaults: HeightParams = HeightParams(),
     kappa: float = 1.0,
     uf_scale: float = 1.0,
@@ -342,21 +315,22 @@ def sensitivity_sweep(
 ) -> SweepReport:
     """One-at-a-time sensitivity sweep of the risk-averse predicted queue.
 
-    Each grid entry varies a single parameter while the others stay at their
-    defaults. Relevance is computed once from the default assembly, so grid
-    points are scored against a fixed target.
+    Each grid point re-assembles ``alerts`` with class heights derived from
+    ``f1_by_class``, varying a single parameter while the others stay at
+    their defaults. Relevance is computed once from the default assembly, so
+    grid points are scored against a fixed target.
     """
     if grid is None:
         grid = DEFAULT_SWEEP_GRID
     for name in grid:
         if name not in (*_HEIGHT_PARAM_NAMES, "uf_scale", "kappa"):
             raise ValidationError(f"unknown sweep parameter {name!r}")
-    base_records = assemble(
-        list(inputs.alerts), inputs.catalog,
-        heights_from_f1(inputs.f1_by_class, defaults),
-        cf_mode=inputs.cf_mode, uf_scale=uf_scale,
-    )
-    rel = relevance(base_records)
+
+    def assemble_with(params: HeightParams, scale: float) -> AlertBatch:
+        heights = heights_from_f1(f1_by_class, params)
+        return assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=scale)
+
+    rel = relevance(assemble_with(defaults, uf_scale))
 
     points: list[SweepPoint] = []
     parameter_spread: dict[str, tuple[float, ...]] = {}
@@ -371,7 +345,11 @@ def sensitivity_sweep(
                 scale = float(value)
             else:
                 kap = float(value)
-            ndcgs = _sweep_point(inputs, params, scale, kap, rel, cutoffs, threshold)
+            records = assemble_with(params, scale)
+            queue = predicted_queue(rank(records, Method.RISK_AVERSE, RiskProfile(kap)), threshold)
+            if len(queue) == 0:
+                raise EvaluationError("sensitivity sweep: predicted queue is empty")
+            ndcgs = tuple(ndcg_of_queue(queue, rel, k) for k in cutoffs)
             param_points.append(SweepPoint(name, float(value), ndcgs))
         points.extend(param_points)
         parameter_spread[name] = tuple(

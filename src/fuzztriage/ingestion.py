@@ -310,14 +310,6 @@ def apply_normalization(features: np.ndarray, stats: NormStats) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def normalize(dataset: FlowDataset, stats: NormStats | None = None) -> tuple[FlowDataset, NormStats]:
-    """Normalize a dataset, fitting statistics on it unless given."""
-    if stats is None:
-        stats = fit_normalization(dataset.features)
-    scaled = apply_normalization(dataset.features, stats)
-    return FlowDataset(scaled, dataset.feature_names, dataset.labels, dataset.days), stats
-
-
 # --- splitting ---------------------------------------------------------------
 
 class SplitMode(str, Enum):
@@ -343,6 +335,10 @@ class SplitSpec:
             raise ValidationError(f"fractions must be non-negative, got {self.fractions!r}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValidationError(f"fractions must sum to 1, got {self.fractions!r}")
+        if self.fractions[0] == 0.0 or self.fractions[2] == 0.0:
+            raise ValidationError(
+                f"split.fractions: train and test fractions must be positive, got {self.fractions!r}"
+            )
         if not 0.0 <= self.attack_share_threshold <= 1.0:
             raise ValidationError(
                 f"attack_share_threshold must lie in [0,1], got {self.attack_share_threshold!r}"

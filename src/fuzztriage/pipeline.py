@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .evaluation import (
     BootstrapResult,
     ScenarioResult,
     ScenarioSpec,
-    SweepInputs,
     SweepReport,
     band_eval,
     ndcg_of_queue,
@@ -157,8 +156,9 @@ def build_alerts(
     prep: PreparedData,
     detector_out: DetectorOutput,
     table: Mapping[str, CalibrationRow],
-) -> tuple[AlertBatch, dict[str, AttackClassProfile]]:
-    """Turn the test split into an alert batch with fuzzy severities."""
+) -> tuple[AlertBatch, dict[str, AttackClassProfile], list[Alert]]:
+    """Turn the test split into an alert batch with fuzzy severities; the
+    catalog and the alerts are returned for re-assembly by the sweep."""
     te = prep.split.test_idx
     y_test = binary_labels(prep.classes)[te]
     alerts = [
@@ -179,7 +179,7 @@ def build_alerts(
         cf_mode=config.ranking.cf_mode,
         uf_scale=config.ranking.uf_scale,
     )
-    return records, catalog
+    return records, catalog, alerts
 
 
 def _kappa_label(kappa: float) -> str:
@@ -221,11 +221,11 @@ class EvalTables:
 
 def evaluate_all(
     config: RunConfig,
-    prep: PreparedData,
     detector_out: DetectorOutput,
     table: Mapping[str, CalibrationRow],
     records: AlertBatch,
     catalog: Mapping[str, AttackClassProfile],
+    alerts: Sequence[Alert],
     queues: Mapping[str, RankedQueue],
 ) -> EvalTables:
     rel = relevance(records)
@@ -271,16 +271,11 @@ def evaluate_all(
 
     sweep = None
     if config.evaluation.sweep:
-        inputs = SweepInputs(
-            alerts=tuple(
-                map(Alert, records.ids, records.classes, records.p.tolist(), records.labels)
-            ),
-            catalog=catalog,
-            f1_by_class={cls: row.metrics.f1 for cls, row in table.items()},
-            cf_mode=config.ranking.cf_mode,
-        )
         sweep = sensitivity_sweep(
-            inputs,
+            alerts,
+            catalog,
+            {cls: row.metrics.f1 for cls, row in table.items()},
+            cf_mode=config.ranking.cf_mode,
             defaults=config.heights,
             kappa=first_kappa,
             uf_scale=config.ranking.uf_scale,
@@ -340,81 +335,64 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.10g}"
 
 
+def _write_eval_csv(
+    config: RunConfig, name: str, header: str, rows: Iterable[Sequence[str]]
+) -> Path:
+    path = _out(config, "eval", name)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# {artifact_stamp(config)}\n{header}\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+    return path
+
+
 def write_eval(config: RunConfig, tables: EvalTables) -> list[Path]:
-    stamp = artifact_stamp(config)
-    written = []
-
-    path = _out(config, "eval", "detector.csv")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        fh.write("mode,accuracy,precision,recall,f1\n")
-        d = tables.detector
-        fh.write(
-            f"{tables.detector_mode.value},{_fmt(d.accuracy)},{_fmt(d.precision)},"
-            f"{_fmt(d.recall)},{_fmt(d.f1)}\n"
-        )
-    written.append(path)
-
-    path = _out(config, "eval", "metrics.csv")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        fh.write("method,queue,cutoff,ndcg\n")
-        for row in tables.metrics:
-            fh.write(f"{row.method},{row.queue},{row.cutoff},{_fmt(row.ndcg)}\n")
-    written.append(path)
-
-    path = _out(config, "eval", "bands.csv")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        fh.write("method,band_lo,band_hi,count,ndcg\n")
-        for name in tables.bands:
-            for result in tables.bands[name]:
-                fh.write(
-                    f"{name},{_fmt(result.band.lo)},{_fmt(result.band.hi)},"
-                    f"{result.count},{_fmt(result.ndcg)}\n"
-                )
-    written.append(path)
-
-    path = _out(config, "eval", "bootstrap.csv")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        fh.write("method,baseline,k,delta,ci_low,ci_high,p_value,resamples\n")
-        first_kappa = config.ranking.kappas[0]
-        baseline = f"risk_averse_k{_kappa_label(first_kappa)}"
-        for name, result in tables.bootstrap.items():
-            fh.write(
-                f"{name},{baseline},{result.k},{_fmt(result.delta)},{_fmt(result.ci_low)},"
-                f"{_fmt(result.ci_high)},{_fmt(result.p_value)},{result.resamples}\n"
-            )
-    written.append(path)
-
-    path = _out(config, "eval", "scenarios.csv")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        fh.write("scenario,method,k,ndcg_before,ndcg_after,change_pct\n")
-        for row in tables.scenarios:
-            fh.write(
-                f"{row.scenario.value},{row.method.value},{row.k},"
-                f"{_fmt(row.ndcg_before)},{_fmt(row.ndcg_after)},{_fmt(row.change_pct)}\n"
-            )
-    written.append(path)
-
-    if tables.sweep is not None:
-        path = _out(config, "eval", "sweep.csv")
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# {stamp}\n")
-            cutoff_cols = ",".join(f"ndcg_at{k}_pred" for k in tables.sweep.cutoffs)
-            fh.write(f"kind,parameter,value,{cutoff_cols}\n")
-            for point in tables.sweep.points:
-                vals = ",".join(_fmt(v) for v in point.ndcg_by_cutoff)
-                fh.write(f"point,{point.parameter},{_fmt(point.value)},{vals}\n")
-            for name, spreads in tables.sweep.parameter_spread.items():
-                vals = ",".join(_fmt(v) for v in spreads)
-                fh.write(f"parameter_spread,{name},,{vals}\n")
-            vals = ",".join(_fmt(v) for v in tables.sweep.spread_by_cutoff)
-            fh.write(f"overall_spread,,,{vals}\n")
-        written.append(path)
-
+    d = tables.detector
+    baseline = f"risk_averse_k{_kappa_label(config.ranking.kappas[0])}"
+    written = [
+        _write_eval_csv(
+            config, "detector.csv", "mode,accuracy,precision,recall,f1",
+            [(tables.detector_mode.value, *map(_fmt, (d.accuracy, d.precision, d.recall, d.f1)))],
+        ),
+        _write_eval_csv(
+            config, "metrics.csv", "method,queue,cutoff,ndcg",
+            ((r.method, r.queue, str(r.cutoff), _fmt(r.ndcg)) for r in tables.metrics),
+        ),
+        _write_eval_csv(
+            config, "bands.csv", "method,band_lo,band_hi,count,ndcg",
+            (
+                (name, _fmt(r.band.lo), _fmt(r.band.hi), str(r.count), _fmt(r.ndcg))
+                for name, results in tables.bands.items()
+                for r in results
+            ),
+        ),
+        _write_eval_csv(
+            config, "bootstrap.csv", "method,baseline,k,delta,ci_low,ci_high,p_value,resamples",
+            (
+                (name, baseline, str(r.k), *map(_fmt, (r.delta, r.ci_low, r.ci_high, r.p_value)),
+                 str(r.resamples))
+                for name, r in tables.bootstrap.items()
+            ),
+        ),
+        _write_eval_csv(
+            config, "scenarios.csv", "scenario,method,k,ndcg_before,ndcg_after,change_pct",
+            (
+                (r.scenario.value, r.method.value, str(r.k),
+                 *map(_fmt, (r.ndcg_before, r.ndcg_after, r.change_pct)))
+                for r in tables.scenarios
+            ),
+        ),
+    ]
+    sweep = tables.sweep
+    if sweep is not None:
+        cutoff_cols = (f"ndcg_at{k}_pred" for k in sweep.cutoffs)
+        rows = [("point", p.parameter, _fmt(p.value), *map(_fmt, p.ndcg_by_cutoff))
+                for p in sweep.points]
+        rows.extend(("parameter_spread", name, "", *map(_fmt, spreads))
+                    for name, spreads in sweep.parameter_spread.items())
+        rows.append(("overall_spread", "", "", *map(_fmt, sweep.spread_by_cutoff)))
+        written.append(_write_eval_csv(
+            config, "sweep.csv", ",".join(("kind", "parameter", "value", *cutoff_cols)), rows
+        ))
     written.append(write_summary(config, tables))
     return written
 
@@ -498,7 +476,7 @@ def cmd_rank(config: RunConfig) -> RunOutput:
     prep = prepare_data(config)
     detector_out = run_detector(config, prep)
     table = calibrate_heights(config, prep, detector_out)
-    records, _catalog = build_alerts(config, prep, detector_out, table)
+    records = build_alerts(config, prep, detector_out, table)[0]
     queues = rank_all(config, records)
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
@@ -510,9 +488,9 @@ def cmd_evaluate(config: RunConfig) -> RunOutput:
     prep = prepare_data(config)
     detector_out = run_detector(config, prep)
     table = calibrate_heights(config, prep, detector_out)
-    records, catalog = build_alerts(config, prep, detector_out, table)
+    records, catalog, alerts = build_alerts(config, prep, detector_out, table)
     queues = rank_all(config, records)
-    tables = evaluate_all(config, prep, detector_out, table, records, catalog, queues)
+    tables = evaluate_all(config, detector_out, table, records, catalog, alerts, queues)
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
     written.extend(write_queues(config, queues))

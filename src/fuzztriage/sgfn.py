@@ -6,10 +6,8 @@ plausibility decays around the core), and ``height`` (the peak membership
 degree). A height below 1 encodes that even the core value is only partly
 credible, which is how detector reliability enters the picture.
 
-Membership is ``height * exp(-((x - core) / spread)**2 / 2)``. Alpha cuts
-exist only for levels up to the height; asking above it is a domain error
-rather than an empty interval so that callers cannot silently mix up the two
-cases.
+The membership function is ``height * exp(-((x - core) / spread)**2 / 2)``;
+the pipeline never evaluates it, it only ranks numbers by the index below.
 
 The ranking index ``core + kappa * spread * log10(height)`` trades severity
 against confidence: the logarithm is zero for fully credible numbers and grows
@@ -53,41 +51,6 @@ class GaussianFuzzyNumber:
             )
         if not (0.0 < self.height <= 1.0):
             raise ValidationError(f"height must lie in (0, 1], got {self.height!r}")
-
-
-@dataclass(frozen=True)
-class AlphaInterval:
-    """Closed interval of points whose membership is at least ``alpha``."""
-
-    left: float
-    right: float
-    alpha: float
-
-
-def membership(number: GaussianFuzzyNumber, x: float) -> float:
-    """Evaluate the membership function of ``number`` at ``x``.
-
-    Returns a value in (0, height]; far from the core the Gaussian underflows
-    to 0.0 in floating point, which callers should treat as "negligible".
-    """
-    z = (x - number.core) / number.spread
-    return number.height * math.exp(-0.5 * z * z)
-
-
-def alpha_cut(number: GaussianFuzzyNumber, alpha: float) -> AlphaInterval:
-    """Return the alpha cut of ``number`` for a level in (0, height].
-
-    Raises:
-        DomainError: if ``alpha`` is not in (0, height]. Levels above the
-            height have an empty cut, which is reported as an error instead of
-            a sentinel interval.
-    """
-    if not (0.0 < alpha <= number.height):
-        raise DomainError(
-            f"alpha cut undefined: alpha={alpha!r} outside (0, {number.height!r}]"
-        )
-    radius = number.spread * math.sqrt(-2.0 * math.log(alpha / number.height))
-    return AlphaInterval(number.core - radius, number.core + radius, alpha)
 
 
 def check_kappa(kappa: float) -> None:

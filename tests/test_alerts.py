@@ -17,11 +17,10 @@ from fuzztriage.alerts import (
     AlertBatch,
     AttackClassProfile,
     CfMode,
-    ContextualFactor,
     Criticality,
     PreparedAlert,
     assemble,
-    contextual_factor,
+    cf_value,
     fnv1a64,
     load_alerts_csv,
     load_catalog,
@@ -53,42 +52,28 @@ class TestFnv1a64:
 
 class TestContextualFactor:
     def test_criticality_wins(self):
-        cf = contextual_factor("x", "DoS", criticality=Criticality.CRITICAL)
-        assert cf.value == 1.0 and cf.mode is CfMode.CATEGORICAL
+        for mode in CfMode:
+            assert cf_value("x", "DoS", mode, Criticality.CRITICAL) == 1.0
 
     def test_isolated(self):
-        cf = contextual_factor("x", "DoS", criticality=Criticality.ISOLATED)
-        assert cf.value == 0.2
+        assert cf_value("x", "DoS", criticality=Criticality.ISOLATED) == 0.2
 
     def test_hash_derived_deterministic(self):
-        a = contextual_factor("alert-1", "DoS")
-        b = contextual_factor("alert-1", "DoS")
-        assert a.value == b.value
+        assert cf_value("alert-1", "DoS") == cf_value("alert-1", "DoS")
 
     def test_class_changes_factor(self):
-        a = contextual_factor("alert-1", "DoS")
-        b = contextual_factor("alert-1", "Bot")
-        assert a.value != b.value
+        assert cf_value("alert-1", "DoS") != cf_value("alert-1", "Bot")
 
     @given(id_strings, id_strings)
     @settings(max_examples=200)
     def test_continuous_range(self, alert_id, cls):
-        value = contextual_factor(alert_id, cls).value
+        value = cf_value(alert_id, cls)
         assert 0.2 <= value < 1.0 or value == 1.0
 
     @given(id_strings, id_strings)
     @settings(max_examples=200)
     def test_categorical_snaps(self, alert_id, cls):
-        value = contextual_factor(alert_id, cls, CfMode.CATEGORICAL).value
-        assert value in CATEGORICAL_LEVELS
-
-    def test_bad_categorical_value_rejected(self):
-        with pytest.raises(ValidationError):
-            ContextualFactor(0.6, CfMode.CATEGORICAL)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            ContextualFactor(0.1, CfMode.CONTINUOUS)
+        assert cf_value(alert_id, cls, CfMode.CATEGORICAL) in CATEGORICAL_LEVELS
 
 
 def assembled(cvss, uf, criticality=Criticality.CRITICAL, uf_scale=1.0):
@@ -111,8 +96,6 @@ class TestCoreAndSpread:
     def test_core_domain(self):
         with pytest.raises(ValidationError):
             assembled(11.0, 0.2)
-        with pytest.raises(ValidationError):
-            ContextualFactor(0.1, CfMode.CONTINUOUS)
 
     def test_worked_spread(self):
         spread = assembled(7.5, 0.15, Criticality.IMPORTANT).spread
@@ -387,8 +370,7 @@ class TestAssembleMatchesScalarReference:
 
         profiles = [resolve_profile(a.attack_class, catalog) for a in alerts]
         cf = [
-            contextual_factor(a.alert_id, a.attack_class, cf_mode, a.criticality).value
-            for a in alerts
+            cf_value(a.alert_id, a.attack_class, cf_mode, a.criticality) for a in alerts
         ]
         core = [profile.cvss * c for profile, c in zip(profiles, cf)]
         uf = [profile.uf * uf_scale for profile in profiles]

@@ -17,17 +17,31 @@ from fuzztriage.config import (
     config_hash,
     load_config,
 )
+from fuzztriage.detector import DetectorReport
 from fuzztriage.errors import EvaluationError, ValidationError
-from fuzztriage.evaluation import DEFAULT_SWEEP_GRID
+from fuzztriage.evaluation import (
+    DEFAULT_SWEEP_GRID,
+    Band,
+    BandResult,
+    BootstrapResult,
+    ScenarioKind,
+    ScenarioResult,
+    SweepPoint,
+    SweepReport,
+)
 from fuzztriage.ingestion import SplitMode
 from fuzztriage.pipeline import (
     SWEEP_CUTOFFS,
+    EvalTables,
+    MetricRow,
     cmd_calibrate,
     cmd_evaluate,
     cmd_prepare,
     cmd_rank,
     cmd_stress,
+    write_eval,
 )
+from fuzztriage.ranking import Method
 
 
 def small_config(out_dir, seed=42, n_flows=600, kappas=None, **eval_overrides):
@@ -313,6 +327,30 @@ class TestMain:
         assert rc == 2
         assert "validation split is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fractions", ["0.7, 0.3, 0", "0, 0.5, 0.5"])
+    def test_zero_train_or_test_fraction_exits_2(self, tmp_path, capsys, fractions):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            f"[synth]\nn_flows = 300\n[split]\nmode = stratified\nfractions = {fractions}\n",
+            encoding="utf-8",
+        )
+        rc = cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "split.fractions" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("attack_fraction", ["0", "1"])
+    def test_single_class_training_data_exits_2(self, tmp_path, capsys, attack_fraction):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            f"[synth]\nn_flows = 300\nattack_fraction = {attack_fraction}\n", encoding="utf-8"
+        )
+        rc = cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"single class: {attack_fraction}" in err
+        assert "array(" not in err
+
     def test_scores_file_without_scores_exits_2(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("id,p\n", encoding="utf-8")
@@ -350,3 +388,86 @@ class TestMain:
         for command in ("prepare", "calibrate", "rank", "evaluate", "stress"):
             args = parser.parse_args([command])
             assert args.command == command
+
+
+class TestWriteEvalBytes:
+    """The eval CSVs of a hand-built report, pinned byte for byte."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        config = load_config(None, out_dir=str(tmp_path), kappas=(1.0, 0.5))
+        tables = EvalTables(
+            detector=DetectorReport(0.9375, 2 / 3, 0.8, 0.7272727272727273),
+            detector_mode=DetectorMode.TRAIN_FULL,
+            metrics=(
+                MetricRow("severity_only", "full", 10, 0.123456789012),
+                MetricRow("risk_averse_k1", "pred", 100, 1.0),
+            ),
+            bands={
+                "severity_only": (
+                    BandResult(Band(0.0, 0.5), 0, None),
+                    BandResult(Band(0.5, 1.0, closed=True), 7, 1 / 3),
+                ),
+            },
+            bootstrap={
+                "severity_only": BootstrapResult(-0.0125, -0.05, 0.025, 0.001, 1000, 500),
+                "risk_averse_k0.5": BootstrapResult(1e-05, 0.0, 2.5e-05, 1.0, 200, 50),
+            },
+            scenarios=(
+                ScenarioResult(ScenarioKind.NOISE, Method.RISK_AVERSE, 100, 0.8, 0.6),
+                ScenarioResult(ScenarioKind.OVERCONFIDENT, Method.SEVERITY_ONLY, 100, 0.0, 0.25),
+            ),
+            sweep=SweepReport(
+                cutoffs=(10, 100),
+                points=(
+                    SweepPoint("alpha", 0.5, (0.75, 0.5)),
+                    SweepPoint("alpha", 0.9, (0.875, 0.625)),
+                ),
+                spread_by_cutoff=(0.125, 0.125),
+                parameter_spread={"alpha": (0.125, 0.125)},
+            ),
+        )
+        paths = write_eval(config, tables)
+        return {p.name: p.read_bytes() for p in paths}
+
+    STAMP = b"# config_hash=18ff86c125bb seed=42\n"
+    EXPECTED = {
+        "detector.csv": (
+            b"mode,accuracy,precision,recall,f1\n"
+            b"train_full,0.9375,0.6666666667,0.8,0.7272727273\n"
+        ),
+        "metrics.csv": (
+            b"method,queue,cutoff,ndcg\n"
+            b"severity_only,full,10,0.123456789\n"
+            b"risk_averse_k1,pred,100,1\n"
+        ),
+        "bands.csv": (
+            b"method,band_lo,band_hi,count,ndcg\n"
+            b"severity_only,0,0.5,0,\n"
+            b"severity_only,0.5,1,7,0.3333333333\n"
+        ),
+        "bootstrap.csv": (
+            b"method,baseline,k,delta,ci_low,ci_high,p_value,resamples\n"
+            b"severity_only,risk_averse_k1,500,-0.0125,-0.05,0.025,0.001,1000\n"
+            b"risk_averse_k0.5,risk_averse_k1,50,1e-05,0,2.5e-05,1,200\n"
+        ),
+        "scenarios.csv": (
+            b"scenario,method,k,ndcg_before,ndcg_after,change_pct\n"
+            b"noise,risk_averse,100,0.8,0.6,-25\n"
+            b"overconfident,severity_only,100,0,0.25,\n"
+        ),
+        "sweep.csv": (
+            b"kind,parameter,value,ndcg_at10_pred,ndcg_at100_pred\n"
+            b"point,alpha,0.5,0.75,0.5\n"
+            b"point,alpha,0.9,0.875,0.625\n"
+            b"parameter_spread,alpha,,0.125,0.125\n"
+            b"overall_spread,,,0.125,0.125\n"
+        ),
+    }
+
+    def test_file_order(self, written):
+        assert list(written) == [*self.EXPECTED, "summary.txt"]
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_bytes(self, written, name):
+        assert written[name] == self.STAMP + self.EXPECTED[name]

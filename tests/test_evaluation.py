@@ -17,7 +17,6 @@ from fuzztriage.evaluation import (
     ScenarioKind,
     ScenarioResult,
     ScenarioSpec,
-    SweepInputs,
     apply_scenario,
     band_eval,
     dcg_at_k,
@@ -377,12 +376,12 @@ def sweep_fixture():
         Alert("a6", "PortScan", 0.3, label=0, criticality=Criticality.ISOLATED),
     )
     f1 = {"DoS": 0.7, "PortScan": 0.55, "Bot": 0.8, "DDoS": 0.6}
-    return SweepInputs(alerts=alerts, catalog=catalog, f1_by_class=f1)
+    return alerts, catalog, f1
 
 
 class TestSensitivitySweep:
     def test_single_point_grid(self):
-        report = sensitivity_sweep(sweep_fixture(), {"alpha": (0.9,)}, cutoffs=(5,))
+        report = sensitivity_sweep(*sweep_fixture(), {"alpha": (0.9,)}, cutoffs=(5,))
         assert len(report.points) == 1
         assert report.points[0].parameter == "alpha"
         assert report.spread_by_cutoff == (0.0,)
@@ -390,11 +389,11 @@ class TestSensitivitySweep:
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValidationError):
-            sensitivity_sweep(sweep_fixture(), {"widths": (1.0,)})
+            sensitivity_sweep(*sweep_fixture(), {"widths": (1.0,)})
 
     def test_small_grid_shapes(self):
         grid = {"uf_scale": (0.8, 1.2), "kappa": (0.0, 2.0)}
-        report = sensitivity_sweep(sweep_fixture(), grid, cutoffs=(3, 5))
+        report = sensitivity_sweep(*sweep_fixture(), grid, cutoffs=(3, 5))
         assert report.cutoffs == (3, 5)
         assert len(report.points) == 4
         assert set(report.parameter_spread) == {"uf_scale", "kappa"}
@@ -409,6 +408,5 @@ class TestSensitivitySweep:
     def test_empty_predicted_queue_rejected(self):
         catalog = load_catalog(None)
         alerts = (Alert("a1", "DoS", 0.2, label=1, criticality=Criticality.CRITICAL),)
-        inputs = SweepInputs(alerts=alerts, catalog=catalog, f1_by_class={"DoS": 0.7})
         with pytest.raises(EvaluationError):
-            sensitivity_sweep(inputs, {"alpha": (0.9,)})
+            sensitivity_sweep(alerts, catalog, {"DoS": 0.7}, {"alpha": (0.9,)})

@@ -31,7 +31,6 @@ from fuzztriage.ingestion import (
     load_class_map_override,
     load_csv,
     map_attack_types,
-    normalize,
     split,
     synth_generate,
     write_flow_csv,
@@ -344,11 +343,9 @@ class TestNormalization:
             apply_normalization(np.zeros((2, 3)), stats)
 
     def test_normalize_reuses_given_stats(self):
-        train = FlowDataset(np.array([[0.0], [10.0]]), ("f",), ("a", "b"))
-        other = FlowDataset(np.array([[5.0]]), ("f",), ("c",))
-        _, stats = normalize(train)
-        scaled, _ = normalize(other, stats)
-        np.testing.assert_allclose(scaled.features.ravel(), [0.5])
+        stats = fit_normalization(np.array([[0.0], [10.0]]))
+        scaled = apply_normalization(np.array([[5.0]]), stats)
+        np.testing.assert_allclose(scaled.ravel(), [0.5])
 
     def test_norm_stats_shape_check(self):
         with pytest.raises(ValidationError):
@@ -431,7 +428,8 @@ class TestSplit:
         assert any("fewer than 3" in r.getMessage() for r in caplog.records)
 
     @pytest.mark.parametrize(
-        "fractions", [(0.5, 0.2, 0.2), (0.5, -0.1, 0.6), (0.5, 0.5)]
+        "fractions",
+        [(0.5, 0.2, 0.2), (0.5, -0.1, 0.6), (0.5, 0.5), (0.7, 0.3, 0.0), (0.0, 0.5, 0.5)],
     )
     def test_bad_fractions(self, fractions):
         with pytest.raises(ValidationError):

@@ -1,4 +1,4 @@
-"""Fuzzy-number primitives: membership, alpha cuts, ranking index."""
+"""Fuzzy-number primitives: construction and the ranking index."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from fuzztriage.errors import DomainError, ValidationError
 from fuzztriage.sgfn import (
     PENALTY_LOG_BASE,
     GaussianFuzzyNumber,
-    alpha_cut,
-    membership,
     ranking_index,
 )
 
@@ -44,72 +42,6 @@ class TestConstruction:
     def test_bad_core(self):
         with pytest.raises(ValidationError):
             GaussianFuzzyNumber(math.inf, 1.0, 0.5)
-
-
-class TestMembership:
-    def test_at_core_equals_height(self):
-        n = GaussianFuzzyNumber(6.0, 0.9, 0.626)
-        assert membership(n, 6.0) == 0.626
-
-    def test_one_spread_from_core(self):
-        # frozen: 0.626 * exp(-0.5) evaluated with a scalar calculator
-        n = GaussianFuzzyNumber(6.0, 0.9, 0.626)
-        assert membership(n, 6.9) == pytest.approx(0.3796881930, abs=1e-9)
-
-    def test_standard_gaussian_center(self):
-        assert membership(GaussianFuzzyNumber(0.0, 1.0, 1.0), 0.0) == 1.0
-
-    @given(fuzzy_numbers(), st.floats(min_value=-200, max_value=200, allow_nan=False))
-    @settings(max_examples=100)
-    def test_bounded_and_symmetric(self, n, x):
-        mu = membership(n, x)
-        assert 0.0 <= mu <= n.height
-        mirrored = membership(n, 2.0 * n.core - x)
-        assert math.isclose(mu, mirrored, rel_tol=1e-9, abs_tol=1e-300)
-
-
-class TestAlphaCut:
-    def test_cut_at_height_collapses_to_core(self):
-        n = GaussianFuzzyNumber(6.0, 0.9, 0.626)
-        cut = alpha_cut(n, 0.626)
-        assert cut.left == cut.right == 6.0
-
-    def test_standard_gaussian_unit_interval(self):
-        # alpha = exp(-0.5) puts the cut exactly one spread from the core
-        cut = alpha_cut(GaussianFuzzyNumber(0.0, 1.0, 1.0), math.exp(-0.5))
-        assert cut.left == pytest.approx(-1.0, abs=1e-12)
-        assert cut.right == pytest.approx(1.0, abs=1e-12)
-
-    def test_alpha_above_height_is_domain_error(self):
-        with pytest.raises(DomainError):
-            alpha_cut(GaussianFuzzyNumber(5.0, 2.0, 0.8), 0.9)
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.2])
-    def test_nonpositive_alpha_rejected(self, alpha):
-        with pytest.raises(DomainError):
-            alpha_cut(GaussianFuzzyNumber(5.0, 2.0, 0.8), alpha)
-
-    @given(fuzzy_numbers(), st.floats(min_value=1e-6, max_value=1.0))
-    @settings(max_examples=200)
-    def test_interval_invariants(self, n, frac):
-        alpha = frac * n.height
-        if alpha <= 0.0:
-            return
-        cut = alpha_cut(n, alpha)
-        assert cut.left <= cut.right
-        # endpoints equidistant from the core
-        assert math.isclose(
-            n.core - cut.left, cut.right - n.core, rel_tol=1e-9, abs_tol=1e-9
-        )
-        # membership round-trip at the endpoints recovers alpha
-        assert membership(n, cut.left) == pytest.approx(alpha, rel=1e-6, abs=1e-12)
-
-    @given(fuzzy_numbers())
-    @settings(max_examples=100)
-    def test_nested_cuts(self, n):
-        lo = alpha_cut(n, 0.25 * n.height)
-        hi = alpha_cut(n, 0.75 * n.height)
-        assert lo.left <= hi.left and hi.right <= lo.right
 
 
 class TestRankingIndex:
