@@ -9,11 +9,9 @@ own probability), producing one subnormal Gaussian fuzzy number per alert.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -26,6 +24,7 @@ from .calibration import (
     instance_height,
 )
 from .errors import ParseError, ValidationError
+from .tables import read_table
 
 #: Class name given to alerts whose raw label cannot be mapped.
 UNKNOWN_CLASS = "unknown_novel"
@@ -139,45 +138,23 @@ def check_uf_scale(uf_scale: float) -> None:
 # --- severity catalog ------------------------------------------------------
 
 CATALOG_HEADER = ["class", "cvss", "uf"]
-_DEFAULT_CATALOG_RESOURCE = "attack_class_profiles.csv"
-
-
-def _parse_catalog(rows: Sequence[Sequence[str]], source: str) -> dict[str, AttackClassProfile]:
-    catalog: dict[str, AttackClassProfile] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        try:
-            name = row[0].strip()
-            profile = AttackClassProfile(name, float(row[1]), float(row[2]))
-        except (IndexError, ValueError, ValidationError) as exc:
-            raise ParseError(f"{source}: bad catalog row {lineno}: {row!r} ({exc})") from exc
-        if name in catalog:
-            raise ParseError(f"{source}: duplicate catalog class {name!r} at row {lineno}")
-        catalog[name] = profile
-    return catalog
+_DEFAULT_CATALOG = Path(__file__).with_name("data") / "attack_class_profiles.csv"
 
 
 def load_catalog(path: str | Path | None = None) -> dict[str, AttackClassProfile]:
     """Load the class-severity catalog; ``None`` loads the bundled default."""
-    if path is None:
-        text = (
-            resources.files("fuzztriage.data")
-            .joinpath(_DEFAULT_CATALOG_RESOURCE)
-            .read_text()
-        )
-        source = _DEFAULT_CATALOG_RESOURCE
-        lines = text.splitlines()
-    else:
-        source = str(path)
-        with open(path, newline="") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line and not line.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header != CATALOG_HEADER:
-        raise ParseError(f"{source}: expected header {CATALOG_HEADER}, got {header}")
-    return _parse_catalog(list(reader), source)
+    path = _DEFAULT_CATALOG if path is None else path
+    catalog: dict[str, AttackClassProfile] = {}
+    for lineno, row in read_table(path, CATALOG_HEADER)[1]:
+        try:
+            name = row[0].strip()
+            profile = AttackClassProfile(name, float(row[1]), float(row[2]))
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"{path}: bad catalog row {lineno}: {row!r} ({exc})") from exc
+        if name in catalog:
+            raise ParseError(f"{path}: duplicate catalog class {name!r} at row {lineno}")
+        catalog[name] = profile
+    return catalog
 
 
 def resolve_profile(
@@ -199,17 +176,7 @@ def load_alerts_csv(path: str | Path) -> list[Alert]:
     """Read alerts from the ``id,attack_class,p,label,criticality`` schema."""
     alerts: list[Alert] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader, None)
-    if header != ALERT_HEADER:
-        raise ParseError(f"{path}: expected header {ALERT_HEADER}, got {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(ALERT_HEADER):
-            raise ParseError(f"{path}: row {lineno} has {len(row)} fields, expected 5")
+    for lineno, row in read_table(path, ALERT_HEADER)[1]:
         alert_id, attack_class, p_text, label_text, crit_text = (f.strip() for f in row)
         try:
             p = float(p_text)

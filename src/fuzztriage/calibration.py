@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .tables import write_artifact
 
 #: Lower bound applied to instance heights so the log penalty stays finite
 #: even for probability-zero alerts.
@@ -171,9 +172,7 @@ def write_calibration_csv(
     table: Mapping[str, CalibrationRow],
     header_comment: str | None = None,
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+    with write_artifact(path, header_comment) as fh:
         writer = csv.writer(fh)
         writer.writerow(CALIBRATION_HEADER)
         for cls in sorted(table):

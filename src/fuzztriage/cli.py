@@ -18,7 +18,7 @@ import logging
 import sys
 from typing import Sequence
 
-from .config import config_hash, load_config
+from .config import config_hash, load_config, parse_key
 from .errors import ConfigError, FuzztriageError, ParseError, TrainingError, ValidationError
 from .pipeline import cmd_calibrate, cmd_evaluate, cmd_prepare, cmd_rank, cmd_stress
 
@@ -59,26 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_kappas(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad --kappa list: {text!r}") from exc
-    if not values:
-        raise ConfigError(f"bad --kappa list: {text!r}")
-    return values
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        kappas = _parse_kappas(args.kappa) if args.kappa else None
+        kappas = parse_key("ranking", "kappa", args.kappa, "--kappa") if args.kappa else None
         config = load_config(args.config, seed=args.seed, out_dir=args.out, kappas=kappas)
         result = _COMMANDS[args.command](config)
-    except (ConfigError, ParseError, ValidationError, TrainingError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, ValidationError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FuzztriageError as exc:

@@ -46,6 +46,10 @@ class RankingConfig:
             check_uf_scale(self.uf_scale)
         except (DomainError, ValidationError) as exc:
             raise ConfigError(f"bad [ranking] value: {exc}") from exc
+        # kappas equal to the 12 digits of the canonical form and of queue
+        # names would share one queue file
+        if len({format(k, ".12g") for k in self.kappas}) < len(self.kappas):
+            raise ConfigError(f"ranking.kappa repeats a value: {self.kappas!r}")
 
 
 @dataclass(frozen=True)
@@ -197,16 +201,21 @@ def _read(parser: configparser.ConfigParser, source: str) -> dict[str, dict[str,
         values = given[section] = {}
         for key in options:
             text = parser.get(section, key).strip()
-            if not text:
-                continue
-            name, codec = keys[key]
-            try:
-                values[name] = codec.parse(text)
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(
-                    f"{source}: " + codec.bad.format(key=f"{section}.{key}", text=text)
-                ) from exc
+            if text:
+                values[keys[key][0]] = parse_key(section, key, text, source)
     return given
+
+
+def parse_key(section: str, key: str, text: str, source: str) -> Any:
+    """Value of one INI key read from its text, as an INI file or a CLI flag
+    gives it; text that does not parse is a ConfigError naming the key."""
+    codec = KEYS[section][key][1]
+    try:
+        return codec.parse(text)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(
+            f"{source}: " + codec.bad.format(key=f"{section}.{key}", text=text)
+        ) from exc
 
 
 def _require_files(config: RunConfig) -> None:

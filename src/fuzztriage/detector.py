@@ -33,6 +33,7 @@ import numpy as np
 
 from .calibration import class_metrics
 from .errors import ConfigError, ParseError, TrainingError, ValidationError
+from .tables import read_table, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -324,17 +325,7 @@ P_MISSING_DEFAULT = 0.5
 def load_external_scores(path: str | Path) -> dict[str, float]:
     """Read an ``id,p`` score file into a map; malformed rows name their line."""
     scores: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        rows = [line for line in fh if line.strip() and not line.startswith("#")]
-    if len(rows) < 2:  # every row after the header is a score or an error
-        raise ParseError(f"{path}: no scores")
-    reader = csv.reader(rows)
-    header = next(reader, None)
-    if header != SCORES_HEADER:
-        raise ParseError(f"{path}: expected header {SCORES_HEADER}, got {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != 2:
-            raise ParseError(f"{path}: row {lineno} has {len(row)} fields, expected 2")
+    for lineno, row in read_table(path, SCORES_HEADER)[1]:
         alert_id = row[0].strip()
         try:
             p = float(row[1])
@@ -345,6 +336,8 @@ def load_external_scores(path: str | Path) -> dict[str, float]:
         if alert_id in scores:
             raise ParseError(f"{path}: duplicate id {alert_id!r} at row {lineno}")
         scores[alert_id] = p
+    if not scores:
+        raise ParseError(f"{path}: no scores")
     return scores
 
 
@@ -362,13 +355,14 @@ def scores_with_defaults(ids: Sequence[str], scores: Mapping[str, float]) -> lis
 # --- persistence -----------------------------------------------------------
 
 
+MODEL_HEADER = ["term", "value"]
+
+
 def save_model(path: str | Path, model: LinearModel, header_comment: str | None = None) -> None:
     """Write the model as flat ``term,value`` rows (round-trips exactly)."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+    with write_artifact(path, header_comment) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["term", "value"])
+        writer.writerow(MODEL_HEADER)
         names = model.feature_names or tuple(
             f"feature_{i}" for i in range(model.weights.shape[0])
         )
@@ -385,18 +379,10 @@ def load_model(path: str | Path) -> LinearModel:
     weights: list[float] = []
     bias: float | None = None
     platt: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader, None)
-    if header != ["term", "value"]:
-        raise ParseError(f"{path}: expected header ['term', 'value'], got {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in read_table(path, MODEL_HEADER)[1]:
         try:
             term, value = row[0], float(row[1])
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"{path}: bad model row {lineno}: {row!r}") from exc
         if term.startswith("w:"):
             names.append(term[2:])

@@ -24,6 +24,7 @@ import numpy as np
 
 from .alerts import UNKNOWN_CLASS
 from .errors import ConfigError, ParseError, ValidationError
+from .tables import read_table, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -98,47 +99,40 @@ def load_csv(
 
     The day column is optional even when named: if the header lacks it the
     dataset simply carries no day tags. A missing label column, a repeated
-    column name or a file with no data rows is an error. A UTF-8 byte order
-    mark is accepted.
+    column name or a file with no data rows is an error. The file follows
+    the table rules of :mod:`fuzztriage.tables`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = (row for row in csv.reader(fh) if row and not row[0].startswith("#"))
-        header = [name.strip() for name in next(rows, ())]
-        if not header:
-            raise ParseError(f"{path}: empty file")
-        repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
-        if repeated is not None:
-            raise ParseError(f"{path}: duplicate column {repeated!r}")
-        if label_column not in header:
-            raise ParseError(f"{path}: missing label column {label_column!r}")
-        label_idx = header.index(label_column)
-        day_idx = header.index(day_column) if day_column and day_column in header else None
-        feature_idx = [i for i in range(len(header)) if i != label_idx and i != day_idx]
-        if not feature_idx:
-            raise ParseError(f"{path}: no feature columns")
-        getter = operator.itemgetter(*feature_idx)
-        # itemgetter returns a bare field, not a 1-tuple, for one column.
-        fields = getter if len(feature_idx) > 1 else lambda row: (getter(row),)
+    header, rows = read_table(path)
+    if not header:
+        raise ParseError(f"{path}: empty file")
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise ParseError(f"{path}: duplicate column {repeated!r}")
+    if label_column not in header:
+        raise ParseError(f"{path}: missing label column {label_column!r}")
+    label_idx = header.index(label_column)
+    day_idx = header.index(day_column) if day_column and day_column in header else None
+    feature_idx = [i for i in range(len(header)) if i != label_idx and i != day_idx]
+    if not feature_idx:
+        raise ParseError(f"{path}: no feature columns")
+    getter = operator.itemgetter(*feature_idx)
+    # itemgetter returns a bare field, not a 1-tuple, for one column.
+    fields = getter if len(feature_idx) > 1 else lambda row: (getter(row),)
 
-        values = array("d")  # parsed rows, flat; non-finite ones are dropped below
-        labels: list[str] = []
-        days: list[str] = []
-        dropped = 0
-        for n, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {n} has {len(row)} fields, expected {len(header)}")
-            try:
-                values.extend(map(float, fields(row)))
-            except ValueError:
-                del values[len(labels) * len(feature_idx):]
-                dropped += 1
-                continue
-            labels.append(row[label_idx].strip())
-            if day_idx is not None:
-                days.append(row[day_idx].strip())
+    values = array("d")  # parsed rows, flat; non-finite ones are dropped below
+    labels: list[str] = []
+    days: list[str] = []
+    dropped = 0
+    for _, row in rows:
+        try:
+            values.extend(map(float, fields(row)))
+        except ValueError:
+            del values[len(labels) * len(feature_idx):]
+            dropped += 1
+            continue
+        labels.append(row[label_idx].strip())
+        if day_idx is not None:
+            days.append(row[day_idx].strip())
     if not labels and not dropped:
         raise ParseError(f"{path}: no data rows")
     matrix = np.frombuffer(values, dtype=float).reshape(len(labels), len(feature_idx))
@@ -161,8 +155,6 @@ def write_flow_csv(
 ) -> None:
     """Write a dataset in the same schema load_csv reads: the bytes of
     ``csv.writer`` given ``f"{v:.6g}"`` for each feature, the label and the day."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = list(dataset.feature_names) + [LABEL_COLUMN_DEFAULT]
     tags = [dataset.labels]
     if dataset.days is not None:
@@ -172,9 +164,7 @@ def write_flow_csv(
     # is written by csv.writer once per distinct (label, day).
     values_format = ",".join(["%.6g"] * len(dataset.feature_names))
     tails = {key: _csv_row(("",) + key) for key in set(zip(*tags))}
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
+    with write_artifact(path, header_comment) as fh:
         fh.write(_csv_row(header))
         chunk = 8192  # rows per write
         for start in range(0, len(dataset), chunk):
@@ -233,17 +223,8 @@ ATTACK_CLASSES = (
 
 def load_class_map_override(path: str | Path) -> dict[str, str]:
     """Read raw-label overrides from a two-column CSV (raw, class)."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"class map override not found: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    if not rows or [c.strip().lower() for c in rows[0]] != ["raw", "class"]:
-        raise ParseError(f"{path}: expected header raw,class")
     override: dict[str, str] = {}
-    for n, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ParseError(f"{path}: row {n} has {len(row)} fields, expected 2")
+    for n, row in read_table(path, ["raw", "class"])[1]:
         raw, cls = row[0].strip(), row[1].strip()
         if not raw or not cls:
             raise ParseError(f"{path}: row {n} has an empty field")

@@ -55,6 +55,7 @@ from .ingestion import (
     write_flow_csv,
 )
 from .ranking import Method, RankedQueue, RiskProfile, rank, write_queue_csv
+from .tables import write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -295,12 +296,6 @@ def evaluate_all(
 
 # --- artifact writers --------------------------------------------------------
 
-def _out(config: RunConfig, *parts: str) -> Path:
-    path = Path(config.out_dir).joinpath(*parts)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def write_splits(config: RunConfig, prep: PreparedData) -> list[Path]:
     stamp = artifact_stamp(config)
     written = []
@@ -309,14 +304,14 @@ def write_splits(config: RunConfig, prep: PreparedData) -> list[Path]:
         ("validation", prep.split.val_idx),
         ("test", prep.split.test_idx),
     ):
-        path = _out(config, "splits", f"{name}.csv")
+        path = Path(config.out_dir, "splits", f"{name}.csv")
         write_flow_csv(prep.dataset.take(idx), path, header_comment=stamp)
         written.append(path)
     return written
 
 
 def write_calibration(config: RunConfig, table: Mapping[str, CalibrationRow]) -> Path:
-    path = _out(config, "calibration", "heights.csv")
+    path = Path(config.out_dir, "calibration", "heights.csv")
     write_calibration_csv(path, table, header_comment=artifact_stamp(config))
     return path
 
@@ -325,7 +320,7 @@ def write_queues(config: RunConfig, queues: Mapping[str, RankedQueue]) -> list[P
     stamp = artifact_stamp(config)
     written = []
     for name, queue in queues.items():
-        path = _out(config, "queues", f"queue_{name}.csv")
+        path = Path(config.out_dir, "queues", f"queue_{name}.csv")
         write_queue_csv(path, queue, header_comment=stamp)
         written.append(path)
     return written
@@ -338,9 +333,9 @@ def _fmt(value: float | None) -> str:
 def _write_eval_csv(
     config: RunConfig, name: str, header: str, rows: Iterable[Sequence[str]]
 ) -> Path:
-    path = _out(config, "eval", name)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {artifact_stamp(config)}\n{header}\n")
+    path = Path(config.out_dir, "eval", name)
+    with write_artifact(path, artifact_stamp(config)) as fh:
+        fh.write(f"{header}\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
     return path
 
@@ -398,8 +393,8 @@ def write_eval(config: RunConfig, tables: EvalTables) -> list[Path]:
 
 
 def write_summary(config: RunConfig, tables: EvalTables) -> Path:
-    path = _out(config, "eval", "summary.txt")
-    lines = [f"# {artifact_stamp(config)}", ""]
+    path = Path(config.out_dir, "eval", "summary.txt")
+    lines = [""]
     d = tables.detector
     lines.append(
         f"detector ({tables.detector_mode.value}): accuracy={d.accuracy:.4f} "
@@ -437,7 +432,8 @@ def write_summary(config: RunConfig, tables: EvalTables) -> Path:
                 f"@{k}={s:.4f}" for k, s in zip(tables.sweep.cutoffs, spreads)
             )
             lines.append(f"  {name:12s} {per}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with write_artifact(path, artifact_stamp(config)) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .alerts import AlertBatch
 from .errors import ValidationError
 from .sgfn import check_kappa, risk_averse_score
+from .tables import write_artifact
 
 
 class Method(str, Enum):
@@ -141,9 +142,7 @@ def write_queue_csv(
     batch = queue.records
     columns = (queue.scores, batch.core, batch.spread, batch.height, batch.p)
     scores, core, spread, height, p = (column.tolist() for column in columns)
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+    with write_artifact(path, header_comment) as fh:
         writer = csv.writer(fh)
         writer.writerow(QUEUE_HEADER)
         for position, i in enumerate(queue.order.tolist(), start=1):

@@ -5,6 +5,10 @@ full-size defaults are exercised by the acceptance tests.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +33,7 @@ from fuzztriage.evaluation import (
     SweepPoint,
     SweepReport,
 )
-from fuzztriage.ingestion import SplitMode
+from fuzztriage.ingestion import SplitMode, SynthConfig, synth_generate, write_flow_csv
 from fuzztriage.pipeline import (
     SWEEP_CUTOFFS,
     EvalTables,
@@ -309,6 +313,38 @@ class TestMain:
         assert rc == 2
         assert "kappa must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_repeated_kappa_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["rank", "--out", str(tmp_path), "--kappa", "1,1.0"])
+        assert rc == 2
+        assert "ranking.kappa repeats a value" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_non_ascii_class_under_c_locale(self, tmp_path):
+        # Artifacts are UTF-8 whatever the locale, so a run in the C locale
+        # writes the bytes a UTF-8 run writes.
+        flows = tmp_path / "flows.csv"
+        write_flow_csv(synth_generate(SynthConfig(n_flows=600)), flows)
+        class_map = tmp_path / "map.csv"
+        class_map.write_text("raw,class\nPortScan,Déni\n", encoding="utf-8")
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[dataset]\nsource = csv\npath = {flows}\nclass_map = {class_map}\n", encoding="utf-8"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        written = {}
+        locales = {"utf8": {"PYTHONUTF8": "1"}, "c": {"LC_ALL": "C", "PYTHONUTF8": "0"}}
+        for name, env in locales.items():
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "fuzztriage.cli", "rank", "--config", str(ini),
+                 "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written[name] = {f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        assert written["c"] == written["utf8"]
+        assert "Déni".encode("utf-8") in written["c"][Path("calibration", "heights.csv")]
 
     def test_bad_ini_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

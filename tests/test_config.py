@@ -276,6 +276,8 @@ class TestDataclassValidation:
             {"kappas": (1.0, -0.5)},
             {"kappas": (float("nan"),)},
             {"kappas": (1.0, float("inf"))},
+            {"kappas": (1.0, 1.0)},
+            {"kappas": (1.0, 1.0000000000001)},
             {"uf_scale": 0.0},
             {"uf_scale": -1.0},
             {"uf_scale": float("inf")},
@@ -362,6 +364,7 @@ _OTHER_VALUES = {
     "dataset.source": "csv",
     "split.mode": SplitMode.STRATIFIED,
     "split.fractions": (0.3, 0.2, 0.5),
+    "ranking.kappas": (1.0, 2.0),
 }
 
 
