@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -24,6 +26,7 @@ from .calibration import (
     instance_height,
 )
 from .errors import ParseError, ValidationError
+from .sgfn import PENALTY_LOG_BASE
 from .tables import read_table
 
 #: Class name given to alerts whose raw label cannot be mapped.
@@ -33,9 +36,9 @@ UNKNOWN_CLASS = "unknown_novel"
 #: keeping the fuzzy number well-formed without inventing severity.
 SPREAD_FLOOR = 1e-6
 
-_FNV64_OFFSET = 0xCBF29CE484222325
-_FNV64_PRIME = 0x100000001B3
-_UINT64 = 1 << 64
+# numpy scalars, so that numpy 1.x's value-based casting keeps every step in uint64.
+_FNV64_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV64_PRIME = np.uint64(0x100000001B3)
 
 
 class Criticality(str, Enum):
@@ -98,35 +101,42 @@ class AttackClassProfile:
             raise ValidationError(f"uf must lie in (0, 0.5], got {self.uf!r}")
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash (XOR then multiply, per byte)."""
-    h = _FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV64_PRIME) % _UINT64
+def fnv1a64_batch(keys: Sequence[bytes]) -> np.ndarray:
+    """64-bit FNV-1a hash (XOR then multiply, per byte) of each key, as uint64.
+
+    The keys form one zero-padded ``uint8`` matrix, and each row steps only
+    over its first ``len(key)`` bytes, so trailing NULs in a key count.
+    """
+    lengths = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    h = np.full(len(keys), _FNV64_OFFSET, dtype=np.uint64)
+    width = int(lengths.max(initial=0))
+    if width:
+        matrix = np.array(keys, dtype=f"S{width}").view(np.uint8).reshape(len(keys), width)
+        for j in range(width):
+            h = np.where(lengths > j, (h ^ matrix[:, j]) * _FNV64_PRIME, h)
     return h
 
 
-def cf_value(
-    alert_id: str,
-    attack_class: str,
-    mode: CfMode = CfMode.CONTINUOUS,
-    criticality: Criticality | None = None,
-) -> float:
-    """Derive the contextual factor of one alert, a number in [0.2, 1.0].
+def contextual_factors(
+    ids: Sequence[str], classes: Sequence[str], criticalities: Sequence[Criticality | None],
+    mode: CfMode,
+) -> np.ndarray:
+    """The contextual factor of each alert, a number in [0.2, 1.0].
 
     An explicit criticality category wins and yields its fixed categorical
     value. Otherwise the factor is derived deterministically from the alert
     identity: the FNV-1a hash of ``"id|class"`` mapped into [0.2, 1.0), either
-    kept continuous or snapped to the nearest categorical level.
+    kept continuous or snapped to the nearest categorical level (the lower
+    one on a tie).
     """
-    if criticality is not None:
-        return CRITICALITY_FACTORS[criticality]
-    u = fnv1a64(f"{alert_id}|{attack_class}".encode()) / _UINT64
-    value = 0.2 + 0.8 * u
+    keys = [f"{i}|{c}".encode() for i, c in zip(ids, classes)]
+    cf = 0.2 + 0.8 * (fnv1a64_batch(keys).astype(np.float64) / 2.0**64)
     if mode is CfMode.CATEGORICAL:
-        value = min(CATEGORICAL_LEVELS, key=lambda level: abs(level - value))
-    return value
+        levels = np.array(CATEGORICAL_LEVELS)
+        cf = levels[np.argmin(np.abs(levels - cf[:, None]), axis=1)]
+    marked = [i for i, c in enumerate(criticalities) if c is not None]
+    cf[marked] = [CRITICALITY_FACTORS[criticalities[i]] for i in marked]
+    return cf
 
 
 def check_uf_scale(uf_scale: float) -> None:
@@ -162,9 +172,7 @@ def resolve_profile(
 ) -> AttackClassProfile:
     """Look up a class profile, falling back to defaults for unknown classes."""
     profile = catalog.get(attack_class)
-    if profile is not None:
-        return profile
-    return AttackClassProfile(attack_class, CVSS_DEFAULT, UF_UNKNOWN_DEFAULT)
+    return profile or AttackClassProfile(attack_class, CVSS_DEFAULT, UF_UNKNOWN_DEFAULT)
 
 
 # --- alert CSV schema ------------------------------------------------------
@@ -213,12 +221,18 @@ class PreparedAlert(NamedTuple):
 _FLOAT_COLUMNS = ("p", "cf", "uf", "h_class", "core", "spread", "height")
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.setflags(write=False)
+    return column
+
+
 @dataclass(frozen=True)
 class AlertBatch:
     """Prepared alerts as aligned columns, one entry per alert; ids are unique.
 
     ``p`` to ``height`` are read-only float64 arrays. Indexing and iteration
-    build :class:`PreparedAlert` rows on demand.
+    build :class:`PreparedAlert` rows on demand. ``log10_height`` and
+    ``id_rank`` are derived once per batch, when ranking first needs them.
     """
 
     ids: tuple[str, ...]
@@ -235,9 +249,7 @@ class AlertBatch:
     def __post_init__(self) -> None:
         n = len(self.ids)
         for name in _FLOAT_COLUMNS:
-            column = np.array(getattr(self, name), dtype=float)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         shapes = {(len(self.classes),), (len(self.labels),)}
         if shapes | {getattr(self, f).shape for f in _FLOAT_COLUMNS} != {(n,)}:
             raise ValidationError("alert batch columns must all have one entry per id")
@@ -254,6 +266,22 @@ class AlertBatch:
     def __iter__(self) -> Iterator[PreparedAlert]:
         floats = (getattr(self, name).tolist() for name in _FLOAT_COLUMNS)
         return map(PreparedAlert._make, zip(self.ids, self.classes, *floats, self.labels))
+
+    @cached_property
+    def log10_height(self) -> np.ndarray:
+        """``log10(height)`` as ``math.log(h) / math.log(10)`` per height:
+        numpy's ``log`` and ``log10`` differ from it in the last bit for some
+        heights, which would change scores and order."""
+        logs = np.array(list(map(math.log, self.height.tolist())), dtype=float)
+        return _read_only(logs / math.log(PENALTY_LOG_BASE))
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each alert's position when the ids are sorted as Python strings;
+        unlike a numpy ``str`` array, this order sees trailing NULs."""
+        rank = np.empty(len(self.ids), dtype=np.intp)
+        rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
+        return _read_only(rank)
 
     def with_p(self, p: Sequence[float] | np.ndarray) -> AlertBatch:
         """The same alerts under new probabilities: ``p`` and the capped
@@ -280,19 +308,21 @@ def assemble(
     uncertainty factor; a zero core gets the spread :data:`SPREAD_FLOOR`.
     """
     check_uf_scale(uf_scale)
-    classes = tuple(a.attack_class for a in alerts)
+    fields = ("alert_id", "attack_class", "p", "label", "criticality")
+    ids, classes, p, labels, criticalities = (tuple(map(attrgetter(f), alerts)) for f in fields)
     profiles = {c: resolve_profile(c, catalog) for c in dict.fromkeys(classes)}
     for c, profile in profiles.items():
         scaled = profile.uf * uf_scale
         if not (0.0 < scaled <= 0.5):
             raise ValidationError(f"scaled uf {scaled!r} for class {c!r} outside (0, 0.5]")
-    ids = tuple(a.alert_id for a in alerts)
-    labels = tuple(a.label for a in alerts)
-    p = np.array([a.p for a in alerts], dtype=float)
-    cf = np.array([cf_value(a.alert_id, a.attack_class, cf_mode, a.criticality) for a in alerts])
-    uf = np.array([profiles[c].uf for c in classes]) * uf_scale
-    h_class = np.array([heights.get(c, NOVEL_CLASS_HEIGHT) for c in classes], dtype=float)
-    core = np.array([profiles[c].cvss for c in classes]) * cf
+    index = {c: k for k, c in enumerate(profiles)}
+    of_class = np.fromiter(map(index.__getitem__, classes), dtype=np.intp, count=len(classes))
+    p = np.array(p, dtype=float)
+    cf = contextual_factors(ids, classes, criticalities, cf_mode)
+    uf = np.array([profile.uf for profile in profiles.values()])[of_class] * uf_scale
+    class_heights = [heights.get(c, NOVEL_CLASS_HEIGHT) for c in profiles]
+    h_class = np.array(class_heights, dtype=float)[of_class]
+    core = np.array([profile.cvss for profile in profiles.values()])[of_class] * cf
     spread = np.where(core * uf > 0.0, core * uf, SPREAD_FLOOR)
     height = instance_height(h_class, p)
     return AlertBatch(ids, classes, labels, p, cf, uf, h_class, core, spread, height)

@@ -199,9 +199,9 @@ def train_lr(
         return loss, np.append(gw, gb)
 
     loss, grad = objective(theta)
-    for _ in range(config.max_iters):
-        if float(np.max(np.abs(grad))) < config.tol:
-            break
+    iterations = 0  # a NaN gradient counts as not converged, hence "not <"
+    while iterations < config.max_iters and not float(np.max(np.abs(grad))) < config.tol:
+        iterations += 1
         z = Xa @ theta
         curvature = sw * _sigmoid(z) * _sigmoid(-z)  # sw * p * (1 - p)
         hessian = (Xa.T * curvature) @ Xa / n + np.diag(reg_diag)
@@ -221,6 +221,9 @@ def train_lr(
             t *= 0.5
         else:
             break  # no further progress possible at float precision
+    if not float(np.max(np.abs(grad))) < config.tol:
+        logger.warning("detector solver stopped after %d iterations without reaching tol %g: "
+                       "max |grad| = %.3g", iterations, config.tol, np.max(np.abs(grad)))
     return LinearModel(
         weights=theta[:-1].copy(),
         bias=float(theta[-1]),

@@ -352,13 +352,11 @@ def sensitivity_sweep(
             ndcgs = tuple(ndcg_of_queue(queue, rel, k) for k in cutoffs)
             param_points.append(SweepPoint(name, float(value), ndcgs))
         points.extend(param_points)
-        parameter_spread[name] = tuple(
-            max(p.ndcg_by_cutoff[i] for p in param_points)
-            - min(p.ndcg_by_cutoff[i] for p in param_points)
-            for i in range(len(cutoffs))
-        )
-    spread = tuple(
-        max(p.ndcg_by_cutoff[i] for p in points) - min(p.ndcg_by_cutoff[i] for p in points)
-        for i in range(len(cutoffs))
-    )
-    return SweepReport(tuple(cutoffs), tuple(points), spread, parameter_spread)
+        parameter_spread[name] = _spread(param_points)
+    return SweepReport(tuple(cutoffs), tuple(points), _spread(points), parameter_spread)
+
+
+def _spread(points: Sequence[SweepPoint]) -> tuple[float, ...]:
+    """Max minus min NDCG over the points, per cutoff."""
+    ndcg = np.array([p.ndcg_by_cutoff for p in points])
+    return tuple((ndcg.max(axis=0) - ndcg.min(axis=0)).tolist())

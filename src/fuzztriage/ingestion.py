@@ -9,8 +9,6 @@ onto eight attack classes plus benign; unmapped labels become a flagged
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import operator
 from array import array
@@ -24,7 +22,7 @@ import numpy as np
 
 from .alerts import UNKNOWN_CLASS
 from .errors import ConfigError, ParseError, ValidationError
-from .tables import read_table, write_artifact
+from .tables import csv_row, read_table, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -163,21 +161,15 @@ def write_flow_csv(
     # "%.6g" % v is f"{v:.6g}", which never needs quoting; the rest of a row
     # is written by csv.writer once per distinct (label, day).
     values_format = ",".join(["%.6g"] * len(dataset.feature_names))
-    tails = {key: _csv_row(("",) + key) for key in set(zip(*tags))}
+    tails = {key: csv_row(("",) + key) for key in set(zip(*tags))}
     with write_artifact(path, header_comment) as fh:
-        fh.write(_csv_row(header))
+        fh.write(csv_row(header))
         chunk = 8192  # rows per write
         for start in range(0, len(dataset), chunk):
             stop = start + chunk
             keys = zip(*(tag[start:stop] for tag in tags))
             block = zip(dataset.features[start:stop].tolist(), keys)
             fh.write("".join([values_format % tuple(v) + tails[key] for v, key in block]))
-
-
-def _csv_row(fields: Sequence[str]) -> str:
-    out = io.StringIO()
-    csv.writer(out).writerow(fields)
-    return out.getvalue()
 
 
 # --- attack-class mapping --------------------------------------------------

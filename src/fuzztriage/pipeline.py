@@ -161,25 +161,12 @@ def build_alerts(
     """Turn the test split into an alert batch with fuzzy severities; the
     catalog and the alerts are returned for re-assembly by the sweep."""
     te = prep.split.test_idx
-    y_test = binary_labels(prep.classes)[te]
-    alerts = [
-        Alert(
-            alert_id=prep.ids[i],
-            attack_class=prep.classes[i],
-            p=float(detector_out.p_test[j]),
-            label=int(y_test[j]),
-        )
-        for j, i in enumerate(te)
-    ]
+    columns = (te.tolist(), detector_out.p_test.tolist(), binary_labels(prep.classes)[te].tolist())
+    alerts = [Alert(prep.ids[i], prep.classes[i], p, label=y) for i, p, y in zip(*columns)]
     catalog = load_catalog(config.dataset.catalog)
     heights = {cls: row.h_class for cls, row in table.items()}
-    records = assemble(
-        alerts,
-        catalog,
-        heights,
-        cf_mode=config.ranking.cf_mode,
-        uf_scale=config.ranking.uf_scale,
-    )
+    ranking = config.ranking
+    records = assemble(alerts, catalog, heights, cf_mode=ranking.cf_mode, uf_scale=ranking.uf_scale)
     return records, catalog, alerts
 
 
@@ -468,32 +455,27 @@ def cmd_calibrate(config: RunConfig) -> RunOutput:
     return RunOutput(config, prep, detector_out, table, written=tuple(written))
 
 
-def cmd_rank(config: RunConfig) -> RunOutput:
-    prep = prepare_data(config)
-    detector_out = run_detector(config, prep)
-    table = calibrate_heights(config, prep, detector_out)
-    records = build_alerts(config, prep, detector_out, table)[0]
-    queues = rank_all(config, records)
-    written = write_splits(config, prep)
-    written.append(write_calibration(config, table))
-    written.extend(write_queues(config, queues))
-    return RunOutput(config, prep, detector_out, table, records, queues, written=tuple(written))
-
-
-def cmd_evaluate(config: RunConfig) -> RunOutput:
+def cmd_rank(config: RunConfig, evaluate: bool = False) -> RunOutput:
+    """Rank every queue and, with ``evaluate``, evaluate them; artifacts are
+    written once every stage has run."""
     prep = prepare_data(config)
     detector_out = run_detector(config, prep)
     table = calibrate_heights(config, prep, detector_out)
     records, catalog, alerts = build_alerts(config, prep, detector_out, table)
     queues = rank_all(config, records)
-    tables = evaluate_all(config, detector_out, table, records, catalog, alerts, queues)
+    tables = None
+    if evaluate:
+        tables = evaluate_all(config, detector_out, table, records, catalog, alerts, queues)
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
     written.extend(write_queues(config, queues))
-    written.extend(write_eval(config, tables))
-    return RunOutput(
-        config, prep, detector_out, table, records, queues, tables, tuple(written)
-    )
+    if tables is not None:
+        written.extend(write_eval(config, tables))
+    return RunOutput(config, prep, detector_out, table, records, queues, tables, tuple(written))
+
+
+def cmd_evaluate(config: RunConfig) -> RunOutput:
+    return cmd_rank(config, evaluate=True)
 
 
 def cmd_stress(config: RunConfig) -> RunOutput:

@@ -6,10 +6,8 @@ so every ranking is a deterministic permutation of its input.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -17,8 +15,8 @@ import numpy as np
 
 from .alerts import AlertBatch
 from .errors import ValidationError
-from .sgfn import check_kappa, risk_averse_score
-from .tables import write_artifact
+from .sgfn import check_kappa
+from .tables import csv_row, write_artifact
 
 
 class Method(str, Enum):
@@ -108,10 +106,8 @@ def method_scores(
     if method is Method.WEIGHTED_SUM:
         return 0.5 * minmax_norm(alerts.core) + 0.5 * minmax_norm(alerts.p)
     if method is Method.RISK_AVERSE:
-        columns = (alerts.core.tolist(), alerts.spread.tolist(), alerts.height.tolist())
-        return np.array(
-            list(map(risk_averse_score, *columns, repeat(profile.kappa))), dtype=float
-        )
+        # the operation order of sgfn.ranking_index, so the bits are its bits
+        return alerts.core + profile.kappa * alerts.spread * alerts.log10_height
     raise ValidationError(f"unknown ranking method {method!r}")
 
 
@@ -123,9 +119,8 @@ def rank(
     """Rank a batch of alerts; an empty batch yields an empty queue."""
     kappa = profile.kappa if method is Method.RISK_AVERSE else None
     scores = method_scores(alerts, method, profile) if len(alerts) else np.empty(0)
-    keys, ids = (-scores).tolist(), alerts.ids
-    order = sorted(range(len(ids)), key=lambda i: (keys[i], ids[i]))
-    return RankedQueue(method, kappa, alerts, scores, np.array(order, dtype=np.intp))
+    order = np.lexsort((alerts.id_rank, -scores))
+    return RankedQueue(method, kappa, alerts, scores, order)
 
 
 def kappa_sweep(alerts: AlertBatch, kappas: Iterable[float]) -> list[RankedQueue]:
@@ -139,25 +134,21 @@ QUEUE_HEADER = ["rank", "id", "method", "score", "c", "sigma", "h", "p", "attack
 def write_queue_csv(
     path: str | Path, queue: RankedQueue, header_comment: str | None = None
 ) -> None:
+    """Write a queue as ``csv.writer`` would, floats as ``f"{x:.10g}"``: one
+    ``%`` format per row, with ``csv.writer`` quoting each distinct (class,
+    label) tail once and the ids only when one of them needs it."""
     batch = queue.records
+    ids = batch.ids
+    if csv_row(ids) != ",".join(ids) + "\r\n":
+        ids = [csv_row((alert_id, ""))[:-3] for alert_id in ids]  # drop ",\r\n"
+    tails = {key: csv_row(("",) + key) for key in set(zip(batch.classes, batch.labels))}
+    row_format = f"%d,%s,{queue.method.value},%.10g,%.10g,%.10g,%.10g,%.10g"
     columns = (queue.scores, batch.core, batch.spread, batch.height, batch.p)
     scores, core, spread, height, p = (column.tolist() for column in columns)
     with write_artifact(path, header_comment) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(QUEUE_HEADER)
-        for position, i in enumerate(queue.order.tolist(), start=1):
-            label = batch.labels[i]
-            writer.writerow(
-                [
-                    position,
-                    batch.ids[i],
-                    queue.method.value,
-                    f"{scores[i]:.10g}",
-                    f"{core[i]:.10g}",
-                    f"{spread[i]:.10g}",
-                    f"{height[i]:.10g}",
-                    f"{p[i]:.10g}",
-                    batch.classes[i],
-                    "" if label is None else label,
-                ]
-            )
+        fh.write(csv_row(QUEUE_HEADER))
+        fh.writelines(
+            row_format % (position, ids[i], scores[i], core[i], spread[i], height[i], p[i])
+            + tails[batch.classes[i], batch.labels[i]]
+            for position, i in enumerate(queue.order.tolist(), start=1)
+        )

@@ -63,19 +63,15 @@ def check_kappa(kappa: float) -> None:
         raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
 
 
-def risk_averse_score(core: float, spread: float, height: float, kappa: float) -> float:
-    """The ranking index of plain numbers, unchecked. Its logarithm is
-    ``math.log`` per number: numpy's ``log`` and ``log10`` differ from it in
-    the last bit for some heights, which would change scores and order."""
-    return core + kappa * spread * (math.log(height) / math.log(PENALTY_LOG_BASE))
-
-
 def ranking_index(number: GaussianFuzzyNumber, kappa: float = 1.0) -> float:
     """Risk-averse priority score: ``core + kappa * spread * log10(height)``.
 
     ``kappa`` is the risk-attitude parameter; zero ignores confidence entirely
     and larger values penalize wide, low-height numbers harder. Values that
-    :func:`check_kappa` rejects raise DomainError.
+    :func:`check_kappa` rejects raise DomainError. The logarithm is
+    ``math.log``: numpy's ``log`` and ``log10`` differ from it in the last bit
+    for some heights, which would change scores and order.
     """
     check_kappa(kappa)
-    return risk_averse_score(number.core, number.spread, number.height, kappa)
+    log_height = math.log(number.height) / math.log(PENALTY_LOG_BASE)
+    return number.core + kappa * number.spread * log_height

@@ -10,6 +10,7 @@ skipped rows not counted, and every reader names rows by that number.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -64,3 +65,10 @@ def write_artifact(path: str | Path, stamp: str | None) -> TextIO:
     if stamp is not None:
         fh.write(f"# {stamp}\n")
     return fh
+
+
+def csv_row(fields: Sequence[object]) -> str:
+    """One row as ``csv.writer`` writes it, ``\\r\\n`` included."""
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()

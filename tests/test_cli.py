@@ -363,30 +363,6 @@ class TestMain:
         assert rc == 2
         assert "validation split is empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fractions", ["0.7, 0.3, 0", "0, 0.5, 0.5"])
-    def test_zero_train_or_test_fraction_exits_2(self, tmp_path, capsys, fractions):
-        path = tmp_path / "run.ini"
-        path.write_text(
-            f"[synth]\nn_flows = 300\n[split]\nmode = stratified\nfractions = {fractions}\n",
-            encoding="utf-8",
-        )
-        rc = cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path / "r")])
-        assert rc == 2
-        assert "split.fractions" in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
-
-    @pytest.mark.parametrize("attack_fraction", ["0", "1"])
-    def test_single_class_training_data_exits_2(self, tmp_path, capsys, attack_fraction):
-        path = tmp_path / "run.ini"
-        path.write_text(
-            f"[synth]\nn_flows = 300\nattack_fraction = {attack_fraction}\n", encoding="utf-8"
-        )
-        rc = cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path / "r")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"single class: {attack_fraction}" in err
-        assert "array(" not in err
-
     def test_scores_file_without_scores_exits_2(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("id,p\n", encoding="utf-8")
@@ -424,6 +400,119 @@ class TestMain:
         for command in ("prepare", "calibrate", "rank", "evaluate", "stress"):
             args = parser.parse_args([command])
             assert args.command == command
+
+
+# --- degenerate inputs at the command line ---------------------------------
+
+EVALUATE_FILES = {
+    *(f"splits/{name}.csv" for name in ("train", "validation", "test")),
+    "calibration/heights.csv",
+    *(f"queues/queue_{name}.csv" for name in ("severity_only", "confidence_only", "weighted_sum",
+                                               "risk_averse_k1")),
+    *(f"eval/{name}" for name in ("detector.csv", "metrics.csv", "bands.csv", "bootstrap.csv",
+                                  "scenarios.csv", "summary.txt")),
+}
+SKIPPED_PLATT = (
+    "WARNING fuzztriage.detector: validation labels contain a single class; skipping calibration"
+)
+
+
+def nothing_written(out):
+    assert not out.exists()
+
+
+def tiny_report(n_alerts):
+    """An evaluate run over ``n_alerts`` test alerts whose detector flags
+    none of them, so it reports F1 0."""
+
+    def check(out):
+        assert {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()} == EVALUATE_FILES
+        for queue in (out / "queues").iterdir():
+            assert len(data_rows(queue)) == n_alerts
+        assert data_rows(out / "eval" / "detector.csv")[0].split(",")[-1] == "0"
+
+    return check
+
+
+def cutoff_past_queue_end(out):
+    # The test split has 240 flows, so @240 is the full queue and @100000
+    # must score the same.
+    assert len(data_rows(out / "splits" / "test.csv")) == 240
+    rows = [line.split(",") for line in data_rows(out / "eval" / "metrics.csv")]
+    ndcg = {tuple(row[:3]): row[3] for row in rows}
+    big = [key for key in ndcg if key[2] == "100000"]
+    assert len(big) == 8
+    for method, queue, _ in big:
+        assert ndcg[method, queue, "100000"] == ndcg[method, queue, "240"]
+
+
+# name -> (INI text, exit code of `evaluate`, stderr lines with "{ini}" for
+# the INI path, check of the output directory)
+DEGENERATE_RUNS = {
+    "six_flows": (
+        "[synth]\nn_flows = 6\n", 0,
+        ["WARNING fuzztriage.ingestion: class DoS has 1 rows, fewer than 3; placing all in train",
+         SKIPPED_PLATT],
+        tiny_report(2),
+    ),
+    "twelve_flows": ("[synth]\nn_flows = 12\n", 0, [SKIPPED_PLATT], tiny_report(4)),
+    "forty_flows_sweep": (
+        "[synth]\nn_flows = 40\n[evaluation]\nsweep = true\n", 3,
+        ["error: sensitivity sweep: predicted queue is empty"], nothing_written,
+    ),
+    "cutoff_past_queue_end": (
+        "[synth]\nn_flows = 600\n[evaluation]\ncutoffs = 10, 240, 100000\n", 0, [],
+        cutoff_past_queue_end,
+    ),
+    "empty_validation_split": (
+        "[synth]\nn_flows = 300\n[split]\nmode = stratified\nfractions = 0.7, 0.0, 0.3\n",
+        2,
+        [SKIPPED_PLATT, "error: validation split is empty; cannot calibrate heights"],
+        nothing_written,
+    ),
+    **{
+        f"zero_{part}_fraction": (
+            f"[synth]\nn_flows = 300\n[split]\nmode = stratified\nfractions = {fractions}\n",
+            2,
+            ["error: {ini}: split.fractions: train and test fractions must be positive, "
+             f"got {expected}"],
+            nothing_written,
+        )
+        for part, fractions, expected in (
+            ("test", "0.7, 0.3, 0", "(0.7, 0.3, 0.0)"), ("train", "0, 0.5, 0.5", "(0.0, 0.5, 0.5)")
+        )
+    },
+    **{
+        f"single_class_{share}": (
+            f"[synth]\nn_flows = 300\nattack_fraction = {share}\n", 2,
+            [f"error: training data contains a single class: {share}"], nothing_written,
+        )
+        for share in ("0", "1")
+    },
+}
+
+
+class TestDegenerateInputs:
+    """Each degenerate run exits 0 with a pinned result, or exits 2 or 3
+    with a named message and writes nothing; stderr holds exactly the
+    listed lines and never a traceback."""
+
+    @pytest.mark.parametrize("name", list(DEGENERATE_RUNS))
+    def test_degenerate_input(self, tmp_path, name):
+        ini_text, code, stderr_lines, check = DEGENERATE_RUNS[name]
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini_text, encoding="utf-8")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzztriage.cli", "evaluate", "--config", str(ini),
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, encoding="utf-8",
+        )
+        assert proc.returncode == code, proc.stderr
+        expected = [line.replace("{ini}", str(ini)) for line in stderr_lines]
+        assert proc.stderr.splitlines() == expected
+        check(out)
 
 
 class TestWriteEvalBytes:

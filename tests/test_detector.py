@@ -22,7 +22,16 @@ from fuzztriage.detector import (
     train_lr,
 )
 from fuzztriage.errors import ParseError, TrainingError, ValidationError
-from fuzztriage.ingestion import FLAG_FEATURE_NAMES, STRONG_FEATURE_NAMES
+from fuzztriage.ingestion import (
+    FLAG_FEATURE_NAMES,
+    STRONG_FEATURE_NAMES,
+    SynthConfig,
+    apply_normalization,
+    binary_labels,
+    fit_normalization,
+    map_attack_types,
+    synth_generate,
+)
 
 
 def toy_separable():
@@ -85,6 +94,25 @@ class TestTraining:
             TrainConfig(tol=float("nan"))
         with pytest.raises(ValidationError):
             TrainConfig(class_weighting="focal")
+
+    def test_unconverged_solver_warns(self, caplog):
+        X, y = imbalanced_set()
+        with caplog.at_level(logging.WARNING, logger="fuzztriage.detector"):
+            train_lr(X, y, TrainConfig(max_iters=1, tol=0.0))
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert message.startswith(
+            "detector solver stopped after 1 iterations without reaching tol 0:"
+        )
+        assert "max |grad| = " in message
+
+    def test_default_solver_converges_silently(self, caplog):
+        flows = synth_generate(SynthConfig(n_flows=2000))
+        X = apply_normalization(flows.features, fit_normalization(flows.features))
+        y = binary_labels(map_attack_types(flows.labels))
+        with caplog.at_level(logging.WARNING, logger="fuzztriage.detector"):
+            for features, labels in (toy_separable(), imbalanced_set(), (X, y)):
+                train_lr(features, labels)
+        assert caplog.records == []
 
 
 class TestBalancedWeights:

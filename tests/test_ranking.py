@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_batch, make_record, random_batch
+from fuzztriage.calibration import HEIGHT_FLOOR
 from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import DomainError, ValidationError
 from fuzztriage.evaluation import band_eval, ndcg_at_k, predicted_queue, relevance
@@ -23,6 +25,7 @@ from fuzztriage.ranking import (
     rank,
     write_queue_csv,
 )
+from fuzztriage.sgfn import GaussianFuzzyNumber, ranking_index
 
 
 def reference_triple():
@@ -221,10 +224,18 @@ class TestQueueCsv:
 @st.composite
 def tied_batches(draw):
     """Batches whose cores, heights and probabilities repeat, so every
-    method sees exact ties, and whose ids are arbitrary text. Ids from a
-    small alphabet often differ only by a trailing NUL ("b", "b\\x00"),
-    which a numpy string array would treat as equal."""
-    id_text = st.one_of(st.text("ab\x00", min_size=1, max_size=3), st.text(min_size=1, max_size=4))
+    method sees exact ties, and whose ids and classes are arbitrary text.
+    Ids from a small alphabet often differ only by a trailing NUL ("b",
+    "b\\x00"), which a numpy string array would treat as equal, and ids and
+    classes often carry the characters CSV must quote."""
+    csv_text = st.text("a,\"\r\n", min_size=1, max_size=3)
+    id_text = st.one_of(
+        st.text("ab\x00", min_size=1, max_size=3), csv_text, st.text(min_size=1, max_size=4)
+    )
+    class_text = st.one_of(st.sampled_from(["DoS", "Déni"]), csv_text, st.text(max_size=4))
+    height = st.one_of(
+        st.sampled_from([HEIGHT_FLOOR, 0.25, 0.5, 1.0]), st.floats(HEIGHT_FLOOR, 1.0)
+    )
     ids = draw(st.lists(id_text, max_size=30, unique=True))
     records = []
     for alert_id in ids:
@@ -235,32 +246,64 @@ def tied_batches(draw):
                 alert_id,
                 core,
                 max(core * 0.2, 1e-6),
-                draw(st.sampled_from([0.25, 0.5, 1.0])),
+                draw(height),
                 p,
-                label=draw(st.sampled_from([0, 1])),
+                label=draw(st.sampled_from([0, 1, None])),
+                attack_class=draw(class_text),
             )
         )
     return make_batch(records)
 
 
+method_profiles = st.one_of(
+    st.sampled_from([(m, RiskProfile()) for m in Method if m is not Method.RISK_AVERSE]),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]).map(
+        lambda kappa: (Method.RISK_AVERSE, RiskProfile(kappa))
+    ),
+)
+
+
+def reference_scores(records, method, profile):
+    """Risk-averse scores from the scalar ``ranking_index``; other methods'
+    scores from ``method_scores``."""
+    if method is Method.RISK_AVERSE:
+        return [
+            ranking_index(GaussianFuzzyNumber(r.core, r.spread, r.height), profile.kappa)
+            for r in records
+        ]
+    return method_scores(records, method, profile).tolist() if records else []
+
+
+# Two tied alerts whose ids differ only by a trailing NUL, listed in the
+# opposite of Python string order, and one id that CSV must quote.
+NUL_TIE = make_batch(
+    [make_record("b\x00", 5.0, 1.0, 0.5, 0.5), make_record("b", 5.0, 1.0, 0.5, 0.5),
+     make_record('a,"b"', 5.0, 1.0, 0.5, 0.5)]
+)
+
+
 class TestQueueProperties:
-    @given(tied_batches(), st.sampled_from(list(Method)))
-    @settings(max_examples=150, deadline=None)
-    def test_order_and_views_match_scalar_reference(self, records, method):
-        queue = rank(records, method)
-        scores = method_scores(records, method) if records else []
-        score = {r.alert_id: float(s) for r, s in zip(records, scores)}
+    @given(tied_batches(), method_profiles)
+    @example(NUL_TIE, (Method.RISK_AVERSE, RiskProfile(1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_order_and_views_match_scalar_reference(self, records, method_profile):
+        method, profile = method_profile
+        queue = rank(records, method, profile)
+        score = dict(zip(records.ids, reference_scores(records, method, profile)))
         reference = sorted(score, key=lambda i: (-score[i], i))
         assert queue.ids() == tuple(reference)
         assert [e.rank for e in queue] == list(range(1, len(records) + 1))
         assert [(e.alert_id, e.score) for e in queue] == [(i, score[i]) for i in reference]
+        assert np.array([score[i] for i in records.ids]).tobytes() == queue.scores.tobytes()
 
+        labelled = make_batch(r._replace(label=r.label or 0) for r in records)
+        queue = rank(labelled, method, profile)
         p = dict(zip(records.ids, records.p.tolist()))
         pred = predicted_queue(queue)
         assert pred.ids() == tuple(i for i in reference if p[i] >= 0.5)
         assert [e.rank for e in pred] == list(range(1, len(pred) + 1))
 
-        rel = relevance(records)
+        rel = relevance(labelled)
         rel_by_id = dict(zip(records.ids, rel.tolist()))
         bands = EvaluationConfig().band_objects()
         for band, result in zip(bands, band_eval(queue, rel, bands)):
@@ -269,6 +312,46 @@ class TestQueueProperties:
             assert view.ids() == tuple(kept)
             assert result.count == len(kept)
             assert result.ndcg == (ndcg_at_k([rel_by_id[i] for i in kept], 100) if kept else None)
+
+    @given(tied_batches(), method_profiles)
+    @example(NUL_TIE, (Method.SEVERITY_ONLY, RiskProfile()))
+    @settings(max_examples=200, deadline=None)
+    def test_queue_csv_bytes_match_reference_writer(
+        self, tmp_path_factory, records, method_profile
+    ):
+        queue = rank(records, *method_profile)
+        folder = tmp_path_factory.mktemp("queue")
+        stamp = "config_hash=abc seed=7"
+        write_queue_csv(folder / "fast.csv", queue, header_comment=stamp)
+        reference_queue_csv(folder / "reference.csv", queue, header_comment=stamp)
+        assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+def reference_queue_csv(path, queue, header_comment=None):
+    """The queue writer as one ``csv.writer`` row per alert with
+    ``f"{x:.10g}"`` floats; ``write_queue_csv`` must write its bytes."""
+    batch = queue.records
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment is not None:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(QUEUE_HEADER)
+        for position, i in enumerate(queue.order.tolist(), start=1):
+            label = batch.labels[i]
+            writer.writerow(
+                [
+                    position,
+                    batch.ids[i],
+                    queue.method.value,
+                    f"{queue.scores[i].item():.10g}",
+                    f"{batch.core[i].item():.10g}",
+                    f"{batch.spread[i].item():.10g}",
+                    f"{batch.height[i].item():.10g}",
+                    f"{batch.p[i].item():.10g}",
+                    batch.classes[i],
+                    "" if label is None else label,
+                ]
+            )
 
 
 class TestLibraryUse:
