@@ -135,43 +135,49 @@ class BootstrapResult:
 
 
 def paired_bootstrap(
-    queue_a: RankedQueue,
-    queue_b: RankedQueue,
+    baseline: RankedQueue,
+    queues: Mapping[str, RankedQueue],
     rel: np.ndarray,
     *,
     k: int = 500,
     resamples: int = 1000,
     seed: int = 0,
-) -> BootstrapResult:
-    """Paired bootstrap over rank positions for NDCG@k of two queues.
+) -> dict[str, BootstrapResult]:
+    """Paired bootstrap over rank positions for NDCG@k of each of ``queues``
+    against ``baseline``, keyed as ``queues``.
 
     Each replicate draws k positions in 1..k with replacement and applies the
     *same* draw to both queues' top-k relevance sequences. The drawn positions
     are kept in rank order, so each replicate preserves the queue's own
     ordering over the resampled multiset; its ideal is that multiset sorted
-    descending. Delta is the mean of the replicate differences (A minus B),
-    the CI is the percentile interval, and the two-sided p-value comes from
-    the shifted (null-centered) distribution, floored at 1/resamples.
+    descending. Delta is the mean of the replicate differences (queue minus
+    baseline), the CI is the percentile interval, and the two-sided p-value
+    comes from the shifted (null-centered) distribution, floored at
+    1/resamples. One draw and the baseline's replicates serve every queue,
+    so each result equals that of a separate draw with the same seed.
     """
     if resamples < 1:
         raise ValidationError(f"resamples must be >= 1, got {resamples!r}")
-    ids_a, ids_b = set(queue_a.ids()), set(queue_b.ids())
-    if ids_a != ids_b:
-        raise EvaluationError("paired bootstrap requires queues over the same alert universe")
-    k_eff = min(k, len(queue_a))
+    if not queues:
+        return {}
+    universe = set(baseline.ids())
+    for name, queue in queues.items():
+        if set(queue.ids()) != universe:
+            raise EvaluationError(
+                f"paired bootstrap requires queues over the same alert universe; "
+                f"queue {name!r} differs from the baseline"
+            )
+    k_eff = min(k, len(baseline))
     if k_eff < 1:
         raise EvaluationError("paired bootstrap requires non-empty queues")
-    gains = []
-    for queue in (queue_a, queue_b):
-        gains.append(np.exp2(queue_relevances(queue, rel)[:k_eff]) - 1.0)
     discounts = np.log2(np.arange(2, k_eff + 2, dtype=float))
 
     rng = np.random.default_rng(seed)
     # Sorting each draw keeps the queue's own rank order within the resample.
     idx = np.sort(rng.integers(0, k_eff, size=(resamples, k_eff)), axis=1)
 
-    def replicate_ndcg(gain_vec: np.ndarray) -> np.ndarray:
-        drawn = gain_vec[idx]  # (resamples, k_eff), in queue order
+    def replicate_ndcg(queue: RankedQueue) -> np.ndarray:
+        drawn = (np.exp2(queue_relevances(queue, rel)[:k_eff]) - 1.0)[idx]
         dcg = (drawn / discounts).sum(axis=1)
         ideal = (np.sort(drawn, axis=1)[:, ::-1] / discounts).sum(axis=1)
         out = np.zeros(resamples)
@@ -179,13 +185,18 @@ def paired_bootstrap(
         out[nonzero] = dcg[nonzero] / ideal[nonzero]
         return out
 
-    deltas = replicate_ndcg(gains[0]) - replicate_ndcg(gains[1])
-    delta = float(deltas.mean())
-    ci_low = float(np.percentile(deltas, 2.5))
-    ci_high = float(np.percentile(deltas, 97.5))
-    p_value = float(np.mean(np.abs(deltas - delta) >= abs(delta)))
-    p_value = max(p_value, 1.0 / resamples)
-    return BootstrapResult(delta, ci_low, ci_high, p_value, resamples, k_eff)
+    base = replicate_ndcg(baseline)
+    results = {}
+    for name, queue in queues.items():
+        deltas = replicate_ndcg(queue) - base
+        delta = float(deltas.mean())
+        ci_low = float(np.percentile(deltas, 2.5))
+        ci_high = float(np.percentile(deltas, 97.5))
+        p_value = float(np.mean(np.abs(deltas - delta) >= abs(delta)))
+        results[name] = BootstrapResult(
+            delta, ci_low, ci_high, max(p_value, 1.0 / resamples), resamples, k_eff
+        )
+    return results
 
 
 # --- miscalibration scenarios ---------------------------------------------

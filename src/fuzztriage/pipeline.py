@@ -54,7 +54,7 @@ from .ingestion import (
     synth_generate,
     write_flow_csv,
 )
-from .ranking import Method, RankedQueue, RiskProfile, rank, write_queue_csv
+from .ranking import Method, RankedQueue, RiskProfile, rank, write_queue_csvs
 from .tables import write_artifact
 
 logger = logging.getLogger(__name__)
@@ -109,6 +109,8 @@ class DetectorOutput:
 
 def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
     """Produce attack probabilities for the validation and test splits."""
+    if prep.split.val_idx.size == 0:
+        raise ValidationError("validation split is empty; cannot calibrate heights")
     y = binary_labels(prep.classes)
     tr, va, te = prep.split.train_idx, prep.split.val_idx, prep.split.test_idx
 
@@ -144,8 +146,6 @@ def calibrate_heights(
 ) -> dict[str, CalibrationRow]:
     """Per-class calibration table from validation-split predictions."""
     va = prep.split.val_idx
-    if va.size == 0:
-        raise ValidationError("validation split is empty; cannot calibrate heights")
     y_val = binary_labels(prep.classes)[va]
     yhat_val = (detector_out.p_val >= 0.5).astype(int)
     counts = per_class_counts([prep.classes[i] for i in va], y_val, yhat_val)
@@ -236,18 +236,14 @@ def evaluate_all(
     bootstrap: dict[str, BootstrapResult] = {}
     ra_pred = predicted_queue(queues[ra_name])
     if len(ra_pred):
-        for name, queue in queues.items():
-            if name == ra_name:
-                continue
-            pred = predicted_queue(queue)
-            bootstrap[name] = paired_bootstrap(
-                pred,
-                ra_pred,
-                rel,
-                k=config.evaluation.bootstrap_k,
-                resamples=config.evaluation.bootstrap_resamples,
-                seed=config.evaluation.bootstrap_seed,
-            )
+        bootstrap = paired_bootstrap(
+            ra_pred,
+            {name: predicted_queue(q) for name, q in queues.items() if name != ra_name},
+            rel,
+            k=config.evaluation.bootstrap_k,
+            resamples=config.evaluation.bootstrap_resamples,
+            seed=config.evaluation.bootstrap_seed,
+        )
 
     specs = tuple(
         ScenarioSpec(kind, noise_sd=config.evaluation.noise_sd, seed=config.seed)
@@ -304,13 +300,9 @@ def write_calibration(config: RunConfig, table: Mapping[str, CalibrationRow]) ->
 
 
 def write_queues(config: RunConfig, queues: Mapping[str, RankedQueue]) -> list[Path]:
-    stamp = artifact_stamp(config)
-    written = []
-    for name, queue in queues.items():
-        path = Path(config.out_dir, "queues", f"queue_{name}.csv")
-        write_queue_csv(path, queue, header_comment=stamp)
-        written.append(path)
-    return written
+    files = {Path(config.out_dir, "queues", f"queue_{name}.csv"): q for name, q in queues.items()}
+    write_queue_csvs(files, header_comment=artifact_stamp(config))
+    return list(files)
 
 
 def _fmt(value: float | None) -> str:

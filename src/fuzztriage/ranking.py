@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,24 +131,33 @@ def kappa_sweep(alerts: AlertBatch, kappas: Iterable[float]) -> list[RankedQueue
 QUEUE_HEADER = ["rank", "id", "method", "score", "c", "sigma", "h", "p", "attack_class", "label"]
 
 
-def write_queue_csv(
-    path: str | Path, queue: RankedQueue, header_comment: str | None = None
+def write_queue_csvs(
+    files: Mapping[str | Path, RankedQueue], header_comment: str | None = None
 ) -> None:
-    """Write a queue as ``csv.writer`` would, floats as ``f"{x:.10g}"``: one
-    ``%`` format per row, with ``csv.writer`` quoting each distinct (class,
-    label) tail once and the ids only when one of them needs it."""
-    batch = queue.records
-    ids = batch.ids
-    if csv_row(ids) != ",".join(ids) + "\r\n":
-        ids = [csv_row((alert_id, ""))[:-3] for alert_id in ids]  # drop ",\r\n"
-    tails = {key: csv_row(("",) + key) for key in set(zip(batch.classes, batch.labels))}
-    row_format = f"%d,%s,{queue.method.value},%.10g,%.10g,%.10g,%.10g,%.10g"
-    columns = (queue.scores, batch.core, batch.spread, batch.height, batch.p)
-    scores, core, spread, height, p = (column.tolist() for column in columns)
-    with write_artifact(path, header_comment) as fh:
-        fh.write(csv_row(QUEUE_HEADER))
-        fh.writelines(
-            row_format % (position, ids[i], scores[i], core[i], spread[i], height[i], p[i])
-            + tails[batch.classes[i], batch.labels[i]]
-            for position, i in enumerate(queue.order.tolist(), start=1)
-        )
+    """Write each queue to its path as ``csv.writer`` would, floats as
+    ``f"{x:.10g}"``. The alert columns of a batch (the id, quoted only when
+    one id needs it, and the ``c,sigma,h,p,class,label`` tail, each distinct
+    (class, label) quoted once) are formatted once for all of its queues, and
+    each row adds its queue's rank, method and score with one ``%`` format."""
+    by_batch: dict[int, list[tuple[str | Path, RankedQueue]]] = {}
+    for path, queue in files.items():
+        by_batch.setdefault(id(queue.records), []).append((path, queue))
+    for group in by_batch.values():
+        batch = group[0][1].records
+        ids = batch.ids
+        if csv_row(ids) != ",".join(ids) + "\r\n":
+            ids = [csv_row((alert_id, ""))[:-3] for alert_id in ids]  # drop ",\r\n"
+        keys = list(zip(batch.classes, batch.labels))
+        quoted = {key: csv_row(("",) + key) for key in set(keys)}
+        columns = (batch.core, batch.spread, batch.height, batch.p)
+        rows = zip(*(column.tolist() for column in columns), map(quoted.get, keys))
+        tails = ["%.10g,%.10g,%.10g,%.10g%s" % row for row in rows]
+        for path, queue in group:
+            row_format = f"%d,%s,{queue.method.value},%.10g,%s"
+            scores = queue.scores.tolist()
+            with write_artifact(path, header_comment) as fh:
+                fh.write(csv_row(QUEUE_HEADER))
+                fh.writelines(
+                    row_format % (position, ids[i], scores[i], tails[i])
+                    for position, i in enumerate(queue.order.tolist(), start=1)
+                )

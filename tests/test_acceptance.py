@@ -176,7 +176,9 @@ def test_criterion_07_bootstrap_correctness(stress_run):
     rel = relevance(run.records)
 
     ra_pred = predicted_queue(run.queues["risk_averse_k1"])
-    self_test = paired_bootstrap(ra_pred, ra_pred, rel, k=500, resamples=1000, seed=0)
+    self_test = paired_bootstrap(
+        ra_pred, {"ra": ra_pred}, rel, k=500, resamples=1000, seed=0
+    )["ra"]
     assert self_test.delta == 0.0
     assert self_test.p_value == 1.0
     assert self_test.ci_low <= 0.0 <= self_test.ci_high
@@ -187,7 +189,9 @@ def test_criterion_07_bootstrap_correctness(stress_run):
     assert at_1000.p_value <= 0.05
 
     co_pred = predicted_queue(run.queues["confidence_only"])
-    at_5000 = paired_bootstrap(co_pred, ra_pred, rel, k=500, resamples=5000, seed=0)
+    at_5000 = paired_bootstrap(
+        ra_pred, {"co": co_pred}, rel, k=500, resamples=5000, seed=0
+    )["co"]
     assert at_5000.delta < 0.0
     assert at_5000.p_value <= 0.05
 

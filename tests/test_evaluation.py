@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_batch, make_record, random_batch
 from fuzztriage.alerts import Alert, Criticality, load_catalog
@@ -14,6 +15,7 @@ from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import EvaluationError, ValidationError
 from fuzztriage.evaluation import (
     Band,
+    BootstrapResult,
     ScenarioKind,
     ScenarioResult,
     ScenarioSpec,
@@ -218,7 +220,7 @@ class TestPairedBootstrap:
         records = random_batch(rng, 30)
         rel = relevance(records)
         queue = rank(records, Method.RISK_AVERSE, RiskProfile(1.0))
-        result = paired_bootstrap(queue, queue, rel, k=20, resamples=200, seed=1)
+        result = paired_bootstrap(queue, {"ra": queue}, rel, k=20, resamples=200, seed=1)["ra"]
         assert result.delta == 0.0
         assert result.p_value == 1.0
         assert result.ci_low <= result.delta <= result.ci_high
@@ -237,7 +239,7 @@ class TestPairedBootstrap:
         rel = relevance(records)
         co = rank(records, Method.CONFIDENCE_ONLY)
         so = rank(records, Method.SEVERITY_ONLY)
-        result = paired_bootstrap(co, so, rel, k=40, resamples=1000, seed=0)
+        result = paired_bootstrap(so, {"co": co}, rel, k=40, resamples=1000, seed=0)["co"]
         assert result.delta < 0.0
         assert result.p_value <= 0.05
         assert result.ci_low <= result.delta <= result.ci_high
@@ -250,14 +252,14 @@ class TestPairedBootstrap:
         rel = relevance(a)
         with pytest.raises(EvaluationError, match="same alert universe"):
             paired_bootstrap(
-                rank(a, Method.SEVERITY_ONLY), rank(b, Method.SEVERITY_ONLY), rel
+                rank(b, Method.SEVERITY_ONLY), {"a": rank(a, Method.SEVERITY_ONLY)}, rel
             )
 
     def test_k_clamped_to_queue_length(self, rng):
         records = random_batch(rng, 8)
         rel = relevance(records)
         queue = rank(records, Method.SEVERITY_ONLY)
-        result = paired_bootstrap(queue, queue, rel, k=500, resamples=50, seed=2)
+        result = paired_bootstrap(queue, {"so": queue}, rel, k=500, resamples=50, seed=2)["so"]
         assert result.k == 8
 
     def test_p_value_floor(self, rng):
@@ -265,8 +267,119 @@ class TestPairedBootstrap:
         rel = relevance(records)
         q1 = rank(records, Method.SEVERITY_ONLY)
         q2 = rank(records, Method.CONFIDENCE_ONLY)
-        result = paired_bootstrap(q1, q2, rel, k=10, resamples=100, seed=3)
+        result = paired_bootstrap(q2, {"so": q1}, rel, k=10, resamples=100, seed=3)["so"]
         assert result.p_value >= 1.0 / 100
+
+
+    def test_empty_mapping_draws_nothing(self, rng, monkeypatch):
+        records = random_batch(rng, 10)
+        queue = rank(records, Method.SEVERITY_ONLY)
+
+        def no_draw(seed):
+            raise AssertionError("paired_bootstrap drew resamples for no queue")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        assert paired_bootstrap(queue, {}, relevance(records)) == {}
+
+    def test_mismatched_universe_names_queue(self, rng):
+        a = random_batch(rng, 10)
+        b = make_batch([*list(a)[1:], make_record("intruder", 5.0, 1.0, 0.5, 0.5)])
+        queues = {"same": rank(a, Method.CONFIDENCE_ONLY), "other": rank(b, Method.SEVERITY_ONLY)}
+        with pytest.raises(EvaluationError, match="same alert universe; queue 'other'"):
+            paired_bootstrap(rank(a, Method.SEVERITY_ONLY), queues, relevance(a))
+
+
+def reference_paired_bootstrap(queue_a, queue_b, rel, *, k=500, resamples=1000, seed=0):
+    """The two-queue bootstrap (A minus B) with its own draw per call;
+    ``paired_bootstrap`` must give its results bit for bit."""
+    if resamples < 1:
+        raise ValidationError(f"resamples must be >= 1, got {resamples!r}")
+    if set(queue_a.ids()) != set(queue_b.ids()):
+        raise EvaluationError("paired bootstrap requires queues over the same alert universe")
+    k_eff = min(k, len(queue_a))
+    if k_eff < 1:
+        raise EvaluationError("paired bootstrap requires non-empty queues")
+    gains = []
+    for queue in (queue_a, queue_b):
+        gains.append(np.exp2(queue_relevances(queue, rel)[:k_eff]) - 1.0)
+    discounts = np.log2(np.arange(2, k_eff + 2, dtype=float))
+
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.integers(0, k_eff, size=(resamples, k_eff)), axis=1)
+
+    def replicate_ndcg(gain_vec):
+        drawn = gain_vec[idx]
+        dcg = (drawn / discounts).sum(axis=1)
+        ideal = (np.sort(drawn, axis=1)[:, ::-1] / discounts).sum(axis=1)
+        out = np.zeros(resamples)
+        nonzero = ideal > 0.0
+        out[nonzero] = dcg[nonzero] / ideal[nonzero]
+        return out
+
+    deltas = replicate_ndcg(gains[0]) - replicate_ndcg(gains[1])
+    delta = float(deltas.mean())
+    ci_low = float(np.percentile(deltas, 2.5))
+    ci_high = float(np.percentile(deltas, 97.5))
+    p_value = float(np.mean(np.abs(deltas - delta) >= abs(delta)))
+    p_value = max(p_value, 1.0 / resamples)
+    return BootstrapResult(delta, ci_low, ci_high, p_value, resamples, k_eff)
+
+
+# The seven queues of a default evaluation with kappas 0, 0.5, 1 and 2.
+QUEUE_METHODS = {
+    "severity_only": (Method.SEVERITY_ONLY, RiskProfile()),
+    "confidence_only": (Method.CONFIDENCE_ONLY, RiskProfile()),
+    "weighted_sum": (Method.WEIGHTED_SUM, RiskProfile()),
+    **{f"risk_averse_k{k:g}": (Method.RISK_AVERSE, RiskProfile(k)) for k in (0, 0.5, 1, 2)},
+}
+
+
+@st.composite
+def bootstrap_cases(draw):
+    """A labelled batch whose cores, heights and probabilities repeat (so
+    scores tie), often with no relevant alert at all, plus a baseline and
+    1 to 7 queues over it, the baseline's method among them."""
+    n = draw(st.integers(1, 40))
+    no_attacks = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        core = draw(st.sampled_from([0.0, 2.5, 5.0, 7.5]))
+        height = draw(st.sampled_from([0.05, 0.5, 1.0]))
+        p = draw(st.sampled_from([0.2, 0.5, 0.7, 1.0]))
+        label = 0 if no_attacks else draw(st.sampled_from([0, 1]))
+        rows.append(make_record(f"a{i:02d}", core, max(core * 0.2, 1e-6), height, p, label=label))
+    records = make_batch(rows)
+    names = draw(st.lists(st.sampled_from(list(QUEUE_METHODS)), min_size=1, max_size=7, unique=True))
+    baseline = draw(st.sampled_from(names))
+    predicted = draw(st.booleans())
+
+    def queue(name):
+        ranked = rank(records, *QUEUE_METHODS[name])
+        return predicted_queue(ranked) if predicted else ranked
+
+    return records, queue(baseline), {name: queue(name) for name in names}
+
+
+class TestBootstrapMatchesReference:
+    @given(
+        case=bootstrap_cases(),
+        k=st.integers(1, 60),
+        resamples=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_result_equals_its_own_draw(self, case, k, resamples, seed):
+        records, baseline, queues = case
+        rel = relevance(records)
+        options = dict(k=k, resamples=resamples, seed=seed)
+        if len(baseline) == 0:
+            with pytest.raises(EvaluationError, match="non-empty queues"):
+                paired_bootstrap(baseline, queues, rel, **options)
+            return
+        results = paired_bootstrap(baseline, queues, rel, **options)
+        assert list(results) == list(queues)
+        for name, queue in queues.items():
+            assert results[name] == reference_paired_bootstrap(queue, baseline, rel, **options)
 
 
 class TestPerturb:

@@ -23,7 +23,7 @@ from fuzztriage.ranking import (
     method_scores,
     minmax_norm,
     rank,
-    write_queue_csv,
+    write_queue_csvs,
 )
 from fuzztriage.sgfn import GaussianFuzzyNumber, ranking_index
 
@@ -209,7 +209,7 @@ class TestQueueCsv:
         records = make_batch(records)
         queue = rank(records, Method.RISK_AVERSE, RiskProfile(1.0))
         path = tmp_path / "queue.csv"
-        write_queue_csv(path, queue, header_comment="config_hash=abc seed=7")
+        write_queue_csvs({path: queue}, header_comment="config_hash=abc seed=7")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash=abc seed=7"
         assert lines[1] == ",".join(QUEUE_HEADER)
@@ -322,14 +322,36 @@ class TestQueueProperties:
         queue = rank(records, *method_profile)
         folder = tmp_path_factory.mktemp("queue")
         stamp = "config_hash=abc seed=7"
-        write_queue_csv(folder / "fast.csv", queue, header_comment=stamp)
+        write_queue_csvs({folder / "fast.csv": queue}, header_comment=stamp)
         reference_queue_csv(folder / "reference.csv", queue, header_comment=stamp)
         assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+    @given(
+        tied_batches(),
+        st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0), max_size=30),
+    )
+    @example(NUL_TIE, [0.9, 0.1, 0.5])
+    @settings(max_examples=100, deadline=None)
+    def test_queues_over_two_batches_match_reference_writer(
+        self, tmp_path_factory, records, new_p
+    ):
+        """One write of seven queues, alternating between the batch and the
+        batch under new probabilities, gives each file the reference bytes."""
+        shifted = records.with_p(np.resize(np.array(new_p or [0.5]), len(records)))
+        kinds = [(Method.SEVERITY_ONLY, RiskProfile()), (Method.WEIGHTED_SUM, RiskProfile()),
+                 (Method.RISK_AVERSE, RiskProfile(0.0)), (Method.RISK_AVERSE, RiskProfile(2.0))]
+        queues = [rank(batch, *kind) for kind in kinds for batch in (records, shifted)][1:]
+        folder = tmp_path_factory.mktemp("queues")
+        stamp = "config_hash=abc seed=7"
+        write_queue_csvs({folder / f"q{n}.csv": q for n, q in enumerate(queues)}, stamp)
+        for n, queue in enumerate(queues):
+            reference_queue_csv(folder / f"ref{n}.csv", queue, header_comment=stamp)
+            assert (folder / f"q{n}.csv").read_bytes() == (folder / f"ref{n}.csv").read_bytes()
 
 
 def reference_queue_csv(path, queue, header_comment=None):
     """The queue writer as one ``csv.writer`` row per alert with
-    ``f"{x:.10g}"`` floats; ``write_queue_csv`` must write its bytes."""
+    ``f"{x:.10g}"`` floats; ``write_queue_csvs`` must write its bytes."""
     batch = queue.records
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment is not None:
