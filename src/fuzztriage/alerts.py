@@ -57,7 +57,7 @@ CRITICALITY_FACTORS: dict[Criticality, float] = {
     Criticality.ISOLATED: 0.2,
 }
 
-CATEGORICAL_LEVELS = (0.2, 0.5, 0.8, 1.0)
+CATEGORICAL_LEVELS = tuple(sorted(CRITICALITY_FACTORS.values()))
 
 
 class CfMode(str, Enum):
@@ -300,8 +300,11 @@ def assemble(
 ) -> AlertBatch:
     """Resolve a sequence of alerts into one :class:`AlertBatch`.
 
-    ``heights`` maps calibrated classes to their class heights; classes absent
-    from it are treated as novel and given the neutral height 0.5 before the
+    ``heights`` maps calibrated classes to their class heights. A class is
+    looked up by name like any other, :data:`UNKNOWN_CLASS` included, so an
+    unmapped label that the calibration saw has a calibrated height; only a
+    class absent from ``heights`` gets the neutral height
+    :data:`~fuzztriage.calibration.NOVEL_CLASS_HEIGHT` (0.5) before the
     per-alert probability cap. ``uf_scale`` globally rescales the uncertainty
     factors used for spread construction. The core is the class CVSS scaled
     by the contextual factor and the spread is the core scaled by the

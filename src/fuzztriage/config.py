@@ -28,6 +28,7 @@ from .detector import DetectorConfig, DetectorMode
 from .errors import ConfigError, DomainError, ValidationError
 from .evaluation import Band, ScenarioKind
 from .ingestion import DatasetConfig, SplitSpec, SynthConfig
+from .ranking import risk_averse_queue_name
 from .sgfn import check_kappa
 
 
@@ -46,9 +47,7 @@ class RankingConfig:
             check_uf_scale(self.uf_scale)
         except (DomainError, ValidationError) as exc:
             raise ConfigError(f"bad [ranking] value: {exc}") from exc
-        # kappas equal to the 12 digits of the canonical form and of queue
-        # names would share one queue file
-        if len({format(k, ".12g") for k in self.kappas}) < len(self.kappas):
+        if len(set(map(risk_averse_queue_name, self.kappas))) < len(self.kappas):
             raise ConfigError(f"ranking.kappa repeats a value: {self.kappas!r}")
 
 

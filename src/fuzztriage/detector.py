@@ -39,25 +39,8 @@ logger = logging.getLogger(__name__)
 
 _Z_CLIP = 35.0  # sigmoid saturates beyond this; avoids overflow in exp
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Knobs of the logistic-regression trainer."""
-
-    l2_c: float = 1.0
-    max_iters: int = 1000
-    tol: float = 1e-8
-    class_weighting: str = "balanced"  # "balanced" or "none"
-
-    def __post_init__(self) -> None:
-        if not self.l2_c > 0.0:
-            raise ValidationError(f"l2_c must be positive, got {self.l2_c!r}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ValidationError(f"tol must be finite and >= 0, got {self.tol!r}")
-        if self.class_weighting not in ("balanced", "none"):
-            raise ValidationError(f"unknown class_weighting {self.class_weighting!r}")
+#: An alert is a predicted attack when its probability p >= ATTACK_THRESHOLD.
+ATTACK_THRESHOLD = 0.5
 
 
 class DetectorMode(str, Enum):
@@ -70,21 +53,23 @@ class DetectorMode(str, Enum):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """The [detector] section of a run; solver defaults and rules are TrainConfig's."""
+    """The [detector] section of a run: the alert source and the solver settings."""
 
     mode: DetectorMode = DetectorMode.TRAIN_FULL
     scores_path: str | None = None
-    l2_c: float = TrainConfig.l2_c
-    max_iters: int = TrainConfig.max_iters
-    tol: float = TrainConfig.tol
+    l2_c: float = 1.0
+    max_iters: int = 1000
+    tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.mode is DetectorMode.EXTERNAL_SCORES and not self.scores_path:
             raise ConfigError("detector.mode=external_scores requires detector.scores_path")
-        self.train_config()  # the trainer's own rules validate the solver settings
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(l2_c=self.l2_c, max_iters=self.max_iters, tol=self.tol)
+        if not self.l2_c > 0.0:
+            raise ValidationError(f"l2_c must be positive, got {self.l2_c!r}")
+        if self.max_iters < 1:
+            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValidationError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -109,21 +94,14 @@ class LinearModel:
             return _sigmoid(-(a * s + b))
         return _sigmoid(s)
 
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(int)
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -_Z_CLIP, _Z_CLIP)))
 
 
-def sample_weights(y: np.ndarray, mode: str = "balanced") -> np.ndarray:
-    """Per-sample weights; balanced mode gives each class weight n/(2*n_class)."""
+def sample_weights(y: np.ndarray) -> np.ndarray:
+    """Balanced per-sample weights: each sample of a class weighs n/(2*n_class)."""
     y = np.asarray(y)
-    if mode == "none":
-        return np.ones(y.shape[0], dtype=float)
-    if mode != "balanced":
-        raise ValidationError(f"unknown class_weighting {mode!r}")
     n = y.shape[0]
     weights = np.empty(n, dtype=float)
     for cls in (0, 1):
@@ -165,10 +143,12 @@ def logistic_loss_gradient(
 def train_lr(
     X: np.ndarray,
     y: np.ndarray,
-    config: TrainConfig = TrainConfig(),
+    config: DetectorConfig = DetectorConfig(),
     feature_names: Sequence[str] | None = None,
 ) -> LinearModel:
-    """Fit the detector on binary labels with a deterministic Newton solver.
+    """Fit the detector on binary labels with a deterministic Newton solver;
+    of ``config`` only the solver settings ``l2_c``, ``max_iters`` and ``tol``
+    apply.
 
     Raises:
         TrainingError: if only one class is present in ``y``.
@@ -187,7 +167,7 @@ def train_lr(
         raise ValidationError("feature_names length does not match feature count")
 
     n, d = X.shape
-    sw = sample_weights(y, config.class_weighting)
+    sw = sample_weights(y)
     lam = 1.0 / config.l2_c
     Xa = np.hstack([X, np.ones((n, 1))])
     theta = np.zeros(d + 1)
@@ -323,6 +303,8 @@ class DetectorReport:
 
 SCORES_HEADER = ["id", "p"]
 P_MISSING_DEFAULT = 0.5
+#: Least share of a split's ids an external scores file must cover.
+MIN_SCORE_COVERAGE = 0.5
 
 
 def load_external_scores(path: str | Path) -> dict[str, float]:
@@ -344,9 +326,22 @@ def load_external_scores(path: str | Path) -> dict[str, float]:
     return scores
 
 
-def scores_with_defaults(ids: Sequence[str], scores: Mapping[str, float]) -> list[float]:
-    """Look up scores by id, defaulting missing ids to 0.5 with a warning."""
+def scores_with_defaults(
+    ids: Sequence[str], scores: Mapping[str, float], split: str
+) -> list[float]:
+    """Look up the scores of one split's ids, defaulting missing ids to 0.5
+    with a warning.
+
+    Raises:
+        ValidationError: if the scores cover less than MIN_SCORE_COVERAGE of the ids.
+    """
     missing = [i for i in ids if i not in scores]
+    covered = len(ids) - len(missing)
+    if covered < MIN_SCORE_COVERAGE * len(ids):
+        raise ValidationError(
+            f"external scores cover {covered} of {len(ids)} {split} ids "
+            f"({covered / len(ids):.1%}), below the {MIN_SCORE_COVERAGE:.0%} floor"
+        )
     if missing:
         logger.warning(
             "%d alert ids missing from external scores; defaulting p to %s (first: %s)",

@@ -18,10 +18,9 @@ import numpy as np
 
 from .alerts import Alert, AlertBatch, AttackClassProfile, CfMode, assemble
 from .calibration import HeightParams, heights_from_f1
+from .detector import ATTACK_THRESHOLD
 from .errors import EvaluationError, ValidationError
 from .ranking import Method, RankedQueue, RiskProfile, rank
-
-PREDICTION_THRESHOLD = 0.5
 
 
 def relevance(batch: AlertBatch) -> np.ndarray:
@@ -67,12 +66,10 @@ def ndcg_of_queue(queue: RankedQueue, rel: np.ndarray, k: int) -> float:
     return ndcg_at_k(queue_relevances(queue, rel), k)
 
 
-def predicted_queue(
-    queue: RankedQueue, threshold: float = PREDICTION_THRESHOLD
-) -> RankedQueue:
-    """Restrict a queue to detector-predicted attacks (p >= threshold),
+def predicted_queue(queue: RankedQueue) -> RankedQueue:
+    """Restrict a queue to detector-predicted attacks (p >= ATTACK_THRESHOLD),
     preserving order and renumbering ranks."""
-    return queue.where(queue.records.p >= threshold)
+    return queue.where(queue.records.p >= ATTACK_THRESHOLD)
 
 
 # --- confidence bands ------------------------------------------------------
@@ -295,6 +292,8 @@ DEFAULT_SWEEP_GRID: dict[str, tuple[float, ...]] = {
 
 _HEIGHT_PARAM_NAMES = ("alpha", "h_min", "h_max")
 
+SWEEP_CUTOFFS = (10, 100)
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -321,8 +320,7 @@ def sensitivity_sweep(
     defaults: HeightParams = HeightParams(),
     kappa: float = 1.0,
     uf_scale: float = 1.0,
-    cutoffs: Sequence[int] = (10, 100),
-    threshold: float = PREDICTION_THRESHOLD,
+    cutoffs: Sequence[int] = SWEEP_CUTOFFS,
 ) -> SweepReport:
     """One-at-a-time sensitivity sweep of the risk-averse predicted queue.
 
@@ -357,7 +355,7 @@ def sensitivity_sweep(
             else:
                 kap = float(value)
             records = assemble_with(params, scale)
-            queue = predicted_queue(rank(records, Method.RISK_AVERSE, RiskProfile(kap)), threshold)
+            queue = predicted_queue(rank(records, Method.RISK_AVERSE, RiskProfile(kap)))
             if len(queue) == 0:
                 raise EvaluationError("sensitivity sweep: predicted queue is empty")
             ndcgs = tuple(ndcg_of_queue(queue, rel, k) for k in cutoffs)

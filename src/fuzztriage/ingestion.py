@@ -201,18 +201,6 @@ DEFAULT_CLASS_MAP: dict[str, str] = {
     "benign": BENIGN_CLASS,
 }
 
-ATTACK_CLASSES = (
-    "Bot",
-    "BruteForce",
-    "DDoS",
-    "DoS",
-    "Heartbleed",
-    "Infiltration",
-    "PortScan",
-    "WebAttack",
-)
-
-
 def load_class_map_override(path: str | Path) -> dict[str, str]:
     """Read raw-label overrides from a two-column CSV (raw, class)."""
     override: dict[str, str] = {}

@@ -19,6 +19,7 @@ from .alerts import Alert, AlertBatch, AttackClassProfile, assemble, load_catalo
 from .calibration import CalibrationRow, build_height_table, per_class_counts, write_calibration_csv
 from .config import DetectorMode, RunConfig, artifact_stamp, with_detector_mode
 from .detector import (
+    ATTACK_THRESHOLD,
     DetectorReport,
     flags_only_subset,
     load_external_scores,
@@ -54,14 +55,17 @@ from .ingestion import (
     synth_generate,
     write_flow_csv,
 )
-from .ranking import Method, RankedQueue, RiskProfile, rank, write_queue_csvs
+from .ranking import (
+    Method,
+    RankedQueue,
+    RiskProfile,
+    rank,
+    risk_averse_queue_name,
+    write_queue_csvs,
+)
 from .tables import write_artifact
 
 logger = logging.getLogger(__name__)
-
-BAND_K = 100
-SCENARIO_K = 100
-SWEEP_CUTOFFS = (10, 100)
 
 
 def flow_ids(n: int) -> tuple[str, ...]:
@@ -104,7 +108,6 @@ class DetectorOutput:
     p_val: np.ndarray
     p_test: np.ndarray
     report: DetectorReport
-    feature_names: tuple[str, ...]
 
 
 def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
@@ -113,32 +116,30 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
         raise ValidationError("validation split is empty; cannot calibrate heights")
     y = binary_labels(prep.classes)
     tr, va, te = prep.split.train_idx, prep.split.val_idx, prep.split.test_idx
+    mode = config.detector.mode
 
-    if config.detector.mode is DetectorMode.EXTERNAL_SCORES:
+    if mode is DetectorMode.EXTERNAL_SCORES:
         scores = load_external_scores(config.detector.scores_path)
-        p_val = np.asarray(scores_with_defaults([prep.ids[i] for i in va], scores))
-        p_test = np.asarray(scores_with_defaults([prep.ids[i] for i in te], scores))
-        report = DetectorReport.from_predictions(y[te], (p_test >= 0.5).astype(int))
-        return DetectorOutput(config.detector.mode, p_val, p_test, report, ())
-
-    names = prep.dataset.feature_names
-    if config.detector.mode is DetectorMode.TRAIN_FLAGS_ONLY:
-        keep = flags_only_subset(names)
+        p_val = np.asarray(scores_with_defaults([prep.ids[i] for i in va], scores, "validation"))
+        p_test = np.asarray(scores_with_defaults([prep.ids[i] for i in te], scores, "test"))
     else:
-        keep = list(range(len(names)))
-    used_names = tuple(names[i] for i in keep)
+        names = prep.dataset.feature_names
+        if mode is DetectorMode.TRAIN_FLAGS_ONLY:
+            keep = flags_only_subset(names)
+        else:
+            keep = list(range(len(names)))
 
-    stats = fit_normalization(prep.dataset.features[tr][:, keep])
-    X_tr = apply_normalization(prep.dataset.features[tr][:, keep], stats)
-    X_va = apply_normalization(prep.dataset.features[va][:, keep], stats)
-    X_te = apply_normalization(prep.dataset.features[te][:, keep], stats)
+        stats = fit_normalization(prep.dataset.features[tr][:, keep])
+        X_tr = apply_normalization(prep.dataset.features[tr][:, keep], stats)
+        X_va = apply_normalization(prep.dataset.features[va][:, keep], stats)
+        X_te = apply_normalization(prep.dataset.features[te][:, keep], stats)
 
-    model = train_lr(X_tr, y[tr], config.detector.train_config(), feature_names=used_names)
-    model = platt_calibrate(model, X_va, y[va])
-    p_val = model.predict_proba(X_va)
-    p_test = model.predict_proba(X_te)
-    report = DetectorReport.from_predictions(y[te], (p_test >= 0.5).astype(int))
-    return DetectorOutput(config.detector.mode, p_val, p_test, report, used_names)
+        model = train_lr(X_tr, y[tr], config.detector, feature_names=[names[i] for i in keep])
+        model = platt_calibrate(model, X_va, y[va])
+        p_val = model.predict_proba(X_va)
+        p_test = model.predict_proba(X_te)
+    report = DetectorReport.from_predictions(y[te], p_test >= ATTACK_THRESHOLD)
+    return DetectorOutput(mode, p_val, p_test, report)
 
 
 def calibrate_heights(
@@ -147,7 +148,7 @@ def calibrate_heights(
     """Per-class calibration table from validation-split predictions."""
     va = prep.split.val_idx
     y_val = binary_labels(prep.classes)[va]
-    yhat_val = (detector_out.p_val >= 0.5).astype(int)
+    yhat_val = (detector_out.p_val >= ATTACK_THRESHOLD).astype(int)
     counts = per_class_counts([prep.classes[i] for i in va], y_val, yhat_val)
     return build_height_table(counts, config.heights)
 
@@ -170,10 +171,6 @@ def build_alerts(
     return records, catalog, alerts
 
 
-def _kappa_label(kappa: float) -> str:
-    return format(kappa, ".12g")
-
-
 def rank_all(config: RunConfig, records: AlertBatch) -> dict[str, RankedQueue]:
     """All configured queues keyed by method name (risk-averse per kappa)."""
     queues: dict[str, RankedQueue] = {
@@ -182,9 +179,8 @@ def rank_all(config: RunConfig, records: AlertBatch) -> dict[str, RankedQueue]:
         Method.WEIGHTED_SUM.value: rank(records, Method.WEIGHTED_SUM),
     }
     for kappa in config.ranking.kappas:
-        queues[f"risk_averse_k{_kappa_label(kappa)}"] = rank(
-            records, Method.RISK_AVERSE, RiskProfile(kappa)
-        )
+        profile = RiskProfile(kappa)
+        queues[risk_averse_queue_name(kappa)] = rank(records, Method.RISK_AVERSE, profile)
     return queues
 
 
@@ -218,7 +214,7 @@ def evaluate_all(
 ) -> EvalTables:
     rel = relevance(records)
     first_kappa = config.ranking.kappas[0]
-    ra_name = f"risk_averse_k{_kappa_label(first_kappa)}"
+    ra_name = risk_averse_queue_name(first_kappa)
 
     metrics: list[MetricRow] = []
     for name, queue in queues.items():
@@ -229,7 +225,7 @@ def evaluate_all(
                 metrics.append(MetricRow(name, "pred", cutoff, ndcg_of_queue(pred, rel, cutoff)))
 
     bands = {
-        name: tuple(band_eval(queue, rel, config.evaluation.band_objects(), BAND_K))
+        name: tuple(band_eval(queue, rel, config.evaluation.band_objects()))
         for name, queue in queues.items()
     }
 
@@ -249,9 +245,7 @@ def evaluate_all(
         ScenarioSpec(kind, noise_sd=config.evaluation.noise_sd, seed=config.seed)
         for kind in config.evaluation.scenarios
     )
-    scenarios = tuple(
-        scenario_eval(records, specs, kappa=first_kappa, k=SCENARIO_K)
-    )
+    scenarios = tuple(scenario_eval(records, specs, kappa=first_kappa))
 
     sweep = None
     if config.evaluation.sweep:
@@ -263,7 +257,6 @@ def evaluate_all(
             defaults=config.heights,
             kappa=first_kappa,
             uf_scale=config.ranking.uf_scale,
-            cutoffs=SWEEP_CUTOFFS,
         )
 
     return EvalTables(
@@ -321,7 +314,7 @@ def _write_eval_csv(
 
 def write_eval(config: RunConfig, tables: EvalTables) -> list[Path]:
     d = tables.detector
-    baseline = f"risk_averse_k{_kappa_label(config.ranking.kappas[0])}"
+    baseline = risk_averse_queue_name(config.ranking.kappas[0])
     written = [
         _write_eval_csv(
             config, "detector.csv", "mode,accuracy,precision,recall,f1",

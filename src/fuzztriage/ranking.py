@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,9 +123,10 @@ def rank(
     return RankedQueue(method, kappa, alerts, scores, order)
 
 
-def kappa_sweep(alerts: AlertBatch, kappas: Iterable[float]) -> list[RankedQueue]:
-    """One risk-averse queue per kappa value, in the given order."""
-    return [rank(alerts, Method.RISK_AVERSE, RiskProfile(k)) for k in kappas]
+def risk_averse_queue_name(kappa: float) -> str:
+    """Name of the risk-averse queue at ``kappa``: kappas equal to 12
+    significant digits share one name, and so one queue file."""
+    return f"{Method.RISK_AVERSE.value}_k{kappa:.12g}"
 
 
 QUEUE_HEADER = ["rank", "id", "method", "score", "c", "sigma", "h", "p", "attack_class", "label"]

@@ -26,7 +26,7 @@ from fuzztriage.evaluation import (
     relevance,
 )
 from fuzztriage.pipeline import cmd_evaluate, cmd_stress
-from fuzztriage.ranking import Method, kappa_sweep, rank
+from fuzztriage.ranking import Method, RiskProfile, rank
 
 METHODS = ("severity_only", "confidence_only", "weighted_sum", "risk_averse_k1")
 
@@ -136,7 +136,7 @@ def test_criterion_03_ordering_invariances():
     for seed in range(2000, 2500):
         rng = np.random.default_rng(seed)
         records = random_batch(rng, n=int(rng.integers(2, 40)))
-        (zero_kappa,) = kappa_sweep(records, [0.0])
+        zero_kappa = rank(records, Method.RISK_AVERSE, RiskProfile(0.0))
         assert zero_kappa.ids() == rank(records, Method.SEVERITY_ONLY).ids()
 
 
@@ -146,7 +146,8 @@ def test_criterion_04_kappa_demotes_unreliable_severity():
         make_record(f"peer-{i}", core=8.0 + 0.1 * i, spread=1.0, height=0.95, p=0.95)
         for i in range(8)
     ]
-    queues = kappa_sweep(make_batch([target] + peers), (0.0, 0.5, 1.0, 1.5, 2.0))
+    batch = make_batch([target] + peers)
+    queues = [rank(batch, Method.RISK_AVERSE, RiskProfile(k)) for k in (0.0, 0.5, 1.0, 1.5, 2.0)]
     ranks = [next(a.rank for a in q if a.alert_id == "target") for q in queues]
     assert ranks[0] == 1
     assert all(later >= earlier for earlier, later in zip(ranks, ranks[1:]))

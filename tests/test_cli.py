@@ -10,10 +10,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzztriage import cli
-from fuzztriage.calibration import CALIBRATION_HEADER
+from fuzztriage.alerts import UNKNOWN_CLASS
+from fuzztriage.calibration import (
+    CALIBRATION_HEADER,
+    HEIGHT_FLOOR,
+    NOVEL_CLASS_HEIGHT,
+    HeightParams,
+    class_height,
+)
 from fuzztriage.config import (
     DetectorMode,
     artifact_stamp,
@@ -25,6 +33,7 @@ from fuzztriage.detector import DetectorReport
 from fuzztriage.errors import EvaluationError, ValidationError
 from fuzztriage.evaluation import (
     DEFAULT_SWEEP_GRID,
+    SWEEP_CUTOFFS,
     Band,
     BandResult,
     BootstrapResult,
@@ -35,7 +44,6 @@ from fuzztriage.evaluation import (
 )
 from fuzztriage.ingestion import SplitMode, SynthConfig, synth_generate, write_flow_csv
 from fuzztriage.pipeline import (
-    SWEEP_CUTOFFS,
     EvalTables,
     MetricRow,
     cmd_calibrate,
@@ -43,6 +51,7 @@ from fuzztriage.pipeline import (
     cmd_prepare,
     cmd_rank,
     cmd_stress,
+    flow_ids,
     write_eval,
 )
 from fuzztriage.ranking import Method
@@ -446,6 +455,62 @@ def cutoff_past_queue_end(out):
         assert ndcg[method, queue, "100000"] == ndcg[method, queue, "240"]
 
 
+def scores_text(ids):
+    """An ``id,p`` external scores file giving each of ``ids`` some p."""
+    return "id,p\n" + "".join(f"{i},{n * 37 % 100 / 100:g}\n" for n, i in enumerate(ids))
+
+
+def unmapped_attacks_text(n_rows=400):
+    """A flow CSV whose only attack label, ``Mystery-Attack``, maps to no class."""
+    rng = np.random.default_rng(7)
+    attack = rng.random(n_rows) < 0.25
+    features = rng.normal(0.0, 1.0, size=(n_rows, 3)) + 1.2 * attack[:, None]
+    rows = (
+        f"{a:.4f},{b:.4f},{c:.4f},{'Mystery-Attack' if is_attack else 'BENIGN'}\n"
+        for (a, b, c), is_attack in zip(features.tolist(), attack.tolist())
+    )
+    return "f1,f2,f3,Label\n" + "".join(rows)
+
+
+def full_external_scores(out):
+    # every alert carries the p its id has in the scores file
+    p_by_id = dict(line.split(",") for line in scores_text(flow_ids(300)).splitlines()[1:])
+    assert {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()} == EVALUATE_FILES
+    assert data_rows(out / "eval" / "detector.csv")[0].startswith("external_scores,")
+    rows = [line.split(",") for line in data_rows(out / "queues" / "queue_confidence_only.csv")]
+    assert len(rows) == len(data_rows(out / "splits" / "test.csv")) == 120
+    assert all(float(row[7]) == float(p_by_id[row[1]]) for row in rows)
+
+
+def unmapped_class_calibrated(out):
+    # the unmapped label becomes UNKNOWN_CLASS, which the validation split
+    # holds, so it ranks with a height calibrated from its F1, not the
+    # neutral NOVEL_CLASS_HEIGHT
+    heights = data_rows(out / "calibration" / "heights.csv")
+    table = {row.split(",")[0]: row.split(",") for row in heights}
+    f1, h_class = (float(v) for v in table[UNKNOWN_CLASS][6:8])
+    assert f"{h_class:.10g}" == f"{class_height(f1, HeightParams()):.10g}" == "0.8"
+    assert h_class != NOVEL_CLASS_HEIGHT
+    rows = [line.split(",") for line in data_rows(out / "queues" / "queue_risk_averse_k1.csv")]
+    novel = [row for row in rows if row[8] == UNKNOWN_CLASS]
+    assert novel
+    for row in novel:
+        assert row[6] == f"{max(min(h_class, float(row[7])), HEIGHT_FLOOR):.10g}"
+
+
+EXTERNAL_SCORES_INI = (
+    "[synth]\nn_flows = 300\n[detector]\nmode = external_scores\n"
+    "scores_path = {dir}/scores.csv\n"
+)
+
+# name -> files written beside the INI, whose directory "{dir}" names in the INI text
+DEGENERATE_INPUTS = {
+    "external_scores_full": {"scores.csv": scores_text(flow_ids(300))},
+    "external_scores_1pct": {"scores.csv": scores_text(flow_ids(3))},
+    "external_scores_0pct": {"scores.csv": scores_text(["elsewhere-0"])},
+    "only_unmapped_attacks": {"flows.csv": unmapped_attacks_text()},
+}
+
 # name -> (INI text, exit code of `evaluate`, stderr lines with "{ini}" for
 # the INI path, check of the output directory)
 DEGENERATE_RUNS = {
@@ -489,6 +554,20 @@ DEGENERATE_RUNS = {
         )
         for share in ("0", "1")
     },
+    "external_scores_full": (EXTERNAL_SCORES_INI, 0, [], full_external_scores),
+    "external_scores_1pct": (
+        EXTERNAL_SCORES_INI, 2,
+        ["error: external scores cover 1 of 60 validation ids (1.7%), below the 50% floor"],
+        nothing_written,
+    ),
+    "external_scores_0pct": (
+        EXTERNAL_SCORES_INI, 2,
+        ["error: external scores cover 0 of 60 validation ids (0.0%), below the 50% floor"],
+        nothing_written,
+    ),
+    "only_unmapped_attacks": (
+        "[dataset]\nsource = csv\npath = {dir}/flows.csv\n", 0, [], unmapped_class_calibrated,
+    ),
 }
 
 
@@ -500,8 +579,10 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("name", list(DEGENERATE_RUNS))
     def test_degenerate_input(self, tmp_path, name):
         ini_text, code, stderr_lines, check = DEGENERATE_RUNS[name]
+        for file_name, text in DEGENERATE_INPUTS.get(name, {}).items():
+            (tmp_path / file_name).write_text(text, encoding="utf-8")
         ini = tmp_path / "run.ini"
-        ini.write_text(ini_text, encoding="utf-8")
+        ini.write_text(ini_text.replace("{dir}", str(tmp_path)), encoding="utf-8")
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "fuzztriage.cli", "evaluate", "--config", str(ini),

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from fuzztriage.detector import (
+    ATTACK_THRESHOLD,
+    MIN_SCORE_COVERAGE,
+    DetectorConfig,
     DetectorReport,
     LinearModel,
-    TrainConfig,
     flags_only_subset,
     load_external_scores,
     load_model,
@@ -53,7 +55,7 @@ class TestTraining:
     def test_separable_toy_set(self):
         X, y = toy_separable()
         model = train_lr(X, y)
-        assert np.array_equal(model.predict(X), y)
+        assert np.array_equal(model.predict_proba(X) >= ATTACK_THRESHOLD, y == 1)
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
@@ -84,21 +86,19 @@ class TestTraining:
             train_lr(X, y, feature_names=["f0"])
 
     def test_bad_config(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(l2_c=0.0)
-        with pytest.raises(ValidationError):
-            TrainConfig(l2_c=float("nan"))
-        with pytest.raises(ValidationError):
-            TrainConfig(max_iters=0)
-        with pytest.raises(ValidationError):
-            TrainConfig(tol=float("nan"))
-        with pytest.raises(ValidationError):
-            TrainConfig(class_weighting="focal")
+        with pytest.raises(ValidationError, match="l2_c must be positive"):
+            DetectorConfig(l2_c=0.0)
+        with pytest.raises(ValidationError, match="l2_c must be positive"):
+            DetectorConfig(l2_c=float("nan"))
+        with pytest.raises(ValidationError, match="max_iters must be >= 1"):
+            DetectorConfig(max_iters=0)
+        with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+            DetectorConfig(tol=float("nan"))
 
     def test_unconverged_solver_warns(self, caplog):
         X, y = imbalanced_set()
         with caplog.at_level(logging.WARNING, logger="fuzztriage.detector"):
-            train_lr(X, y, TrainConfig(max_iters=1, tol=0.0))
+            train_lr(X, y, DetectorConfig(max_iters=1, tol=0.0))
         (message,) = [r.getMessage() for r in caplog.records]
         assert message.startswith(
             "detector solver stopped after 1 iterations without reaching tol 0:"
@@ -121,9 +121,6 @@ class TestBalancedWeights:
         w = sample_weights(y)
         assert w[y == 0].sum() == pytest.approx(w[y == 1].sum())
 
-    def test_uniform_mode(self):
-        assert np.array_equal(sample_weights(np.array([0, 1, 1]), "none"), np.ones(3))
-
     def test_missing_class_rejected(self):
         with pytest.raises(TrainingError):
             sample_weights(np.zeros(3, dtype=int))
@@ -138,7 +135,7 @@ class TestBalancedWeights:
         y = np.array([0, 0, 0, 0, 1, 1])
         w0 = np.zeros(2)
 
-        sw = sample_weights(y, "balanced")
+        sw = sample_weights(y)
         loss_bal, gw_bal, gb_bal = logistic_loss_gradient(X, y, w0, 0.0, sw, lam=1.0)
 
         minority = np.flatnonzero(y == 1)
@@ -272,9 +269,26 @@ class TestExternalScores:
 
     def test_defaults_for_missing(self, caplog):
         with caplog.at_level(logging.WARNING):
-            values = scores_with_defaults(["a", "b"], {"a": 0.9})
+            values = scores_with_defaults(["a", "b"], {"a": 0.9}, "test")
         assert values == [0.9, 0.5]
         assert any("missing" in r.getMessage() for r in caplog.records)
+
+    def test_coverage_below_floor_names_split(self, caplog):
+        assert MIN_SCORE_COVERAGE == 0.5
+        ids = [f"flow-{i}" for i in range(7)]
+        with caplog.at_level(logging.WARNING):
+            with pytest.raises(ValidationError) as info:
+                scores_with_defaults(ids, {"flow-0": 0.9, "flow-1": 0.2, "flow-6": 0.7},
+                                     "validation")
+        assert str(info.value) == (
+            "external scores cover 3 of 7 validation ids (42.9%), below the 50% floor"
+        )
+        assert caplog.records == []  # the error replaces the missing-ids warning
+        four = {f"flow-{i}": 0.5 for i in range(4)}
+        assert len(scores_with_defaults(ids, four, "test")) == 7
+
+    def test_no_ids_need_no_scores(self):
+        assert scores_with_defaults([], {"a": 0.9}, "test") == []
 
 
 class TestPersistence:

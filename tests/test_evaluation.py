@@ -146,11 +146,6 @@ class TestPredictedQueue:
         records = make_batch([make_record("a", 9.0, 1.0, 0.9, 0.4)])
         assert len(predicted_queue(rank(records, Method.SEVERITY_ONLY))) == 0
 
-    def test_custom_threshold(self):
-        records = make_batch([make_record("a", 9.0, 1.0, 0.9, 0.4)])
-        queue = predicted_queue(rank(records, Method.SEVERITY_ONLY), threshold=0.3)
-        assert queue.ids() == ("a",)
-
 
 class TestBands:
     def test_half_open_semantics(self):

@@ -19,7 +19,6 @@ from fuzztriage.ranking import (
     Method,
     RankedQueue,
     RiskProfile,
-    kappa_sweep,
     method_scores,
     minmax_norm,
     rank,
@@ -171,6 +170,11 @@ class TestRankMechanics:
         assert queue.kappa is None
 
 
+def kappa_queues(alerts, kappas):
+    """One risk-averse queue of ``alerts`` per kappa, in the given order."""
+    return [rank(alerts, Method.RISK_AVERSE, RiskProfile(k)) for k in kappas]
+
+
 class TestKappaSweep:
     def test_low_height_alert_degrades_monotonically(self):
         alerts = [make_record("target", 9.5, 1.4, 0.05, 0.05)]
@@ -178,7 +182,7 @@ class TestKappaSweep:
             make_record(f"peer-{i}", 8.0 + 0.1 * i, 1.2, 0.95, 0.95) for i in range(8)
         ]
         ranks = []
-        for queue in kappa_sweep(make_batch(alerts), [0.0, 0.5, 1.0, 1.5, 2.0]):
+        for queue in kappa_queues(make_batch(alerts), [0.0, 0.5, 1.0, 1.5, 2.0]):
             position = {a.alert_id: a.rank for a in queue}
             ranks.append(position["target"])
         assert ranks[0] == 1
@@ -186,19 +190,20 @@ class TestKappaSweep:
         assert ranks[-1] > ranks[0]
 
     def test_single_kappa_matches_direct_call(self, rng):
+        # the batch caches log10_height and id_rank on first use; queues at
+        # other kappas first must not change the kappa 1 queue of the batch
         alerts = random_batch(rng, 20)
-        swept = kappa_sweep(alerts, [1.0])
-        direct = rank(alerts, Method.RISK_AVERSE, RiskProfile(1.0))
-        assert len(swept) == 1
-        assert swept[0].ids() == direct.ids()
-        assert [a.score for a in swept[0]] == [a.score for a in direct]
+        swept = kappa_queues(alerts, [0.0, 2.0, 1.0])[-1]
+        direct = rank(make_batch(list(alerts)), Method.RISK_AVERSE, RiskProfile(1.0))
+        assert swept.ids() == direct.ids()
+        assert [a.score for a in swept] == [a.score for a in direct]
 
     def test_full_height_neutralizes_kappa(self, rng):
         alerts = make_batch(
             make_record(f"a{i}", float(c), max(float(c) * 0.2, 1e-6), 1.0, 0.9)
             for i, c in enumerate(np.random.default_rng(3).uniform(1, 10, size=15))
         )
-        queues = kappa_sweep(alerts, [0.0, 1.0, 2.0])
+        queues = kappa_queues(alerts, [0.0, 1.0, 2.0])
         assert queues[0].ids() == queues[1].ids() == queues[2].ids()
 
 
