@@ -10,7 +10,7 @@ own probability), producing one subnormal Gaussian fuzzy number per alert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -283,11 +283,59 @@ class AlertBatch:
         rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
         return _read_only(rank)
 
+    @cached_property
+    def _class_index(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The distinct classes in order of first appearance, and the
+        position of each alert's class among them."""
+        index = {c: k for k, c in enumerate(dict.fromkeys(self.classes))}
+        of_class = np.fromiter(map(index.__getitem__, self.classes), dtype=np.intp, count=len(self))
+        return tuple(index), of_class
+
+    def _derive(self, **columns: np.ndarray) -> AlertBatch:
+        """The same alerts with ``columns`` replaced. The ids are not checked
+        again and what is derived from them is kept, as is ``log10_height``
+        unless ``height`` is replaced."""
+        batch = object.__new__(AlertBatch)
+        batch.__dict__.update(self.__dict__)
+        if "height" in columns:
+            batch.__dict__.pop("log10_height", None)
+        for name, column in columns.items():
+            column = np.array(column, dtype=float)
+            if column.shape != (len(self),):
+                raise ValidationError("alert batch columns must all have one entry per id")
+            batch.__dict__[name] = _read_only(column)
+        return batch
+
     def with_p(self, p: Sequence[float] | np.ndarray) -> AlertBatch:
         """The same alerts under new probabilities: ``p`` and the capped
         ``height`` are recomputed, every other column is held fixed."""
         p = np.asarray(p, dtype=float)
-        return replace(self, p=p, height=instance_height(self.h_class, p))
+        return self._derive(p=p, height=instance_height(self.h_class, p))
+
+    def with_class_heights(self, heights: Mapping[str, float]) -> AlertBatch:
+        """The same alerts under the class heights ``heights``, where a class
+        absent from it gets :data:`~fuzztriage.calibration.NOVEL_CLASS_HEIGHT`:
+        ``h_class`` and the capped ``height`` are recomputed."""
+        classes, of_class = self._class_index
+        class_heights = [heights.get(c, NOVEL_CLASS_HEIGHT) for c in classes]
+        h_class = np.array(class_heights, dtype=float)[of_class]
+        return self._derive(h_class=h_class, height=instance_height(h_class, self.p))
+
+    def with_uf_scale(
+        self, catalog: Mapping[str, AttackClassProfile], uf_scale: float
+    ) -> AlertBatch:
+        """The same alerts under the uf scale ``uf_scale``: ``uf`` is the
+        class's catalog uf times the scale, which must lie in (0, 0.5], and
+        ``spread`` follows. ``catalog`` is the one the batch was built from."""
+        check_uf_scale(uf_scale)
+        classes, of_class = self._class_index
+        class_uf = [resolve_profile(c, catalog).uf for c in classes]
+        for c, scaled in zip(classes, (uf * uf_scale for uf in class_uf)):
+            if not (0.0 < scaled <= 0.5):
+                raise ValidationError(f"scaled uf {scaled!r} for class {c!r} outside (0, 0.5]")
+        uf = (np.array(class_uf) * uf_scale)[of_class]
+        spread = np.where(self.core * uf > 0.0, self.core * uf, SPREAD_FLOOR)
+        return self._derive(uf=uf, spread=spread)
 
 
 def assemble(
@@ -310,22 +358,11 @@ def assemble(
     by the contextual factor and the spread is the core scaled by the
     uncertainty factor; a zero core gets the spread :data:`SPREAD_FLOOR`.
     """
-    check_uf_scale(uf_scale)
     fields = ("alert_id", "attack_class", "p", "label", "criticality")
     ids, classes, p, labels, criticalities = (tuple(map(attrgetter(f), alerts)) for f in fields)
-    profiles = {c: resolve_profile(c, catalog) for c in dict.fromkeys(classes)}
-    for c, profile in profiles.items():
-        scaled = profile.uf * uf_scale
-        if not (0.0 < scaled <= 0.5):
-            raise ValidationError(f"scaled uf {scaled!r} for class {c!r} outside (0, 0.5]")
-    index = {c: k for k, c in enumerate(profiles)}
-    of_class = np.fromiter(map(index.__getitem__, classes), dtype=np.intp, count=len(classes))
-    p = np.array(p, dtype=float)
     cf = contextual_factors(ids, classes, criticalities, cf_mode)
-    uf = np.array([profile.uf for profile in profiles.values()])[of_class] * uf_scale
-    class_heights = [heights.get(c, NOVEL_CLASS_HEIGHT) for c in profiles]
-    h_class = np.array(class_heights, dtype=float)[of_class]
-    core = np.array([profile.cvss for profile in profiles.values()])[of_class] * cf
-    spread = np.where(core * uf > 0.0, core * uf, SPREAD_FLOOR)
-    height = instance_height(h_class, p)
-    return AlertBatch(ids, classes, labels, p, cf, uf, h_class, core, spread, height)
+    cvss = {c: resolve_profile(c, catalog).cvss for c in dict.fromkeys(classes)}
+    core = np.array(list(map(cvss.__getitem__, classes)), dtype=float) * cf
+    unset = np.zeros(len(ids))  # columns the two transforms fill in
+    batch = AlertBatch(ids, classes, labels, p, cf, unset, unset, core, unset, unset)
+    return batch.with_uf_scale(catalog, uf_scale).with_class_heights(heights)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alerts import Alert, AlertBatch, AttackClassProfile, CfMode, assemble
+from .alerts import AlertBatch, AttackClassProfile
 from .calibration import HeightParams, heights_from_f1
 from .detector import ATTACK_THRESHOLD
 from .errors import EvaluationError, ValidationError
@@ -290,8 +290,6 @@ DEFAULT_SWEEP_GRID: dict[str, tuple[float, ...]] = {
     "kappa": (0.0, 0.5, 1.0, 1.5, 2.0),
 }
 
-_HEIGHT_PARAM_NAMES = ("alpha", "h_min", "h_max")
-
 SWEEP_CUTOFFS = (10, 100)
 
 
@@ -311,57 +309,57 @@ class SweepReport:
 
 
 def sensitivity_sweep(
-    alerts: Sequence[Alert],
+    records: AlertBatch,
     catalog: Mapping[str, AttackClassProfile],
     f1_by_class: Mapping[str, float],
     grid: Mapping[str, Sequence[float]] | None = None,
     *,
-    cf_mode: CfMode = CfMode.CONTINUOUS,
     defaults: HeightParams = HeightParams(),
     kappa: float = 1.0,
-    uf_scale: float = 1.0,
     cutoffs: Sequence[int] = SWEEP_CUTOFFS,
 ) -> SweepReport:
     """One-at-a-time sensitivity sweep of the risk-averse predicted queue.
 
-    Each grid point re-assembles ``alerts`` with class heights derived from
-    ``f1_by_class``, varying a single parameter while the others stay at
-    their defaults. Relevance is computed once from the default assembly, so
-    grid points are scored against a fixed target.
+    ``records`` must be assembled from ``catalog`` with the class heights
+    ``heights_from_f1(f1_by_class, defaults)``, and its uf scale is the
+    default one. Each point varies one parameter: a κ point ranks ``records``
+    as it is, a height point ``records.with_class_heights(...)`` and a
+    ``uf_scale`` point ``records.with_uf_scale(catalog, value)``. Relevance
+    comes from ``records``, one fixed target for every point. Records of
+    other class heights, an empty grid, a parameter with no values and empty
+    ``cutoffs`` are each a :class:`ValidationError`.
     """
-    if grid is None:
-        grid = DEFAULT_SWEEP_GRID
-    for name in grid:
-        if name not in (*_HEIGHT_PARAM_NAMES, "uf_scale", "kappa"):
-            raise ValidationError(f"unknown sweep parameter {name!r}")
-
-    def assemble_with(params: HeightParams, scale: float) -> AlertBatch:
-        heights = heights_from_f1(f1_by_class, params)
-        return assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=scale)
-
-    rel = relevance(assemble_with(defaults, uf_scale))
-
-    points: list[SweepPoint] = []
-    parameter_spread: dict[str, tuple[float, ...]] = {}
+    grid = DEFAULT_SWEEP_GRID if grid is None else grid
+    for what, given in (("grid", grid), ("cutoffs", cutoffs)):
+        if len(given) == 0:
+            raise ValidationError(f"sweep {what} must not be empty")
     for name, values in grid.items():
-        param_points: list[SweepPoint] = []
-        for value in values:
-            params = defaults
-            scale, kap = uf_scale, kappa
-            if name in _HEIGHT_PARAM_NAMES:
-                params = replace(defaults, **{name: float(value)})
+        if name not in DEFAULT_SWEEP_GRID:
+            raise ValidationError(f"unknown sweep parameter {name!r}")
+        if len(values) == 0:
+            raise ValidationError(f"sweep parameter {name!r} has no values")
+    heights = heights_from_f1(f1_by_class, defaults)
+    if not np.array_equal(records.h_class, records.with_class_heights(heights).h_class):
+        raise ValidationError("sweep records must carry the heights of f1_by_class at defaults")
+
+    rel = relevance(records)
+    points: list[SweepPoint] = []
+    for name, values in grid.items():
+        for value in map(float, values):
+            batch, kap = records, kappa
+            if name == "kappa":
+                kap = value
             elif name == "uf_scale":
-                scale = float(value)
+                batch = records.with_uf_scale(catalog, value)
             else:
-                kap = float(value)
-            records = assemble_with(params, scale)
-            queue = predicted_queue(rank(records, Method.RISK_AVERSE, RiskProfile(kap)))
+                params = replace(defaults, **{name: value})
+                batch = records.with_class_heights(heights_from_f1(f1_by_class, params))
+            queue = predicted_queue(rank(batch, Method.RISK_AVERSE, RiskProfile(kap)))
             if len(queue) == 0:
                 raise EvaluationError("sensitivity sweep: predicted queue is empty")
             ndcgs = tuple(ndcg_of_queue(queue, rel, k) for k in cutoffs)
-            param_points.append(SweepPoint(name, float(value), ndcgs))
-        points.extend(param_points)
-        parameter_spread[name] = _spread(param_points)
+            points.append(SweepPoint(name, value, ndcgs))
+    parameter_spread = {name: _spread([p for p in points if p.parameter == name]) for name in grid}
     return SweepReport(tuple(cutoffs), tuple(points), _spread(points), parameter_spread)
 
 

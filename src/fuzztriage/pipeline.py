@@ -158,9 +158,9 @@ def build_alerts(
     prep: PreparedData,
     detector_out: DetectorOutput,
     table: Mapping[str, CalibrationRow],
-) -> tuple[AlertBatch, dict[str, AttackClassProfile], list[Alert]]:
+) -> tuple[AlertBatch, dict[str, AttackClassProfile]]:
     """Turn the test split into an alert batch with fuzzy severities; the
-    catalog and the alerts are returned for re-assembly by the sweep."""
+    catalog is returned for the sweep's uf points."""
     te = prep.split.test_idx
     columns = (te.tolist(), detector_out.p_test.tolist(), binary_labels(prep.classes)[te].tolist())
     alerts = [Alert(prep.ids[i], prep.classes[i], p, label=y) for i, p, y in zip(*columns)]
@@ -168,7 +168,7 @@ def build_alerts(
     heights = {cls: row.h_class for cls, row in table.items()}
     ranking = config.ranking
     records = assemble(alerts, catalog, heights, cf_mode=ranking.cf_mode, uf_scale=ranking.uf_scale)
-    return records, catalog, alerts
+    return records, catalog
 
 
 def rank_all(config: RunConfig, records: AlertBatch) -> dict[str, RankedQueue]:
@@ -209,7 +209,6 @@ def evaluate_all(
     table: Mapping[str, CalibrationRow],
     records: AlertBatch,
     catalog: Mapping[str, AttackClassProfile],
-    alerts: Sequence[Alert],
     queues: Mapping[str, RankedQueue],
 ) -> EvalTables:
     rel = relevance(records)
@@ -250,13 +249,11 @@ def evaluate_all(
     sweep = None
     if config.evaluation.sweep:
         sweep = sensitivity_sweep(
-            alerts,
+            records,
             catalog,
             {cls: row.metrics.f1 for cls, row in table.items()},
-            cf_mode=config.ranking.cf_mode,
             defaults=config.heights,
             kappa=first_kappa,
-            uf_scale=config.ranking.uf_scale,
         )
 
     return EvalTables(
@@ -446,11 +443,11 @@ def cmd_rank(config: RunConfig, evaluate: bool = False) -> RunOutput:
     prep = prepare_data(config)
     detector_out = run_detector(config, prep)
     table = calibrate_heights(config, prep, detector_out)
-    records, catalog, alerts = build_alerts(config, prep, detector_out, table)
+    records, catalog = build_alerts(config, prep, detector_out, table)
     queues = rank_all(config, records)
     tables = None
     if evaluate:
-        tables = evaluate_all(config, detector_out, table, records, catalog, alerts, queues)
+        tables = evaluate_all(config, detector_out, table, records, catalog, queues)
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
     written.extend(write_queues(config, queues))

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_batch, make_record
 from fuzztriage.alerts import (
@@ -497,3 +497,92 @@ class TestAssembleMatchesScalarReference:
             for c, s, h in zip(core.tolist(), spread.tolist(), height.tolist())
         ]
         assert_bits(method_scores(batch, Method.RISK_AVERSE, RiskProfile(kappa)), reference)
+
+
+heights_maps = st.dictionaries(
+    st.sampled_from(SAMPLE_CLASSES),
+    st.one_of(st.sampled_from([HEIGHT_FLOOR, 1.0]), st.floats(0.0, 1.0, exclude_min=True)),
+)
+
+
+def assert_same_batch(batch, fresh):
+    assert (batch.ids, batch.classes, batch.labels) == (fresh.ids, fresh.classes, fresh.labels)
+    for name in ("p", "cf", "uf", "h_class", "core", "spread", "height", "log10_height"):
+        assert_bits(getattr(batch, name), getattr(fresh, name))
+    assert batch.id_rank.tolist() == fresh.id_rank.tolist()
+
+
+def rebuilt(batch):
+    """The batch's columns in a new batch, so that nothing derived is carried."""
+    return AlertBatch(**{f.name: getattr(batch, f.name) for f in dataclasses.fields(batch)})
+
+
+# One class the catalog lacks and one the heights lack, so both fallbacks run.
+FALLBACK_ALERTS = (
+    [Alert("q", "QuantumExfil", 0.7, label=1), Alert("d", "DoS", 0.9, label=0)],
+    {"DoS": 0.8},
+)
+
+
+class TestBatchTransforms:
+    """Each transform equals a fresh assembly bit for bit, derived columns
+    included, and carries over what it leaves valid."""
+
+    @given(
+        assembly_inputs(),
+        st.sampled_from(list(CfMode)),
+        st.sampled_from([0.5, 1.0, 1.2]),
+        heights_maps,
+        st.sampled_from([0.5, 0.8, 1.0, 1.2, 1.4]),
+    )
+    @example(FALLBACK_ALERTS, CfMode.CATEGORICAL, 1.2, {"QuantumExfil": 0.3}, 0.8)
+    @example(FALLBACK_ALERTS, CfMode.CONTINUOUS, 1.0, {}, 1.4)
+    @settings(max_examples=200, deadline=None)
+    def test_transforms_equal_fresh_assembly(self, inputs, cf_mode, uf_scale, heights2, scale2):
+        alerts, heights = inputs
+        catalog = load_catalog()
+        base = assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=uf_scale)
+        log10_height, id_rank = base.log10_height, base.id_rank
+
+        by_heights = base.with_class_heights(heights2)
+        fresh = assemble(alerts, catalog, heights2, cf_mode=cf_mode, uf_scale=uf_scale)
+        assert_same_batch(by_heights, fresh)
+        assert by_heights.id_rank is id_rank
+
+        by_scale = base.with_uf_scale(catalog, scale2)
+        fresh = assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=scale2)
+        assert_same_batch(by_scale, fresh)
+        assert by_scale.id_rank is id_rank and by_scale.log10_height is log10_height
+
+    @given(assembly_inputs(), st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_with_p_carries_id_rank(self, inputs, shift):
+        alerts, heights = inputs
+        base = assemble(alerts, load_catalog(), heights)
+        id_rank = base.id_rank
+        shifted = base.with_p(np.minimum(base.p + shift, 1.0))
+        assert shifted.id_rank is id_rank
+        assert_same_batch(shifted, rebuilt(shifted))
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan"), 1.5, 3.0])
+    def test_uf_scale_errors_match_assemble(self, scale):
+        alerts, heights = FALLBACK_ALERTS
+        catalog = load_catalog()
+        with pytest.raises(ValidationError) as expected:
+            assemble(alerts, catalog, heights, uf_scale=scale)
+        with pytest.raises(ValidationError) as got:
+            assemble(alerts, catalog, heights).with_uf_scale(catalog, scale)
+        assert str(got.value) == str(expected.value)
+
+    def test_class_height_errors_match_assemble(self):
+        alerts, _ = FALLBACK_ALERTS
+        with pytest.raises(ValidationError) as expected:
+            assemble(alerts, load_catalog(), {"DoS": 1.5})
+        with pytest.raises(ValidationError) as got:
+            assemble(alerts, load_catalog(), {}).with_class_heights({"DoS": 1.5})
+        assert str(got.value) == str(expected.value)
+
+    def test_with_p_length_mismatch_rejected(self):
+        alerts, heights = FALLBACK_ALERTS
+        with pytest.raises(ValidationError, match="one entry per id"):
+            assemble(alerts, load_catalog(), heights).with_p(0.5)

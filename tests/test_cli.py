@@ -677,3 +677,53 @@ class TestWriteEvalBytes:
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_bytes(self, written, name):
         assert written[name] == self.STAMP + self.EXPECTED[name]
+
+
+class TestSweepCsvBytes:
+    """The sweep CSV of a small categorical evaluate run at uf scale 1.2,
+    pinned byte for byte below its stamp line."""
+
+    INI = (
+        "[synth]\nn_flows = 600\n\n"
+        "[ranking]\ncf_mode = categorical\nuf_scale = 1.2\n\n"
+        "[evaluation]\nsweep = true\nbootstrap_k = 50\nbootstrap_resamples = 200\n"
+    )
+    EXPECTED = (
+        b"kind,parameter,value,ndcg_at10_pred,ndcg_at100_pred\n"
+        b"point,alpha,0.5,0.960353924,0.9719906671\n"
+        b"point,alpha,0.7,0.960353924,0.9719906671\n"
+        b"point,alpha,0.9,0.9602404674,0.9718887401\n"
+        b"point,alpha,0.95,0.9602404674,0.9718887401\n"
+        b"point,h_min,0.01,0.9602404674,0.9718887401\n"
+        b"point,h_min,0.05,0.9602404674,0.9718887401\n"
+        b"point,h_min,0.1,0.9602404674,0.9718887401\n"
+        b"point,h_max,0.9,0.9602404674,0.9718887401\n"
+        b"point,h_max,0.95,0.9602404674,0.9718887401\n"
+        b"point,h_max,0.99,0.9602404674,0.9718887401\n"
+        b"point,uf_scale,0.8,0.960353924,0.9719906671\n"
+        b"point,uf_scale,1,0.960353924,0.9719906671\n"
+        b"point,uf_scale,1.2,0.9602404674,0.9718887401\n"
+        b"point,kappa,0,0.960353924,0.9719906671\n"
+        b"point,kappa,0.5,0.9602404674,0.9718887401\n"
+        b"point,kappa,1,0.9602404674,0.9718887401\n"
+        b"point,kappa,1.5,0.9578563185,0.9718137405\n"
+        b"point,kappa,2,0.9578563185,0.9719899137\n"
+        b"parameter_spread,alpha,,0.0001134566483,0.00010192703\n"
+        b"parameter_spread,h_min,,0,0\n"
+        b"parameter_spread,h_max,,0,0\n"
+        b"parameter_spread,uf_scale,,0.0001134566483,0.00010192703\n"
+        b"parameter_spread,kappa,,0.002497605502,0.0001769265959\n"
+        b"overall_spread,,,0.002497605502,0.0001769265959\n"
+    )
+
+    def test_bytes(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(self.INI, encoding="utf-8")
+        out = tmp_path / "out"
+        rc = cli.main(
+            ["evaluate", "--config", str(ini), "--out", str(out), "--kappa", "0.5,1"]
+        )
+        assert rc == 0
+        stamp, rest = (out / "eval" / "sweep.csv").read_bytes().split(b"\n", 1)
+        assert stamp.startswith(b"# config_hash=")
+        assert rest == self.EXPECTED

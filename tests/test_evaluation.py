@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_batch, make_record, random_batch
-from fuzztriage.alerts import Alert, Criticality, load_catalog
-from fuzztriage.calibration import instance_height
+from fuzztriage.alerts import Alert, CfMode, Criticality, assemble, load_catalog
+from fuzztriage.calibration import HeightParams, heights_from_f1, instance_height
 from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import EvaluationError, ValidationError
 from fuzztriage.evaluation import (
@@ -19,6 +20,9 @@ from fuzztriage.evaluation import (
     ScenarioKind,
     ScenarioResult,
     ScenarioSpec,
+    SWEEP_CUTOFFS,
+    SweepPoint,
+    SweepReport,
     apply_scenario,
     band_eval,
     dcg_at_k,
@@ -473,18 +477,81 @@ class TestScenarioEval:
         assert zero.change_pct is None
 
 
-def sweep_fixture():
+SWEEP_ALERTS = (
+    Alert("a1", "DoS", 0.9, label=1, criticality=Criticality.IMPORTANT),
+    Alert("a2", "PortScan", 0.8, label=1, criticality=Criticality.NON_CRITICAL),
+    Alert("a3", "DoS", 0.7, label=0, criticality=Criticality.IMPORTANT),
+    Alert("a4", "Bot", 0.6, label=1, criticality=Criticality.CRITICAL),
+    Alert("a5", "DDoS", 0.55, label=1, criticality=Criticality.IMPORTANT),
+    Alert("a6", "PortScan", 0.3, label=0, criticality=Criticality.ISOLATED),
+)
+SWEEP_F1 = {"DoS": 0.7, "PortScan": 0.55, "Bot": 0.8, "DDoS": 0.6}
+
+
+def sweep_fixture(alerts=SWEEP_ALERTS, f1=SWEEP_F1):
     catalog = load_catalog(None)
-    alerts = (
-        Alert("a1", "DoS", 0.9, label=1, criticality=Criticality.IMPORTANT),
-        Alert("a2", "PortScan", 0.8, label=1, criticality=Criticality.NON_CRITICAL),
-        Alert("a3", "DoS", 0.7, label=0, criticality=Criticality.IMPORTANT),
-        Alert("a4", "Bot", 0.6, label=1, criticality=Criticality.CRITICAL),
-        Alert("a5", "DDoS", 0.55, label=1, criticality=Criticality.IMPORTANT),
-        Alert("a6", "PortScan", 0.3, label=0, criticality=Criticality.ISOLATED),
-    )
-    f1 = {"DoS": 0.7, "PortScan": 0.55, "Bot": 0.8, "DDoS": 0.6}
-    return alerts, catalog, f1
+    return assemble(alerts, catalog, heights_from_f1(f1)), catalog, f1
+
+
+def reference_sweep(
+    alerts, catalog, f1_by_class, grid, *, cf_mode=CfMode.CONTINUOUS,
+    defaults=HeightParams(), kappa=1.0, uf_scale=1.0, cutoffs=SWEEP_CUTOFFS,
+):
+    """The sweep as first written: each grid point assembles the alerts anew."""
+    def assemble_with(params, scale):
+        heights = heights_from_f1(f1_by_class, params)
+        return assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=scale)
+
+    def spread(points):
+        ndcg = np.array([p.ndcg_by_cutoff for p in points])
+        return tuple((ndcg.max(axis=0) - ndcg.min(axis=0)).tolist())
+
+    rel = relevance(assemble_with(defaults, uf_scale))
+    points, parameter_spread = [], {}
+    for name, values in grid.items():
+        param_points = []
+        for value in values:
+            params, scale, kap = defaults, uf_scale, kappa
+            if name in ("alpha", "h_min", "h_max"):
+                params = dataclasses.replace(defaults, **{name: float(value)})
+            elif name == "uf_scale":
+                scale = float(value)
+            else:
+                kap = float(value)
+            records = assemble_with(params, scale)
+            queue = predicted_queue(rank(records, Method.RISK_AVERSE, RiskProfile(kap)))
+            if len(queue) == 0:
+                raise EvaluationError("sensitivity sweep: predicted queue is empty")
+            ndcgs = tuple(ndcg_of_queue(queue, rel, k) for k in cutoffs)
+            param_points.append(SweepPoint(name, float(value), ndcgs))
+        points.extend(param_points)
+        parameter_spread[name] = spread(param_points)
+    return SweepReport(tuple(cutoffs), tuple(points), spread(points), parameter_spread)
+
+
+def outcome(run):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return run()
+    except (ValidationError, EvaluationError) as exc:
+        return type(exc), str(exc)
+
+
+# Grid values for each parameter; uf scale 1.5 takes Infiltration and the
+# classes the catalog lacks past a uf of 0.5.
+SWEEP_VALUES = {
+    "alpha": (0.5, 0.7, 0.9, 1.0),
+    "h_min": (0.01, 0.05, 0.1),
+    "h_max": (0.9, 0.95, 0.99),
+    "uf_scale": (0.8, 1.0, 1.2, 1.5),
+    "kappa": (0.0, 0.5, 1.0, 1.5, 2.0),
+}
+sweep_grids = st.lists(st.sampled_from(list(SWEEP_VALUES)), min_size=1, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({
+        name: st.lists(st.sampled_from(SWEEP_VALUES[name]), min_size=1, max_size=3)
+        for name in names
+    })
+)
 
 
 class TestSensitivitySweep:
@@ -514,7 +581,73 @@ class TestSensitivitySweep:
             )
 
     def test_empty_predicted_queue_rejected(self):
-        catalog = load_catalog(None)
         alerts = (Alert("a1", "DoS", 0.2, label=1, criticality=Criticality.CRITICAL),)
         with pytest.raises(EvaluationError):
-            sensitivity_sweep(alerts, catalog, {"DoS": 0.7}, {"alpha": (0.9,)})
+            sensitivity_sweep(*sweep_fixture(alerts, {"DoS": 0.7}), {"alpha": (0.9,)})
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError, match="sweep grid must not be empty"):
+            sensitivity_sweep(*sweep_fixture(), {})
+
+    def test_parameter_without_values_rejected(self):
+        with pytest.raises(ValidationError, match="sweep parameter 'h_max' has no values"):
+            sensitivity_sweep(*sweep_fixture(), {"alpha": (0.9,), "h_max": ()})
+
+    def test_no_cutoffs_rejected(self):
+        with pytest.raises(ValidationError, match="sweep cutoffs must not be empty"):
+            sensitivity_sweep(*sweep_fixture(), {"alpha": (0.9,)}, cutoffs=())
+
+    def test_records_of_other_heights_rejected(self):
+        records, catalog, f1 = sweep_fixture()
+        with pytest.raises(ValidationError, match="heights of f1_by_class"):
+            sensitivity_sweep(records, catalog, f1, defaults=HeightParams(alpha=0.5))
+
+    def test_uf_value_past_half_matches_reference(self):
+        # Infiltration's catalog uf 0.35 leaves (0, 0.5] at scale 1.5.
+        alerts = (*SWEEP_ALERTS, Alert("a7", "Infiltration", 0.95, label=1))
+        f1 = {**SWEEP_F1, "Infiltration": 0.9}
+        grid = {"kappa": (0.5,), "uf_scale": (1.2, 1.5)}
+        expected = outcome(lambda: reference_sweep(alerts, load_catalog(), f1, grid))
+        assert expected == (
+            ValidationError, f"scaled uf {0.35 * 1.5!r} for class 'Infiltration' outside (0, 0.5]"
+        )
+        assert outcome(lambda: sensitivity_sweep(*sweep_fixture(alerts, f1), grid)) == expected
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["DoS", "PortScan", "Infiltration", "benign", "QuantumExfil"]),
+                st.floats(0.0, 1.0),
+                st.sampled_from([0, 1]),
+                st.one_of(st.none(), st.sampled_from(list(Criticality))),
+            ),
+            min_size=3, max_size=30,
+        ),
+        st.dictionaries(
+            st.sampled_from(["DoS", "PortScan", "Infiltration", "benign"]), st.floats(0.0, 1.0)
+        ),
+        sweep_grids,
+        st.sampled_from(list(CfMode)),
+        st.sampled_from([0.8, 1.0, 1.2]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.sampled_from([(10, 100), (1,), (3, 5)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reassembling_reference(
+        self, rows, f1, grid, cf_mode, uf_scale, kappa, cutoffs
+    ):
+        alerts = [Alert(f"a{i}", c, p, label=y, criticality=crit)
+                  for i, (c, p, y, crit) in enumerate(rows)]
+        catalog = load_catalog()
+        defaults = HeightParams(alpha=0.8, h_min=0.05, h_max=0.9)
+        records = assemble(
+            alerts, catalog, heights_from_f1(f1, defaults), cf_mode=cf_mode, uf_scale=uf_scale
+        )
+        expected = outcome(lambda: reference_sweep(
+            alerts, catalog, f1, grid, cf_mode=cf_mode, defaults=defaults, kappa=kappa,
+            uf_scale=uf_scale, cutoffs=cutoffs,
+        ))
+        got = outcome(lambda: sensitivity_sweep(
+            records, catalog, f1, grid, defaults=defaults, kappa=kappa, cutoffs=cutoffs
+        ))
+        assert got == expected
