@@ -113,6 +113,14 @@ def sample_weights(y: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _distinct(y: np.ndarray) -> list[float]:
+    """The distinct values of the float vector ``y``, ascending with one NaN
+    last, as ``np.unique`` gives them (which would import ``numpy.ma``)."""
+    nan = np.isnan(y)
+    distinct = sorted(set(y[~nan].tolist()))
+    return distinct + [math.nan] if nan.any() else distinct
+
+
 def logistic_loss_gradient(
     X: np.ndarray,
     y: np.ndarray,
@@ -157,12 +165,12 @@ def train_lr(
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValidationError(f"X/y shape mismatch: {X.shape} vs {y.shape}")
-    classes = np.unique(y)
-    if classes.size < 2:
-        found = ", ".join(f"{c:g}" for c in classes.tolist())
+    classes = _distinct(y)
+    found = ", ".join(f"{c:g}" for c in classes)
+    if len(classes) < 2:
         raise TrainingError(f"training data contains a single class: {found}")
-    if not np.all(np.isin(classes, (0.0, 1.0))):
-        raise ValidationError(f"labels must be binary 0/1, got {classes!r}")
+    if not set(classes) <= {0.0, 1.0}:
+        raise ValidationError(f"labels must be binary 0/1, got {found}")
     if feature_names is not None and len(feature_names) != X.shape[1]:
         raise ValidationError("feature_names length does not match feature count")
 
@@ -218,7 +226,7 @@ def platt_calibrate(model: LinearModel, X_val: np.ndarray, y_val: np.ndarray) ->
     model is returned uncalibrated with a logged warning in that case.
     """
     y_val = np.asarray(y_val, dtype=float)
-    if np.unique(y_val).size < 2:
+    if len(_distinct(y_val)) < 2:
         logger.warning("validation labels contain a single class; skipping calibration")
         return model
     s = model.decision(X_val)

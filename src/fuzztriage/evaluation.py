@@ -10,6 +10,7 @@ sensitivity sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -152,9 +153,12 @@ def paired_bootstrap(
     comes from the shifted (null-centered) distribution, floored at
     1/resamples. One draw and the baseline's replicates serve every queue,
     so each result equals that of a separate draw with the same seed.
+    ``k`` or ``resamples`` below 1 is a :class:`ValidationError`.
     """
     if resamples < 1:
         raise ValidationError(f"resamples must be >= 1, got {resamples!r}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k!r}")
     if not queues:
         return {}
     universe = set(baseline.ids())
@@ -172,11 +176,21 @@ def paired_bootstrap(
     rng = np.random.default_rng(seed)
     # Sorting each draw keeps the queue's own rank order within the resample.
     idx = np.sort(rng.integers(0, k_eff, size=(resamples, k_eff)), axis=1)
+    # One pair of buffers serves every queue: the drawn gains and their
+    # discounted values.
+    drawn = np.empty((resamples, k_eff))
+    scaled = np.empty_like(drawn)
 
     def replicate_ndcg(queue: RankedQueue) -> np.ndarray:
-        drawn = (np.exp2(queue_relevances(queue, rel)[:k_eff]) - 1.0)[idx]
-        dcg = (drawn / discounts).sum(axis=1)
-        ideal = (np.sort(drawn, axis=1)[:, ::-1] / discounts).sum(axis=1)
+        gains = np.exp2(queue_relevances(queue, rel)[:k_eff]) - 1.0
+        np.take(gains, idx, out=drawn, mode="clip")
+        dcg = np.divide(drawn, discounts, out=scaled).sum(axis=1)
+        # The ideal orders each resample descending. Sorting the negated gains
+        # ascending does that, and as negation commutes exactly with division
+        # and rounding, the negated sums have the bits of the descending ones.
+        np.negative(drawn, out=drawn)
+        drawn.sort(axis=1)
+        ideal = -np.divide(drawn, discounts, out=scaled).sum(axis=1)
         out = np.zeros(resamples)
         nonzero = ideal > 0.0
         out[nonzero] = dcg[nonzero] / ideal[nonzero]
@@ -187,13 +201,39 @@ def paired_bootstrap(
     for name, queue in queues.items():
         deltas = replicate_ndcg(queue) - base
         delta = float(deltas.mean())
-        ci_low = float(np.percentile(deltas, 2.5))
-        ci_high = float(np.percentile(deltas, 97.5))
+        ci_low, ci_high = _percentiles(deltas, (2.5, 97.5))
         p_value = float(np.mean(np.abs(deltas - delta) >= abs(delta)))
         results[name] = BootstrapResult(
             delta, ci_low, ci_high, max(p_value, 1.0 / resamples), resamples, k_eff
         )
     return results
+
+
+def _percentiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """``float(np.percentile(values, q))`` for each ``q``, bit for bit, from
+    one sort of the non-empty, NaN-free ``values``. (Where ``values`` holds
+    both 0.0 and -0.0 only the sign of a zero result may differ; bootstrap
+    deltas, differences of non-negative scores, never hold -0.0.)
+
+    This is numpy's default "linear" method as numpy writes it: the virtual
+    index ``v = (n - 1) * (q / 100)`` falls between ``lo = floor(v)`` and
+    ``lo + 1``, both the last element once ``v >= n - 1`` (when numpy's
+    weight is ``v + 1``), and its ``_lerp`` runs from the nearer end.
+    """
+    ordered = np.sort(values).tolist()
+    n = len(ordered)
+    out = []
+    for q in qs:
+        v = (n - 1) * (q / 100)
+        lo = hi = -1
+        if v < n - 1:
+            lo = math.floor(v)
+            hi = lo + 1
+        g = v - lo
+        a, b = ordered[lo], ordered[hi]
+        diff = b - a
+        out.append(b - diff * (1 - g) if g >= 0.5 else a + diff * g)
+    return out
 
 
 # --- miscalibration scenarios ---------------------------------------------

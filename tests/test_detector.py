@@ -64,8 +64,14 @@ class TestTraining:
 
     def test_non_binary_labels_rejected(self):
         X = np.zeros((3, 2))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^labels must be binary 0/1, got 0, 1, 2$"):
             train_lr(X, np.array([0, 1, 2]))
+        with pytest.raises(ValidationError, match=r"^labels must be binary 0/1, got 0, 1, nan$"):
+            train_lr(X, np.array([0.0, 1.0, np.nan]))
+
+    def test_single_class_checked_before_binary(self):
+        with pytest.raises(TrainingError, match=r"^training data contains a single class: 2$"):
+            train_lr(np.zeros((3, 2)), np.array([2, 2, 2]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):

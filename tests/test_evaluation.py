@@ -23,6 +23,7 @@ from fuzztriage.evaluation import (
     SWEEP_CUTOFFS,
     SweepPoint,
     SweepReport,
+    _percentiles,
     apply_scenario,
     band_eval,
     dcg_at_k,
@@ -280,6 +281,18 @@ class TestPairedBootstrap:
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         assert paired_bootstrap(queue, {}, relevance(records)) == {}
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected_before_any_draw(self, rng, monkeypatch, k):
+        records = random_batch(rng, 10)
+        queue = rank(records, Method.SEVERITY_ONLY)
+
+        def no_draw(seed):
+            raise AssertionError("paired_bootstrap drew resamples for a bad k")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValidationError, match=rf"^k must be >= 1, got {k}$"):
+            paired_bootstrap(queue, {"so": queue}, relevance(records), k=k)
+
     def test_mismatched_universe_names_queue(self, rng):
         a = random_batch(rng, 10)
         b = make_batch([*list(a)[1:], make_record("intruder", 5.0, 1.0, 0.5, 0.5)])
@@ -293,6 +306,8 @@ def reference_paired_bootstrap(queue_a, queue_b, rel, *, k=500, resamples=1000, 
     ``paired_bootstrap`` must give its results bit for bit."""
     if resamples < 1:
         raise ValidationError(f"resamples must be >= 1, got {resamples!r}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k!r}")
     if set(queue_a.ids()) != set(queue_b.ids()):
         raise EvaluationError("paired bootstrap requires queues over the same alert universe")
     k_eff = min(k, len(queue_a))
@@ -379,6 +394,55 @@ class TestBootstrapMatchesReference:
         assert list(results) == list(queues)
         for name, queue in queues.items():
             assert results[name] == reference_paired_bootstrap(queue, baseline, rel, **options)
+
+    def test_benchmark_shaped_case(self):
+        # The evaluate command's shape: the seven default queues restricted
+        # to predicted attacks, longer than k = 500, with 1000 resamples.
+        records = random_batch(np.random.default_rng(14), 1400)
+        rel = relevance(records)
+        queues = {
+            name: predicted_queue(rank(records, *spec)) for name, spec in QUEUE_METHODS.items()
+        }
+        baseline = queues.pop("risk_averse_k1")
+        assert len(baseline) > 600
+        options = dict(k=500, resamples=1000, seed=0)
+        results = paired_bootstrap(baseline, queues, rel, **options)
+        assert list(results) == list(queues)
+        for name, queue in queues.items():
+            assert results[name] == reference_paired_bootstrap(queue, baseline, rel, **options)
+
+
+@st.composite
+def percentile_samples(draw):
+    """1 to 2000 finite values: either drawn from a small pool (so they
+    repeat), which may hold negative values and both signed zeros, or normal
+    values of a drawn scale."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = st.sampled_from([-0.0, 0.0, -1.0, 1.0, -2.5, 5e-324]) | st.floats(-1e3, 1e3)
+        pool = draw(st.lists(values, min_size=1, max_size=6))
+        return rng.choice(np.array(pool, dtype=float), n)
+    return rng.normal(0.0, draw(st.sampled_from([1e-9, 1.0, 1e9])), n)
+
+
+class TestPercentiles:
+    @given(
+        values=percentile_samples(),
+        drawn_q=st.lists(st.floats(0.0, 100.0), max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_bit_for_bit(self, values, drawn_q):
+        qs = [0, 2.5, 50, 97.5, 100, *drawn_q]
+        expected = [float(np.percentile(values, q)) for q in qs]
+        got = _percentiles(values, qs)
+        zeros = np.signbit(values[values == 0.0])
+        if zeros.any() and not zeros.all():
+            # 0.0 and -0.0 compare equal, so where a sample holds both, the
+            # sign of a zero percentile follows numpy's partition order.
+            assert got == expected
+        else:
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 class TestPerturb:
