@@ -22,7 +22,15 @@ import numpy as np
 
 from .alerts import UNKNOWN_CLASS
 from .errors import ConfigError, ParseError, ValidationError
-from .tables import csv_row, read_table, write_artifact
+from .tables import (
+    ROWS_PER_WRITE,
+    csv_row,
+    csv_tails,
+    format_g,
+    join_rows,
+    read_table,
+    write_artifact,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -152,24 +160,22 @@ def write_flow_csv(
     dataset: FlowDataset, path: str | Path, header_comment: str | None = None
 ) -> None:
     """Write a dataset in the same schema load_csv reads: the bytes of
-    ``csv.writer`` given ``f"{v:.6g}"`` for each feature, the label and the day."""
+    ``csv.writer`` given ``f"{v:.6g}"`` for each feature, the label and the
+    day. The features of :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a
+    time go through one :func:`~fuzztriage.tables.format_g` call (``%.6g``
+    text never needs quoting); the label and day are quoted once per
+    distinct pair."""
     header = list(dataset.feature_names) + [LABEL_COLUMN_DEFAULT]
     tags = [dataset.labels]
     if dataset.days is not None:
         header.append(DAY_COLUMN_DEFAULT)
         tags.append(dataset.days)
-    # "%.6g" % v is f"{v:.6g}", which never needs quoting; the rest of a row
-    # is written by csv.writer once per distinct (label, day).
-    values_format = ",".join(["%.6g"] * len(dataset.feature_names))
-    tails = {key: csv_row(("",) + key) for key in set(zip(*tags))}
+    keys = list(zip(*tags))
     with write_artifact(path, header_comment) as fh:
         fh.write(csv_row(header))
-        chunk = 8192  # rows per write
-        for start in range(0, len(dataset), chunk):
-            stop = start + chunk
-            keys = zip(*(tag[start:stop] for tag in tags))
-            block = zip(dataset.features[start:stop].tolist(), keys)
-            fh.write("".join([values_format % tuple(v) + tails[key] for v, key in block]))
+        for start in range(0, len(dataset), ROWS_PER_WRITE):
+            rows = slice(start, start + ROWS_PER_WRITE)
+            fh.write(join_rows([format_g(dataset.features[rows], 6)], csv_tails(keys[rows])))
 
 
 # --- attack-class mapping --------------------------------------------------

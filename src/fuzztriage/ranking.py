@@ -16,7 +16,7 @@ import numpy as np
 from .alerts import AlertBatch
 from .errors import ValidationError
 from .sgfn import check_kappa
-from .tables import csv_row, write_artifact
+from .tables import ROWS_PER_WRITE, csv_row, g_rows, write_artifact
 
 
 class Method(str, Enum):
@@ -136,10 +136,12 @@ def write_queue_csvs(
     files: Mapping[str | Path, RankedQueue], header_comment: str | None = None
 ) -> None:
     """Write each queue to its path as ``csv.writer`` would, floats as
-    ``f"{x:.10g}"``. The alert columns of a batch (the id, quoted only when
-    one id needs it, and the ``c,sigma,h,p,class,label`` tail, each distinct
-    (class, label) quoted once) are formatted once for all of its queues, and
-    each row adds its queue's rank, method and score with one ``%`` format."""
+    ``f"{x:.10g}"`` from :func:`~fuzztriage.tables.g_rows`. The text that
+    depends only on the alert batch (the id, quoted only when one id needs
+    it, and the ``c,sigma,h,p,class,label`` tail, each distinct pair quoted
+    once) is built once for all of its queues; each queue adds its rank,
+    method and scores to :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a
+    time."""
     by_batch: dict[int, list[tuple[str | Path, RankedQueue]]] = {}
     for path, queue in files.items():
         by_batch.setdefault(id(queue.records), []).append((path, queue))
@@ -149,16 +151,17 @@ def write_queue_csvs(
         if csv_row(ids) != ",".join(ids) + "\r\n":
             ids = [csv_row((alert_id, ""))[:-3] for alert_id in ids]  # drop ",\r\n"
         keys = list(zip(batch.classes, batch.labels))
-        quoted = {key: csv_row(("",) + key) for key in set(keys)}
-        columns = (batch.core, batch.spread, batch.height, batch.p)
-        rows = zip(*(column.tolist() for column in columns), map(quoted.get, keys))
-        tails = ["%.10g,%.10g,%.10g,%.10g%s" % row for row in rows]
+        quoted = {key: csv_row(key) for key in set(keys)}
+        floats = g_rows(np.stack([batch.core, batch.spread, batch.height, batch.p], axis=1), 10)
+        tails = [row + quoted[key] for row, key in zip(floats, keys)]
+        ranks = list(map(str, range(1, len(batch) + 1)))
         for path, queue in group:
-            row_format = f"%d,%s,{queue.method.value},%.10g,%s"
-            scores = queue.scores.tolist()
+            method, scores = queue.method.value, g_rows(queue.scores[:, None], 10)
+            order = queue.order.tolist()
             with write_artifact(path, header_comment) as fh:
                 fh.write(csv_row(QUEUE_HEADER))
-                fh.writelines(
-                    row_format % (position, ids[i], scores[i], tails[i])
-                    for position, i in enumerate(queue.order.tolist(), start=1)
-                )
+                for start in range(0, len(order), ROWS_PER_WRITE):
+                    rows = zip(ranks[start:start + ROWS_PER_WRITE], order[start:start + ROWS_PER_WRITE])
+                    fh.write("".join([
+                        f"{rank},{ids[i]},{method},{scores[i]}{tails[i]}" for rank, i in rows
+                    ]))

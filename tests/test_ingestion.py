@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from fuzztriage.ingestion import (
     synth_generate,
     write_flow_csv,
 )
+from fuzztriage.tables import ROWS_PER_WRITE
 
 
 def write_rows(path, header, rows):
@@ -251,9 +253,20 @@ class TestFlowCsvProperties:
         assert path.read_bytes() == reference_flow_csv(dataset, comment)
 
     def test_writer_matches_reference_across_chunks(self, tmp_path):
-        dataset = synth_generate(SynthConfig(n_flows=8300, seed=4))
+        dataset = synth_generate(SynthConfig(n_flows=2 * ROWS_PER_WRITE + 1, seed=4))
         write_flow_csv(dataset, tmp_path / "flows.csv")
         assert (tmp_path / "flows.csv").read_bytes() == reference_flow_csv(dataset)
+
+    def test_writer_memory_stays_bounded(self, tmp_path):
+        dataset = synth_generate(SynthConfig(n_flows=20_000, seed=4))
+        assert dataset.features.shape == (20_000, 22)
+        tracemalloc.start()
+        try:
+            write_flow_csv(dataset, tmp_path / "flows.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
 
     @given(flow_files(), st.sampled_from(["", "\ufeff"]))
     @settings(max_examples=300, deadline=None)

@@ -25,6 +25,7 @@ from fuzztriage.ranking import (
     write_queue_csvs,
 )
 from fuzztriage.sgfn import GaussianFuzzyNumber, ranking_index
+from fuzztriage.tables import ROWS_PER_WRITE
 
 
 def reference_triple():
@@ -352,6 +353,14 @@ class TestQueueProperties:
         for n, queue in enumerate(queues):
             reference_queue_csv(folder / f"ref{n}.csv", queue, header_comment=stamp)
             assert (folder / f"q{n}.csv").read_bytes() == (folder / f"ref{n}.csv").read_bytes()
+
+    def test_queue_longer_than_one_chunk_matches_reference_writer(self, tmp_path):
+        batch = random_batch(np.random.default_rng(21), 2 * ROWS_PER_WRITE + 1)
+        queues = [rank(batch, Method.RISK_AVERSE, RiskProfile(1.0)), rank(batch, Method.CONFIDENCE_ONLY)]
+        write_queue_csvs({tmp_path / f"q{n}.csv": q for n, q in enumerate(queues)}, "seed=7")
+        for n, queue in enumerate(queues):
+            reference_queue_csv(tmp_path / f"ref{n}.csv", queue, header_comment="seed=7")
+            assert (tmp_path / f"q{n}.csv").read_bytes() == (tmp_path / f"ref{n}.csv").read_bytes()
 
 
 def reference_queue_csv(path, queue, header_comment=None):
