@@ -310,9 +310,6 @@ class DetectorReport:
 # --- external scores -------------------------------------------------------
 
 SCORES_HEADER = ["id", "p"]
-P_MISSING_DEFAULT = 0.5
-#: Least share of a split's ids an external scores file must cover.
-MIN_SCORE_COVERAGE = 0.5
 
 
 def load_external_scores(path: str | Path) -> dict[str, float]:
@@ -334,28 +331,19 @@ def load_external_scores(path: str | Path) -> dict[str, float]:
     return scores
 
 
-def scores_with_defaults(
-    ids: Sequence[str], scores: Mapping[str, float], split: str
-) -> list[float]:
-    """Look up the scores of one split's ids, defaulting missing ids to 0.5
-    with a warning.
+def lookup_scores(ids: Sequence[str], scores: Mapping[str, float], split: str) -> list[float]:
+    """The score of each of one split's ids.
 
     Raises:
-        ValidationError: if the scores cover less than MIN_SCORE_COVERAGE of the ids.
+        ValidationError: if an id has no score; it names the split, how many
+            ids miss one, and the first of them.
     """
     missing = [i for i in ids if i not in scores]
-    covered = len(ids) - len(missing)
-    if covered < MIN_SCORE_COVERAGE * len(ids):
-        raise ValidationError(
-            f"external scores cover {covered} of {len(ids)} {split} ids "
-            f"({covered / len(ids):.1%}), below the {MIN_SCORE_COVERAGE:.0%} floor"
-        )
     if missing:
-        logger.warning(
-            "%d alert ids missing from external scores; defaulting p to %s (first: %s)",
-            len(missing), P_MISSING_DEFAULT, missing[0],
+        raise ValidationError(
+            f"external scores miss {len(missing)} of {len(ids)} {split} ids (first: {missing[0]!r})"
         )
-    return [scores.get(i, P_MISSING_DEFAULT) for i in ids]
+    return [scores[i] for i in ids]
 
 
 # --- persistence -----------------------------------------------------------

@@ -22,15 +22,7 @@ import numpy as np
 
 from .alerts import UNKNOWN_CLASS
 from .errors import ConfigError, ParseError, ValidationError
-from .tables import (
-    ROWS_PER_WRITE,
-    csv_row,
-    csv_tails,
-    format_g,
-    join_rows,
-    read_table,
-    write_artifact,
-)
+from .tables import ROWS_PER_WRITE, csv_row, g_rows, read_table, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -162,7 +154,7 @@ def write_flow_csv(
     """Write a dataset in the same schema load_csv reads: the bytes of
     ``csv.writer`` given ``f"{v:.6g}"`` for each feature, the label and the
     day. The features of :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a
-    time go through one :func:`~fuzztriage.tables.format_g` call (``%.6g``
+    time come from one :func:`~fuzztriage.tables.g_rows` call (``%.6g``
     text never needs quoting); the label and day are quoted once per
     distinct pair."""
     header = list(dataset.feature_names) + [LABEL_COLUMN_DEFAULT]
@@ -171,11 +163,13 @@ def write_flow_csv(
         header.append(DAY_COLUMN_DEFAULT)
         tags.append(dataset.days)
     keys = list(zip(*tags))
+    tails = {key: csv_row(("",) + key)[1:] for key in set(keys)}  # drop the leading ","
     with write_artifact(path, header_comment) as fh:
         fh.write(csv_row(header))
         for start in range(0, len(dataset), ROWS_PER_WRITE):
             rows = slice(start, start + ROWS_PER_WRITE)
-            fh.write(join_rows([format_g(dataset.features[rows], 6)], csv_tails(keys[rows])))
+            pairs = zip(g_rows(dataset.features[rows], 6), keys[rows])
+            fh.write("".join([row + tails[key] for row, key in pairs]))
 
 
 # --- attack-class mapping --------------------------------------------------

@@ -23,8 +23,8 @@ from .detector import (
     DetectorReport,
     flags_only_subset,
     load_external_scores,
+    lookup_scores,
     platt_calibrate,
-    scores_with_defaults,
     train_lr,
 )
 from .errors import ValidationError
@@ -120,9 +120,11 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
 
     if mode is DetectorMode.EXTERNAL_SCORES:
         scores = load_external_scores(config.detector.scores_path)
-        p_val = np.asarray(scores_with_defaults([prep.ids[i] for i in va], scores, "validation"))
-        p_test = np.asarray(scores_with_defaults([prep.ids[i] for i in te], scores, "test"))
+        p_val = np.asarray(lookup_scores([prep.ids[i] for i in va], scores, "validation"))
+        p_test = np.asarray(lookup_scores([prep.ids[i] for i in te], scores, "test"))
     else:
+        if tr.size == 0:
+            raise ValidationError("training split is empty; cannot train the detector")
         names = prep.dataset.feature_names
         if mode is DetectorMode.TRAIN_FLAGS_ONLY:
             keep = flags_only_subset(names)
@@ -162,6 +164,8 @@ def build_alerts(
     """Turn the test split into an alert batch with fuzzy severities; the
     catalog is returned for the sweep's uf points."""
     te = prep.split.test_idx
+    if te.size == 0:
+        raise ValidationError("test split is empty; there are no alerts to rank")
     columns = (te.tolist(), detector_out.p_test.tolist(), binary_labels(prep.classes)[te].tolist())
     alerts = [Alert(prep.ids[i], prep.classes[i], p, label=y) for i, p, y in zip(*columns)]
     catalog = load_catalog(config.dataset.catalog)

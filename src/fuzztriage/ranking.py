@@ -136,32 +136,36 @@ def write_queue_csvs(
     files: Mapping[str | Path, RankedQueue], header_comment: str | None = None
 ) -> None:
     """Write each queue to its path as ``csv.writer`` would, floats as
-    ``f"{x:.10g}"`` from :func:`~fuzztriage.tables.g_rows`. The text that
-    depends only on the alert batch (the id, quoted only when one id needs
-    it, and the ``c,sigma,h,p,class,label`` tail, each distinct pair quoted
-    once) is built once for all of its queues; each queue adds its rank,
-    method and scores to :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a
-    time."""
-    by_batch: dict[int, list[tuple[str | Path, RankedQueue]]] = {}
+    ``f"{x:.10g}"`` from :func:`~fuzztriage.tables.g_rows`. The queues must
+    be ranked from one alert batch. The text that depends only on the batch
+    (the id, quoted only when one id needs it, and the
+    ``c,sigma,h,p,class,label`` tail, each distinct pair quoted once) is
+    built once for all of them; each queue adds its rank, method and scores
+    to :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a time.
+
+    Raises:
+        ValidationError: if the queues are not ranked from one batch.
+    """
+    if not files:
+        return
+    batch = next(iter(files.values())).records
+    if any(queue.records is not batch for queue in files.values()):
+        raise ValidationError("queues written together must be ranked from one alert batch")
+    ids = batch.ids
+    if csv_row(ids) != ",".join(ids) + "\r\n":
+        ids = [csv_row((alert_id, ""))[:-3] for alert_id in ids]  # drop ",\r\n"
+    keys = list(zip(batch.classes, batch.labels))
+    quoted = {key: csv_row(key) for key in set(keys)}
+    floats = g_rows(np.stack([batch.core, batch.spread, batch.height, batch.p], axis=1), 10)
+    tails = [row + quoted[key] for row, key in zip(floats, keys)]
+    ranks = list(map(str, range(1, len(batch) + 1)))
     for path, queue in files.items():
-        by_batch.setdefault(id(queue.records), []).append((path, queue))
-    for group in by_batch.values():
-        batch = group[0][1].records
-        ids = batch.ids
-        if csv_row(ids) != ",".join(ids) + "\r\n":
-            ids = [csv_row((alert_id, ""))[:-3] for alert_id in ids]  # drop ",\r\n"
-        keys = list(zip(batch.classes, batch.labels))
-        quoted = {key: csv_row(key) for key in set(keys)}
-        floats = g_rows(np.stack([batch.core, batch.spread, batch.height, batch.p], axis=1), 10)
-        tails = [row + quoted[key] for row, key in zip(floats, keys)]
-        ranks = list(map(str, range(1, len(batch) + 1)))
-        for path, queue in group:
-            method, scores = queue.method.value, g_rows(queue.scores[:, None], 10)
-            order = queue.order.tolist()
-            with write_artifact(path, header_comment) as fh:
-                fh.write(csv_row(QUEUE_HEADER))
-                for start in range(0, len(order), ROWS_PER_WRITE):
-                    rows = zip(ranks[start:start + ROWS_PER_WRITE], order[start:start + ROWS_PER_WRITE])
-                    fh.write("".join([
-                        f"{rank},{ids[i]},{method},{scores[i]}{tails[i]}" for rank, i in rows
-                    ]))
+        method, scores = queue.method.value, g_rows(queue.scores[:, None], 10)
+        order = queue.order.tolist()
+        with write_artifact(path, header_comment) as fh:
+            fh.write(csv_row(QUEUE_HEADER))
+            for start in range(0, len(order), ROWS_PER_WRITE):
+                rows = zip(ranks[start:start + ROWS_PER_WRITE], order[start:start + ROWS_PER_WRITE])
+                fh.write("".join([
+                    f"{rank},{ids[i]},{method},{scores[i]}{tails[i]}" for rank, i in rows
+                ]))

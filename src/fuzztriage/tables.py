@@ -6,11 +6,11 @@ skipped; the first remaining row is the header and every later row must have
 as many fields as the header. Rows are numbered with the header as row 1 and
 skipped rows not counted, and every reader names rows by that number.
 
-Writers that hold their rows as arrays build the text of many rows at once,
-:data:`ROWS_PER_WRITE` rows at a time: :func:`format_g` gives the ``%g``
-text of many floats, :func:`encode_texts` and :func:`csv_tails` that of
-strings, and :func:`join_rows` puts them together into rows (:func:`g_rows`
-into one string per row).
+Writers that hold their rows as arrays write them :data:`ROWS_PER_WRITE`
+rows at a time, in one way: :func:`format_g` gives the ``%g`` text of many
+floats at once, :func:`g_rows` joins it into one string per row, and the
+writer appends each row's remaining fields, quoted once per distinct value,
+in Python.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Hashable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -95,30 +95,6 @@ class Texts(NamedTuple):
     begin: np.ndarray
     end: np.ndarray
 
-    def take(self, indices: np.ndarray) -> "Texts":
-        # np.take copies in C order; chars[:, indices] would be in Fortran
-        # order, which makes the scatter in join_rows several times slower
-        return Texts(self.chars.take(indices, 1), self.begin[indices], self.end[indices])
-
-
-def encode_texts(strings: Sequence[str]) -> Texts:
-    """The UTF-8 bytes of each string, trailing NULs included."""
-    encoded = [s.encode() for s in strings]
-    end = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    width = max(int(end.max(initial=0)), 1)
-    # An S array drops trailing NULs only when read back as bytes; its
-    # buffer keeps them, and ``end`` says where each text stops.
-    chars = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
-    return Texts(np.ascontiguousarray(chars.T), np.zeros_like(end), end)
-
-
-def csv_tails(keys: Sequence[tuple[Hashable, ...]]) -> Texts:
-    """The last fields of each row as ``csv.writer`` writes them after a
-    ``,``, ``\\r\\n`` included; each distinct key is written once."""
-    index = {key: n for n, key in enumerate(dict.fromkeys(keys))}
-    rows = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-    return encode_texts([csv_row(("",) + key)[1:] for key in index]).take(rows)
-
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 10**22 is the last exact double
 _SPLITTER = 2.0**27 + 1  # splits a double into two halves whose products are exact
@@ -128,7 +104,7 @@ _LEAD = 6  # character rows before the first digit, room for "-0.000"
 _PREFIXES = np.array(
     [(sign + (b"0." + b"0" * (z - 1) if z else b"")).rjust(_LEAD) for sign in (b"", b"-") for z in range(5)]
 ).view(np.uint8).reshape(10, _LEAD).T.copy()
-_SCATTER_SIZE = 1 << 16  # index entries join_rows builds at a time
+_SCATTER_SIZE = 1 << 16  # index entries g_rows builds at a time
 
 
 def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndarray:
@@ -232,60 +208,47 @@ def format_g(values: np.ndarray, precision: int) -> Texts:
         bits = x[slow].view(np.uint64)  # -0.0 and nan payloads stay apart
         distinct = np.sort(bits)
         distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-        texts = encode_texts(["%.*g" % (precision, v) for v in distinct.view(np.float64).tolist()])
+        texts = np.array([b"%.*g" % (precision, v) for v in distinct.view(np.float64).tolist()])
+        chars = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
         which = np.searchsorted(distinct, bits)
-        out[_LEAD:_LEAD + texts.chars.shape[0], slow] = texts.chars[:, which]
+        out[_LEAD:_LEAD + texts.itemsize, slow] = chars[which].T
         begin[slow] = _LEAD
-        end[slow] = _LEAD + texts.end[which]
+        end[slow] = _LEAD + np.char.str_len(texts)[which]
     return Texts(out, begin.astype(np.uint8), end.astype(np.uint8))
 
 
 def g_rows(values: np.ndarray, precision: int) -> list[str]:
     """Each row of a 2-D array as the :func:`format_g` texts of its values,
-    each followed by ``,``; ``[[1.5, 2.0]]`` gives ``["1.5,2,"]``."""
+    each followed by ``,``; ``[[1.5, 2.0]]`` gives ``["1.5,2,"]`` and a row
+    of no values gives ``""``."""
+    n, k = values.shape
+    if not k:
+        return [""] * n
     rows: list[str] = []
-    newline = encode_texts(["\n"])  # never in a %g text
-    for start in range(0, len(values), ROWS_PER_WRITE):
-        part = values[start:start + ROWS_PER_WRITE]
-        ends = newline.take(np.zeros(len(part), np.intp))
-        rows += join_rows([format_g(part, precision)], ends).split("\n")[:-1]
-    return rows
-
-
-def join_rows(fields: Sequence[Texts], tails: Texts) -> str:
-    """CSV rows, one per tail: the values of each field in turn, each
-    followed by ``,``, then the row's tail. A field with k values a row
-    holds them row by row, ``rows * k`` in all."""
-    rows = len(tails.end)
-    if not rows:
-        return ""
-    blocks = [*fields, tails]
-    widths = np.concatenate([(b.end - b.begin).reshape(rows, -1) for b in blocks], axis=1)
-    widths = widths.astype(np.intp)
-    widths[:, :-1] += 1  # the separator after each value
-    ends = np.cumsum(widths)
-    size = int(ends[-1])
-    starts = (ends - widths.ravel()).reshape(rows, -1)
-    # Every byte no text covers is a separator; byte `size` takes the
-    # writes of each column a text does not use.
-    buf = np.full(size + 1, ord(","), np.uint8)
-    first = 0
-    for block in blocks:
-        k = len(block.end) // rows
-        if not k:
-            continue
-        base = starts[:, first:first + k].ravel() - block.begin - size
+    for start in range(0, n, ROWS_PER_WRITE):
+        texts = format_g(values[start:start + ROWS_PER_WRITE], precision)
+        # each value and its separator, and a "\n" (never in a %g text)
+        # after the separator that ends each row
+        widths = (texts.end - texts.begin).astype(np.intp) + 1
+        widths[k - 1::k] += 1
+        ends = np.cumsum(widths)
+        size = int(ends[-1])
+        # Every byte no text covers is a separator; byte `size` takes the
+        # writes of each column a text does not use.
+        buf = np.full(size + 1, ord(","), np.uint8)
+        buf[ends[k - 1::k] - 1] = ord("\n")
+        base = ends - widths - texts.begin - size
         # as many columns at a time as keep `at` to _SCATTER_SIZE entries
-        step = max(_SCATTER_SIZE // len(block.end), 1)
-        stop = int(block.end.max())
-        for lo in range(int(block.begin.min()), stop, step):
+        step = max(_SCATTER_SIZE // len(widths), 1)
+        stop = int(texts.end.max())
+        for lo in range(int(texts.begin.min()), stop, step):
             hi = min(lo + step, stop)
-            c = np.arange(lo, hi, dtype=block.begin.dtype)[:, None]
+            c = np.arange(lo, hi, dtype=texts.begin.dtype)[:, None]
             # where each byte of columns lo:hi goes, or the dump byte where
             # a text has none (masked copies and np.where are slower)
             at = base + c
-            at *= (block.begin <= c) & (c < block.end)
+            at *= (texts.begin <= c) & (c < texts.end)
             at += size
-            buf[at] = block.chars[lo:hi]
-        first += k
-    return buf[:size].tobytes().decode("utf-8")
+            buf[at] = texts.chars[lo:hi]
+        rows += str(buf[:size], "ascii").split("\n")[:-1]
+    return rows

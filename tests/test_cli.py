@@ -490,16 +490,18 @@ def scores_text(ids):
     return "id,p\n" + "".join(f"{i},{n * 37 % 100 / 100:g}\n" for n, i in enumerate(ids))
 
 
-def unmapped_attacks_text(n_rows=400):
-    """A flow CSV whose only attack label, ``Mystery-Attack``, maps to no class."""
+def flows_text(attack_label, days=(), n_rows=400):
+    """A flow CSV whose attacks all carry ``attack_label`` and whose rows,
+    if ``days`` are given, carry them in turn."""
     rng = np.random.default_rng(7)
     attack = rng.random(n_rows) < 0.25
     features = rng.normal(0.0, 1.0, size=(n_rows, 3)) + 1.2 * attack[:, None]
     rows = (
-        f"{a:.4f},{b:.4f},{c:.4f},{'Mystery-Attack' if is_attack else 'BENIGN'}\n"
-        for (a, b, c), is_attack in zip(features.tolist(), attack.tolist())
+        f"{a:.4f},{b:.4f},{c:.4f},{attack_label if is_attack else 'BENIGN'}"
+        + (f",{days[n % len(days)]}\n" if days else "\n")
+        for n, ((a, b, c), is_attack) in enumerate(zip(features.tolist(), attack.tolist()))
     )
-    return "f1,f2,f3,Label\n" + "".join(rows)
+    return "f1,f2,f3,Label" + (",Day\n" if days else "\n") + "".join(rows)
 
 
 def full_external_scores(out):
@@ -536,10 +538,16 @@ EXTERNAL_SCORES_INI = (
 # name -> files written beside the INI, whose directory "{dir}" names in the INI text
 DEGENERATE_INPUTS = {
     "external_scores_full": {"scores.csv": scores_text(flow_ids(300))},
+    "external_scores_65pct": {"scores.csv": scores_text(flow_ids(195))},
     "external_scores_1pct": {"scores.csv": scores_text(flow_ids(3))},
     "external_scores_0pct": {"scores.csv": scores_text(["elsewhere-0"])},
-    "only_unmapped_attacks": {"flows.csv": unmapped_attacks_text()},
+    # Mystery-Attack maps to no class
+    "only_unmapped_attacks": {"flows.csv": flows_text("Mystery-Attack")},
+    # day-based splits with no Monday or Tuesday rows, and no Thursday or Friday rows
+    "empty_train_split": {"flows.csv": flows_text("DoS Hulk", ("Wednesday", "Thursday", "Friday"))},
+    "empty_test_split": {"flows.csv": flows_text("DoS Hulk", ("Monday", "Tuesday", "Wednesday"))},
 }
+DAY_BASED_CSV_INI = "[dataset]\nsource = csv\npath = {dir}/flows.csv\n[split]\nmode = day_based\n"
 
 # name -> (INI text, exit code of `evaluate`, stderr lines with "{ini}" for
 # the INI path, check of the output directory)
@@ -585,18 +593,24 @@ DEGENERATE_RUNS = {
         for share in ("0", "1")
     },
     "external_scores_full": (EXTERNAL_SCORES_INI, 0, [], full_external_scores),
-    "external_scores_1pct": (
-        EXTERNAL_SCORES_INI, 2,
-        ["error: external scores cover 1 of 60 validation ids (1.7%), below the 50% floor"],
-        nothing_written,
-    ),
-    "external_scores_0pct": (
-        EXTERNAL_SCORES_INI, 2,
-        ["error: external scores cover 0 of 60 validation ids (0.0%), below the 50% floor"],
-        nothing_written,
-    ),
+    **{
+        f"external_scores_{share}": (EXTERNAL_SCORES_INI, 2, [message], nothing_written)
+        for share, message in (
+            ("65pct", "error: external scores miss 21 of 60 validation ids (first: 'flow-00197')"),
+            ("1pct", "error: external scores miss 59 of 60 validation ids (first: 'flow-00007')"),
+            ("0pct", "error: external scores miss 60 of 60 validation ids (first: 'flow-00002')"),
+        )
+    },
     "only_unmapped_attacks": (
         "[dataset]\nsource = csv\npath = {dir}/flows.csv\n", 0, [], unmapped_class_calibrated,
+    ),
+    "empty_train_split": (
+        DAY_BASED_CSV_INI, 2, ["error: training split is empty; cannot train the detector"],
+        nothing_written,
+    ),
+    "empty_test_split": (
+        DAY_BASED_CSV_INI, 2, ["error: test split is empty; there are no alerts to rank"],
+        nothing_written,
     ),
 }
 

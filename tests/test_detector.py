@@ -9,18 +9,17 @@ import pytest
 
 from fuzztriage.detector import (
     ATTACK_THRESHOLD,
-    MIN_SCORE_COVERAGE,
     DetectorConfig,
     DetectorReport,
     LinearModel,
     flags_only_subset,
     load_external_scores,
     load_model,
+    lookup_scores,
     logistic_loss_gradient,
     platt_calibrate,
     sample_weights,
     save_model,
-    scores_with_defaults,
     train_lr,
 )
 from fuzztriage.errors import ParseError, TrainingError, ValidationError
@@ -273,28 +272,21 @@ class TestExternalScores:
         with pytest.raises(ParseError, match="no scores"):
             load_external_scores(path)
 
-    def test_defaults_for_missing(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            values = scores_with_defaults(["a", "b"], {"a": 0.9}, "test")
-        assert values == [0.9, 0.5]
-        assert any("missing" in r.getMessage() for r in caplog.records)
+    def test_scores_in_id_order(self):
+        assert lookup_scores(["b", "a"], {"a": 0.9, "b": 0.0, "c": 1.0}, "test") == [0.0, 0.9]
 
-    def test_coverage_below_floor_names_split(self, caplog):
-        assert MIN_SCORE_COVERAGE == 0.5
+    def test_missing_id_names_split_count_and_first(self, caplog):
         ids = [f"flow-{i}" for i in range(7)]
         with caplog.at_level(logging.WARNING):
             with pytest.raises(ValidationError) as info:
-                scores_with_defaults(ids, {"flow-0": 0.9, "flow-1": 0.2, "flow-6": 0.7},
-                                     "validation")
-        assert str(info.value) == (
-            "external scores cover 3 of 7 validation ids (42.9%), below the 50% floor"
-        )
-        assert caplog.records == []  # the error replaces the missing-ids warning
-        four = {f"flow-{i}": 0.5 for i in range(4)}
-        assert len(scores_with_defaults(ids, four, "test")) == 7
+                lookup_scores(ids, {f"flow-{i}": 0.5 for i in (0, 1, 3, 4, 5, 6)}, "validation")
+        assert str(info.value) == "external scores miss 1 of 7 validation ids (first: 'flow-2')"
+        assert caplog.records == []  # no p is made up for the missing id
+        with pytest.raises(ValidationError, match="miss 7 of 7 test ids"):
+            lookup_scores(ids[::-1], {"a": 0.9}, "test")
 
     def test_no_ids_need_no_scores(self):
-        assert scores_with_defaults([], {"a": 0.9}, "test") == []
+        assert lookup_scores([], {"a": 0.9}, "test") == []
 
 
 class TestPersistence:

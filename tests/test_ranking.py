@@ -332,27 +332,14 @@ class TestQueueProperties:
         reference_queue_csv(folder / "reference.csv", queue, header_comment=stamp)
         assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
-    @given(
-        tied_batches(),
-        st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0), max_size=30),
-    )
-    @example(NUL_TIE, [0.9, 0.1, 0.5])
-    @settings(max_examples=100, deadline=None)
-    def test_queues_over_two_batches_match_reference_writer(
-        self, tmp_path_factory, records, new_p
-    ):
-        """One write of seven queues, alternating between the batch and the
-        batch under new probabilities, gives each file the reference bytes."""
-        shifted = records.with_p(np.resize(np.array(new_p or [0.5]), len(records)))
-        kinds = [(Method.SEVERITY_ONLY, RiskProfile()), (Method.WEIGHTED_SUM, RiskProfile()),
-                 (Method.RISK_AVERSE, RiskProfile(0.0)), (Method.RISK_AVERSE, RiskProfile(2.0))]
-        queues = [rank(batch, *kind) for kind in kinds for batch in (records, shifted)][1:]
-        folder = tmp_path_factory.mktemp("queues")
-        stamp = "config_hash=abc seed=7"
-        write_queue_csvs({folder / f"q{n}.csv": q for n, q in enumerate(queues)}, stamp)
-        for n, queue in enumerate(queues):
-            reference_queue_csv(folder / f"ref{n}.csv", queue, header_comment=stamp)
-            assert (folder / f"q{n}.csv").read_bytes() == (folder / f"ref{n}.csv").read_bytes()
+    def test_queues_over_two_batches_are_rejected(self, tmp_path):
+        batch = random_batch(np.random.default_rng(22), 5)
+        shifted = batch.with_p(np.full(len(batch), 0.5))
+        queues = {tmp_path / "a.csv": rank(batch, Method.SEVERITY_ONLY),
+                  tmp_path / "b.csv": rank(shifted, Method.SEVERITY_ONLY)}
+        with pytest.raises(ValidationError, match="ranked from one alert batch"):
+            write_queue_csvs(queues)
+        assert list(tmp_path.iterdir()) == []
 
     def test_queue_longer_than_one_chunk_matches_reference_writer(self, tmp_path):
         batch = random_batch(np.random.default_rng(21), 2 * ROWS_PER_WRITE + 1)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fuzztriage.alerts import Alert, AttackClassProfile, load_alerts_csv, load_catalog
 from fuzztriage.detector import load_external_scores, load_model
@@ -119,3 +120,14 @@ class TestFormatG:
         expected = ["".join("%.10g," % v for v in row) for row in values.tolist()]
         assert g_rows(values, 10) == expected
         assert g_rows(np.empty((0, 2)), 6) == []
+
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                  elements=doubles))
+    @example(np.array([[0.0, -0.0, 5e-324, -2.225e-308], [math.inf, -math.inf, math.nan, 1.0]]))
+    @example(np.empty((0, 3)))
+    @example(np.empty((3, 0)))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_percent_format(self, values):
+        for precision in (6, 10):
+            expected = ["".join("%.*g," % (precision, v) for v in row) for row in values.tolist()]
+            assert g_rows(values, precision) == expected
