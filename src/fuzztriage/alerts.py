@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -68,25 +67,6 @@ class CfMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class Alert:
-    """One detector alert: an id, a claimed class, and a probability."""
-
-    alert_id: str
-    attack_class: str
-    p: float
-    label: int | None = None
-    criticality: Criticality | None = None
-
-    def __post_init__(self) -> None:
-        if not self.alert_id:
-            raise ValidationError("alert_id must be non-empty")
-        if not (0.0 <= self.p <= 1.0):
-            raise ValidationError(f"p must lie in [0, 1], got {self.p!r}")
-        if self.label not in (None, 0, 1):
-            raise ValidationError(f"label must be 0, 1, or None, got {self.label!r}")
-
-
-@dataclass(frozen=True)
 class AttackClassProfile:
     """Severity profile of one attack class: base CVSS and uncertainty factor."""
 
@@ -118,8 +98,8 @@ def fnv1a64_batch(keys: Sequence[bytes]) -> np.ndarray:
 
 
 def contextual_factors(
-    ids: Sequence[str], classes: Sequence[str], criticalities: Sequence[Criticality | None],
-    mode: CfMode,
+    ids: Sequence[str], classes: Sequence[str],
+    criticalities: Sequence[Criticality | None] | None, mode: CfMode,
 ) -> np.ndarray:
     """The contextual factor of each alert, a number in [0.2, 1.0].
 
@@ -127,15 +107,18 @@ def contextual_factors(
     value. Otherwise the factor is derived deterministically from the alert
     identity: the FNV-1a hash of ``"id|class"`` mapped into [0.2, 1.0), either
     kept continuous or snapped to the nearest categorical level (the lower
-    one on a tie).
+    one on a tie). ``criticalities`` is ``None`` when no alert has one.
     """
     keys = [f"{i}|{c}".encode() for i, c in zip(ids, classes)]
     cf = 0.2 + 0.8 * (fnv1a64_batch(keys).astype(np.float64) / 2.0**64)
     if mode is CfMode.CATEGORICAL:
         levels = np.array(CATEGORICAL_LEVELS)
         cf = levels[np.argmin(np.abs(levels - cf[:, None]), axis=1)]
-    marked = [i for i, c in enumerate(criticalities) if c is not None]
-    cf[marked] = [CRITICALITY_FACTORS[criticalities[i]] for i in marked]
+    if criticalities is not None:
+        if len(criticalities) != len(cf):
+            raise ValidationError("alert batch columns must all have one entry per id")
+        marked = [i for i, c in enumerate(criticalities) if c is not None]
+        cf[marked] = [CRITICALITY_FACTORS[criticalities[i]] for i in marked]
     return cf
 
 
@@ -180,9 +163,11 @@ def resolve_profile(
 ALERT_HEADER = ["id", "attack_class", "p", "label", "criticality"]
 
 
-def load_alerts_csv(path: str | Path) -> list[Alert]:
-    """Read alerts from the ``id,attack_class,p,label,criticality`` schema."""
-    alerts: list[Alert] = []
+def load_alerts_csv(path: str | Path) -> dict[str, list]:
+    """Read alerts from the ``id,attack_class,p,label,criticality`` schema
+    into the columns of :func:`assemble`, keyed by its parameter names. Each
+    row is checked by the rules of an assembled batch, so an error names it."""
+    columns: dict[str, list] = {k: [] for k in ("ids", "classes", "p", "labels", "criticalities")}
     seen: set[str] = set()
     for lineno, row in read_table(path, ALERT_HEADER)[1]:
         alert_id, attack_class, p_text, label_text, crit_text = (f.strip() for f in row)
@@ -190,14 +175,16 @@ def load_alerts_csv(path: str | Path) -> list[Alert]:
             p = float(p_text)
             label = int(label_text) if label_text else None
             criticality = Criticality(crit_text) if crit_text else None
-            alert = Alert(alert_id, attack_class, p, label, criticality)
+            _check_ids_and_labels([alert_id], [label])
+            instance_height(1.0, p)  # the p rule
         except (ValueError, ValidationError) as exc:
             raise ParseError(f"{path}: bad alert row {lineno}: {exc}") from exc
         if alert_id in seen:
             raise ParseError(f"{path}: duplicate alert id {alert_id!r} at row {lineno}")
         seen.add(alert_id)
-        alerts.append(alert)
-    return alerts
+        for column, value in zip(columns.values(), (alert_id, attack_class, p, label, criticality)):
+            column.append(value)
+    return columns
 
 
 # --- batch assembly --------------------------------------------------------
@@ -221,6 +208,15 @@ class PreparedAlert(NamedTuple):
 _FLOAT_COLUMNS = ("p", "cf", "uf", "h_class", "core", "spread", "height")
 
 
+def _check_ids_and_labels(ids: Sequence[str], labels: Sequence[int | None]) -> None:
+    """Reject an empty alert id, and a label other than 0, 1 or ``None``."""
+    if "" in ids:
+        raise ValidationError("alert_id must be non-empty")
+    if not set(labels) <= {None, 0, 1}:
+        label = next(y for y in labels if y not in (None, 0, 1))
+        raise ValidationError(f"label must be 0, 1, or None, got {label!r}")
+
+
 def _read_only(column: np.ndarray) -> np.ndarray:
     column.setflags(write=False)
     return column
@@ -228,7 +224,8 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlertBatch:
-    """Prepared alerts as aligned columns, one entry per alert; ids are unique.
+    """Prepared alerts as aligned columns, one entry per alert; ids are
+    unique and non-empty, and each label is 0, 1 or ``None``.
 
     ``p`` to ``height`` are read-only float64 arrays. Indexing and iteration
     build :class:`PreparedAlert` rows on demand. ``log10_height`` and
@@ -253,6 +250,7 @@ class AlertBatch:
         shapes = {(len(self.classes),), (len(self.labels),)}
         if shapes | {getattr(self, f).shape for f in _FLOAT_COLUMNS} != {(n,)}:
             raise ValidationError("alert batch columns must all have one entry per id")
+        _check_ids_and_labels(self.ids, self.labels)
         if len(set(self.ids)) != n:
             raise ValidationError("alert ids must be unique within a batch")
 
@@ -339,15 +337,17 @@ class AlertBatch:
 
 
 def assemble(
-    alerts: Sequence[Alert],
-    catalog: Mapping[str, AttackClassProfile],
-    heights: Mapping[str, float],
-    *,
-    cf_mode: CfMode = CfMode.CONTINUOUS,
-    uf_scale: float = 1.0,
+    ids: Sequence[str], classes: Sequence[str], p: Sequence[float] | np.ndarray,
+    catalog: Mapping[str, AttackClassProfile], heights: Mapping[str, float], *,
+    labels: Sequence[int | None] | None = None,
+    criticalities: Sequence[Criticality | None] | None = None,
+    cf_mode: CfMode = CfMode.CONTINUOUS, uf_scale: float = 1.0,
 ) -> AlertBatch:
-    """Resolve a sequence of alerts into one :class:`AlertBatch`.
+    """Resolve alert columns into one :class:`AlertBatch`.
 
+    Entry ``i`` of each column describes alert ``i``: its id, claimed class,
+    probability, ground-truth label (``None``, the default: unknown) and
+    asset criticality (``None``, the default: hashed from id and class).
     ``heights`` maps calibrated classes to their class heights. A class is
     looked up by name like any other, :data:`UNKNOWN_CLASS` included, so an
     unmapped label that the calibration saw has a calibrated height; only a
@@ -358,8 +358,8 @@ def assemble(
     by the contextual factor and the spread is the core scaled by the
     uncertainty factor; a zero core gets the spread :data:`SPREAD_FLOOR`.
     """
-    fields = ("alert_id", "attack_class", "p", "label", "criticality")
-    ids, classes, p, labels, criticalities = (tuple(map(attrgetter(f), alerts)) for f in fields)
+    ids, classes = tuple(ids), tuple(classes)
+    labels = (None,) * len(ids) if labels is None else tuple(labels)
     cf = contextual_factors(ids, classes, criticalities, cf_mode)
     cvss = {c: resolve_profile(c, catalog).cvss for c in dict.fromkeys(classes)}
     core = np.array(list(map(cvss.__getitem__, classes)), dtype=float) * cf

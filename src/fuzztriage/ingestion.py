@@ -70,21 +70,15 @@ class FlowDataset:
     def __len__(self) -> int:
         return int(self.features.shape[0])
 
-    def take(self, indices: np.ndarray) -> "FlowDataset":
-        """Row subset in the given index order."""
-        idx = np.asarray(indices, dtype=int)
-        return FlowDataset(
-            self.features[idx],
-            self.feature_names,
-            tuple(map(self.labels.__getitem__, idx.tolist())),
-            None if self.days is None else tuple(map(self.days.__getitem__, idx.tolist())),
-        )
-
 
 @dataclass(frozen=True)
 class LoadReport:
-    rows_kept: int
+    rows: np.ndarray  # each kept flow's index among the data rows, dropped ones counted
     rows_dropped: int
+
+    @property
+    def rows_kept(self) -> int:
+        return len(self.rows)
 
 
 def load_csv(
@@ -117,27 +111,26 @@ def load_csv(
     # itemgetter returns a bare field, not a 1-tuple, for one column.
     fields = getter if len(feature_idx) > 1 else lambda row: (getter(row),)
 
-    values = array("d")  # parsed rows, flat; non-finite ones are dropped below
+    values = array("d")  # one row per data row; NaN where a feature does not parse
+    unparsed = [float("nan")] * len(feature_idx)
     labels: list[str] = []
     days: list[str] = []
-    dropped = 0
     for _, row in rows:
         try:
             values.extend(map(float, fields(row)))
         except ValueError:
             del values[len(labels) * len(feature_idx):]
-            dropped += 1
-            continue
+            values.extend(unparsed)
         labels.append(row[label_idx].strip())
         if day_idx is not None:
             days.append(row[day_idx].strip())
-    if not labels and not dropped:
+    if not labels:
         raise ParseError(f"{path}: no data rows")
     matrix = np.frombuffer(values, dtype=float).reshape(len(labels), len(feature_idx))
     finite = np.isfinite(matrix).all(axis=1)
-    kept = int(finite.sum())
-    dropped += len(labels) - kept
-    if not kept:
+    kept = np.flatnonzero(finite)
+    dropped = len(labels) - len(kept)
+    if not len(kept):
         raise ParseError(f"{path}: all {dropped} data rows were dropped")
     dataset = FlowDataset(
         matrix[finite],
@@ -149,26 +142,30 @@ def load_csv(
 
 
 def write_flow_csv(
-    dataset: FlowDataset, path: str | Path, header_comment: str | None = None
+    dataset: FlowDataset, rows: Sequence[int] | np.ndarray, path: str | Path,
+    header_comment: str | None = None,
 ) -> None:
-    """Write a dataset in the same schema load_csv reads: the bytes of
-    ``csv.writer`` given ``f"{v:.6g}"`` for each feature, the label and the
-    day. The features of :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a
-    time come from one :func:`~fuzztriage.tables.g_rows` call (``%.6g``
-    text never needs quoting); the label and day are quoted once per
-    distinct pair."""
+    """Write the flows ``rows`` of a dataset, in that order, in the schema
+    load_csv reads: the bytes of ``csv.writer`` given ``f"{v:.6g}"`` for
+    each feature, the label and the day. The features of
+    :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a time come from one
+    :func:`~fuzztriage.tables.g_rows` call (``%.6g`` text never needs
+    quoting); the label and day are quoted once per distinct pair."""
     header = list(dataset.feature_names) + [LABEL_COLUMN_DEFAULT]
     tags = [dataset.labels]
     if dataset.days is not None:
         header.append(DAY_COLUMN_DEFAULT)
         tags.append(dataset.days)
-    keys = list(zip(*tags))
-    tails = {key: csv_row(("",) + key)[1:] for key in set(keys)}  # drop the leading ","
+    rows = np.asarray(rows, dtype=np.intp)
+    tails: dict[tuple[str, ...], str] = {}
     with write_artifact(path, header_comment) as fh:
         fh.write(csv_row(header))
-        for start in range(0, len(dataset), ROWS_PER_WRITE):
-            rows = slice(start, start + ROWS_PER_WRITE)
-            pairs = zip(g_rows(dataset.features[rows], 6), keys[rows])
+        for start in range(0, len(rows), ROWS_PER_WRITE):
+            chunk = rows[start : start + ROWS_PER_WRITE]
+            keys = list(zip(*(map(tag.__getitem__, chunk.tolist()) for tag in tags)))
+            for key in set(keys).difference(tails):
+                tails[key] = csv_row(("",) + key)[1:]  # drop the leading ","
+            pairs = zip(g_rows(dataset.features[chunk], 6), keys)
             fh.write("".join([row + tails[key] for row, key in pairs]))
 
 
@@ -202,13 +199,18 @@ DEFAULT_CLASS_MAP: dict[str, str] = {
 }
 
 def load_class_map_override(path: str | Path) -> dict[str, str]:
-    """Read raw-label overrides from a two-column CSV (raw, class)."""
+    """Read raw-label overrides from a two-column CSV (raw, class). Two rows
+    whose raw labels match (see :func:`map_attack_types`) are an error."""
     override: dict[str, str] = {}
+    first_row: dict[str, int] = {}
     for n, row in read_table(path, ["raw", "class"])[1]:
         raw, cls = row[0].strip(), row[1].strip()
         if not raw or not cls:
             raise ParseError(f"{path}: row {n} has an empty field")
-        override[_canon(raw)] = cls
+        key = _canon(raw)
+        if key in override:
+            raise ParseError(f"{path}: raw label {raw!r} at row {n} repeats row {first_row[key]}")
+        override[key], first_row[key] = cls, n
     return override
 
 
@@ -330,9 +332,7 @@ def _stratified_indices(
     classes: Sequence[str], spec: SplitSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
-    train: list[np.ndarray] = []
-    val: list[np.ndarray] = []
-    test: list[np.ndarray] = []
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])  # train, validation, test
     arr = np.asarray(classes)
     for cls in sorted(set(classes)):
         idx = np.flatnonzero(arr == cls)
@@ -340,21 +340,15 @@ def _stratified_indices(
             logger.warning(
                 "class %s has %d rows, fewer than 3; placing all in train", cls, idx.size
             )
-            train.append(idx)
+            parts[0].append(idx)
             continue
         idx = rng.permutation(idx)
         n_train = int(idx.size * spec.fractions[0])
         n_val = int(idx.size * spec.fractions[1])
-        train.append(idx[:n_train])
-        val.append(idx[n_train : n_train + n_val])
-        test.append(idx[n_train + n_val :])
-
-    def merge(parts: list[np.ndarray]) -> np.ndarray:
-        if not parts:
-            return np.asarray([], dtype=int)
-        return np.sort(np.concatenate(parts).astype(int))
-
-    return merge(train), merge(val), merge(test)
+        for part, chunk in zip(parts, np.split(idx, [n_train, n_train + n_val])):
+            part.append(chunk)
+    train, val, test = (np.sort(np.concatenate([np.empty(0, dtype=int), *p])) for p in parts)
+    return train, val, test
 
 
 def split(dataset: FlowDataset, classes: Sequence[str], spec: SplitSpec) -> SplitResult:

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .alerts import Alert, AlertBatch, AttackClassProfile, assemble, load_catalog
+from .alerts import AlertBatch, AttackClassProfile, assemble, load_catalog
 from .calibration import CalibrationRow, build_height_table, per_class_counts, write_calibration_csv
 from .config import DetectorMode, RunConfig, artifact_stamp, with_detector_mode
 from .detector import (
@@ -68,15 +68,16 @@ from .tables import write_artifact
 logger = logging.getLogger(__name__)
 
 
-def flow_ids(n: int) -> tuple[str, ...]:
-    return tuple(f"flow-{i:05d}" for i in range(n))
+def flow_ids(rows: Sequence[int] | np.ndarray) -> tuple[str, ...]:
+    """The ids of the flows at data-row indices ``rows``."""
+    return tuple(f"flow-{i:05d}" for i in np.asarray(rows).tolist())
 
 
 @dataclass(frozen=True)
 class PreparedData:
     dataset: FlowDataset
     classes: tuple[str, ...]
-    ids: tuple[str, ...]
+    rows: np.ndarray  # each flow's data-row index, which names it (flow_ids)
     split: SplitResult
 
 
@@ -84,12 +85,14 @@ def prepare_data(config: RunConfig) -> PreparedData:
     """Load or generate the dataset, map classes, and split."""
     if config.dataset.source == "synth":
         dataset = synth_generate(config.synth)
+        rows = np.arange(len(dataset))
     else:
         dataset, report = load_csv(
             config.dataset.path,
             label_column=config.dataset.label_column,
             day_column=config.dataset.day_column,
         )
+        rows = report.rows
         if report.rows_dropped:
             logger.warning(
                 "dropped %d rows with non-numeric or non-finite features", report.rows_dropped
@@ -99,7 +102,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
     )
     classes = map_attack_types(dataset.labels, override)
     split = split_dataset(dataset, classes, config.split)
-    return PreparedData(dataset, classes, flow_ids(len(dataset)), split)
+    return PreparedData(dataset, classes, rows, split)
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
 
     if mode is DetectorMode.EXTERNAL_SCORES:
         scores = load_external_scores(config.detector.scores_path)
-        p_val = np.asarray(lookup_scores([prep.ids[i] for i in va], scores, "validation"))
-        p_test = np.asarray(lookup_scores([prep.ids[i] for i in te], scores, "test"))
+        p_val = np.asarray(lookup_scores(flow_ids(prep.rows[va]), scores, "validation"))
+        p_test = np.asarray(lookup_scores(flow_ids(prep.rows[te]), scores, "test"))
     else:
         if tr.size == 0:
             raise ValidationError("training split is empty; cannot train the detector")
@@ -166,12 +169,14 @@ def build_alerts(
     te = prep.split.test_idx
     if te.size == 0:
         raise ValidationError("test split is empty; there are no alerts to rank")
-    columns = (te.tolist(), detector_out.p_test.tolist(), binary_labels(prep.classes)[te].tolist())
-    alerts = [Alert(prep.ids[i], prep.classes[i], p, label=y) for i, p, y in zip(*columns)]
+    classes = tuple(map(prep.classes.__getitem__, te.tolist()))
     catalog = load_catalog(config.dataset.catalog)
     heights = {cls: row.h_class for cls, row in table.items()}
-    ranking = config.ranking
-    records = assemble(alerts, catalog, heights, cf_mode=ranking.cf_mode, uf_scale=ranking.uf_scale)
+    records = assemble(
+        flow_ids(prep.rows[te]), classes, detector_out.p_test, catalog, heights,
+        labels=binary_labels(classes).tolist(),
+        cf_mode=config.ranking.cf_mode, uf_scale=config.ranking.uf_scale,
+    )
     return records, catalog
 
 
@@ -282,7 +287,7 @@ def write_splits(config: RunConfig, prep: PreparedData) -> list[Path]:
         ("test", prep.split.test_idx),
     ):
         path = Path(config.out_dir, "splits", f"{name}.csv")
-        write_flow_csv(prep.dataset.take(idx), path, header_comment=stamp)
+        write_flow_csv(prep.dataset, idx, path, header_comment=stamp)
         written.append(path)
     return written
 

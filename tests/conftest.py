@@ -52,6 +52,14 @@ def make_batch(records: Iterable[PreparedAlert]) -> AlertBatch:
     )
 
 
+def alert_columns(rows: Iterable[tuple]) -> dict[str, tuple]:
+    """``(id, class, p, label, criticality)`` rows as the alert columns,
+    keyed as ``assemble`` names them."""
+    names = ("ids", "classes", "p", "labels", "criticalities")
+    columns = list(zip(*rows)) or [()] * len(names)
+    return dict(zip(names, columns))
+
+
 def random_batch(rng: np.random.Generator, n: int) -> AlertBatch:
     """Batch of n alerts with randomized cores, heights, probabilities."""
     records = []

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_batch, make_record, random_batch
-from fuzztriage.alerts import Alert, AttackClassProfile, Criticality, assemble
+from fuzztriage.alerts import AttackClassProfile, Criticality, assemble
 from fuzztriage.calibration import HeightParams, build_height_table
 from fuzztriage.config import load_config
 from fuzztriage.evaluation import (
@@ -71,8 +71,10 @@ def test_criterion_01_worked_example_reproduction():
     table = build_height_table({"WebAttack": (45, 35, 15)}, HeightParams(alpha=0.9))
     row = table["WebAttack"]
     catalog = {"WebAttack": AttackClassProfile("WebAttack", cvss=7.5, uf=0.15)}
-    alerts = [Alert("a-1", "WebAttack", p=0.9, criticality=Criticality.IMPORTANT)]
-    (record,) = assemble(alerts, catalog, {"WebAttack": row.h_class})
+    (record,) = assemble(
+        ["a-1"], ["WebAttack"], [0.9], catalog, {"WebAttack": row.h_class},
+        criticalities=[Criticality.IMPORTANT],
+    )
     elapsed = time.perf_counter() - start
 
     assert record.cf == 0.8

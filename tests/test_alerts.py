@@ -14,7 +14,6 @@ from fuzztriage.alerts import (
     CRITICALITY_FACTORS,
     SPREAD_FLOOR,
     UNKNOWN_CLASS,
-    Alert,
     AlertBatch,
     AttackClassProfile,
     CfMode,
@@ -135,8 +134,9 @@ class TestContextualFactor:
 def assembled(cvss, uf, criticality=Criticality.CRITICAL, uf_scale=1.0):
     """The one alert of class X with the given profile and criticality."""
     catalog = {"X": AttackClassProfile("X", cvss, uf)}
-    alerts = [Alert("a1", "X", 0.9, criticality=criticality)]
-    return assemble(alerts, catalog, {"X": 0.8}, uf_scale=uf_scale)[0]
+    return assemble(
+        ["a1"], ["X"], [0.9], catalog, {"X": 0.8}, criticalities=[criticality], uf_scale=uf_scale
+    )[0]
 
 
 class TestCoreAndSpread:
@@ -177,17 +177,23 @@ class TestCoreAndSpread:
 
 
 class TestAlertValidation:
+    """The per-alert rules, checked once per batch by ``assemble``."""
+
     def test_empty_id(self):
-        with pytest.raises(ValidationError):
-            Alert("", "DoS", 0.5)
+        with pytest.raises(ValidationError) as err:
+            assemble(["a", ""], ["DoS", "DoS"], [0.5, 0.5], load_catalog(), {})
+        assert str(err.value) == "alert_id must be non-empty"
 
     def test_bad_probability(self):
-        with pytest.raises(ValidationError):
-            Alert("a", "DoS", 1.5)
+        for p in (1.5, float("nan")):
+            with pytest.raises(ValidationError) as err:
+                assemble(["a", "b"], ["DoS", "DoS"], [0.5, p], load_catalog(), {})
+            assert str(err.value) == f"p must lie in [0, 1], got {p!r}"
 
     def test_bad_label(self):
-        with pytest.raises(ValidationError):
-            Alert("a", "DoS", 0.5, label=2)
+        with pytest.raises(ValidationError) as err:
+            assemble(["a", "b"], ["DoS", "DoS"], [0.5, 0.5], load_catalog(), {}, labels=[0, 2])
+        assert str(err.value) == "label must be 0, 1, or None, got 2"
 
 
 class TestCatalog:
@@ -248,11 +254,15 @@ class TestAlertsCsv:
             "a2,benign,0.12,0,important\n"
             "a3,Bot,0.5,,\n"
         )
-        assert load_alerts_csv(path) == [
-            Alert("a1", "DoS", 0.83, label=1),
-            Alert("a2", "benign", 0.12, label=0, criticality=Criticality.IMPORTANT),
-            Alert("a3", "Bot", 0.5),
-        ]
+        assert load_alerts_csv(path) == {
+            "ids": ["a1", "a2", "a3"],
+            "classes": ["DoS", "benign", "Bot"],
+            "p": [0.83, 0.12, 0.5],
+            "labels": [1, 0, None],
+            "criticalities": [None, Criticality.IMPORTANT, None],
+        }
+        batch = assemble(**load_alerts_csv(path), catalog=load_catalog(), heights={})
+        assert batch.ids == ("a1", "a2", "a3") and batch.cf[1] == 0.8
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "alerts.csv"
@@ -263,8 +273,9 @@ class TestAlertsCsv:
     def test_bad_probability_row(self, tmp_path):
         path = tmp_path / "alerts.csv"
         path.write_text("id,attack_class,p,label,criticality\na,DoS,1.5,,\n")
-        with pytest.raises(ParseError, match="row 2"):
+        with pytest.raises(ParseError) as err:
             load_alerts_csv(path)
+        assert str(err.value) == f"{path}: bad alert row 2: p must lie in [0, 1], got 1.5"
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "alerts.csv"
@@ -276,7 +287,7 @@ class TestAlertsCsv:
 class TestAssemble:
     def test_known_class(self):
         catalog = load_catalog()
-        records = assemble([Alert("a1", "DoS", 0.9, label=1)], catalog, {"DoS": 0.8})
+        records = assemble(["a1"], ["DoS"], [0.9], catalog, {"DoS": 0.8}, labels=[1])
         (r,) = records
         assert r.attack_class == "DoS"
         assert r.h_class == 0.8
@@ -286,39 +297,38 @@ class TestAssemble:
 
     def test_novel_class_neutral_height(self):
         # unseen class: conservative class height 0.5, capped by p
-        records = assemble([Alert("a1", "QuantumExfil", 0.9)], load_catalog(), {})
+        records = assemble(["a1"], ["QuantumExfil"], [0.9], load_catalog(), {})
         (r,) = records
         assert r.h_class == 0.5
         assert r.height == 0.5
 
     def test_zero_probability_height_floor(self):
-        records = assemble([Alert("a1", "DoS", 0.0)], load_catalog(), {"DoS": 0.8})
+        records = assemble(["a1"], ["DoS"], [0.0], load_catalog(), {"DoS": 0.8})
         assert records[0].height == HEIGHT_FLOOR
 
     def test_benign_zero_core(self):
-        records = assemble([Alert("a1", "benign", 0.7, label=0)], load_catalog(), {})
+        records = assemble(["a1"], ["benign"], [0.7], load_catalog(), {}, labels=[0])
         (r,) = records
         assert r.core == 0.0
         assert r.spread == SPREAD_FLOOR
 
     def test_uf_scale(self):
         catalog = load_catalog()
-        base = assemble([Alert("a1", "DoS", 0.9)], catalog, {"DoS": 0.8})
-        scaled = assemble([Alert("a1", "DoS", 0.9)], catalog, {"DoS": 0.8}, uf_scale=1.2)
+        base = assemble(["a1"], ["DoS"], [0.9], catalog, {"DoS": 0.8})
+        scaled = assemble(["a1"], ["DoS"], [0.9], catalog, {"DoS": 0.8}, uf_scale=1.2)
         assert scaled[0].spread == pytest.approx(base[0].spread * 1.2)
 
     def test_uf_scale_out_of_domain(self):
         with pytest.raises(ValidationError):
-            assemble([Alert("a1", "DoS", 0.9)], load_catalog(), {}, uf_scale=0.0)
+            assemble(["a1"], ["DoS"], [0.9], load_catalog(), {}, uf_scale=0.0)
         with pytest.raises(ValidationError):
             # Infiltration uf 0.35 * 2.0 exceeds the 0.5 cap
-            assemble([Alert("a1", "Infiltration", 0.9)], load_catalog(), {}, uf_scale=2.0)
+            assemble(["a1"], ["Infiltration"], [0.9], load_catalog(), {}, uf_scale=2.0)
 
     def test_criticality_overrides_hash(self):
         records = assemble(
-            [Alert("a1", "DoS", 0.9, criticality=Criticality.ISOLATED)],
-            load_catalog(),
-            {"DoS": 0.8},
+            ["a1"], ["DoS"], [0.9], load_catalog(), {"DoS": 0.8},
+            criticalities=[Criticality.ISOLATED],
         )
         assert records[0].cf == 0.2
 
@@ -374,7 +384,7 @@ class TestAlertBatch:
 
     def test_empty_assembly(self):
         for cf_mode in CfMode:
-            batch = assemble([], load_catalog(), {}, cf_mode=cf_mode)
+            batch = assemble([], [], [], load_catalog(), {}, cf_mode=cf_mode)
             assert len(batch) == 0 and list(batch) == []
             assert batch.core.dtype == np.float64 and batch.core.shape == (0,)
 
@@ -395,17 +405,19 @@ free_text = st.one_of(
 
 @st.composite
 def assembly_inputs(draw):
+    """The alert columns, keyed as ``assemble`` names them, and a heights map."""
     ids = draw(st.lists(free_text, max_size=25, unique=True))
-    alerts = [
-        Alert(
-            alert_id,
-            draw(st.one_of(st.sampled_from(SAMPLE_CLASSES), free_text)),
-            draw(st.one_of(st.sampled_from([0.0, HEIGHT_FLOOR, 1.0]), st.floats(0.0, 1.0))),
-            label=draw(st.sampled_from([None, 0, 1])),
-            criticality=draw(st.one_of(st.none(), st.sampled_from(list(Criticality)))),
-        )
-        for alert_id in ids
-    ]
+
+    def column(strategy):
+        return draw(st.lists(strategy, min_size=len(ids), max_size=len(ids)))
+
+    alerts = {
+        "ids": ids,
+        "classes": column(st.one_of(st.sampled_from(SAMPLE_CLASSES), free_text)),
+        "p": column(st.one_of(st.sampled_from([0.0, HEIGHT_FLOOR, 1.0]), st.floats(0.0, 1.0))),
+        "labels": column(st.sampled_from([None, 0, 1])),
+        "criticalities": column(st.one_of(st.none(), st.sampled_from(list(Criticality)))),
+    }
     heights = draw(
         st.dictionaries(
             st.sampled_from(SAMPLE_CLASSES),
@@ -435,23 +447,27 @@ class TestAssembleMatchesScalarReference:
     def test_columns_scores_and_scenarios(self, inputs, cf_mode, uf_scale, kappa):
         alerts, heights = inputs
         catalog = load_catalog()
-        batch = assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=uf_scale)
+        batch = assemble(
+            **alerts, catalog=catalog, heights=heights, cf_mode=cf_mode, uf_scale=uf_scale
+        )
 
-        profiles = [resolve_profile(a.attack_class, catalog) for a in alerts]
+        ids, classes, p = alerts["ids"], alerts["classes"], alerts["p"]
+        profiles = [resolve_profile(c, catalog) for c in classes]
         cf = [
-            cf_value(a.alert_id, a.attack_class, cf_mode, a.criticality) for a in alerts
+            cf_value(i, c, cf_mode, crit)
+            for i, c, crit in zip(ids, classes, alerts["criticalities"])
         ]
         core = [profile.cvss * c for profile, c in zip(profiles, cf)]
         uf = [profile.uf * uf_scale for profile in profiles]
         spread = [c * u if c * u > 0.0 else SPREAD_FLOOR for c, u in zip(core, uf)]
-        h_class = [heights.get(a.attack_class, 0.5) for a in alerts]
-        height = [max(min(h, a.p), HEIGHT_FLOOR) for h, a in zip(h_class, alerts)]
+        h_class = [heights.get(c, 0.5) for c in classes]
+        height = [max(min(h, q), HEIGHT_FLOOR) for h, q in zip(h_class, p)]
 
-        assert batch.ids == tuple(a.alert_id for a in alerts)
-        assert batch.classes == tuple(a.attack_class for a in alerts)
-        assert batch.labels == tuple(a.label for a in alerts)
+        assert batch.ids == tuple(ids)
+        assert batch.classes == tuple(classes)
+        assert batch.labels == tuple(alerts["labels"])
         for name, reference in (
-            ("p", [a.p for a in alerts]),
+            ("p", p),
             ("cf", cf),
             ("uf", uf),
             ("h_class", h_class),
@@ -473,7 +489,7 @@ class TestAssembleMatchesScalarReference:
         for kind in ScenarioKind:
             spec = ScenarioSpec(kind, seed=3)
             shifted = apply_scenario(batch, spec)
-            p_new = perturb([a.p for a in alerts], spec).tolist()
+            p_new = perturb(p, spec).tolist()
             assert_bits(shifted.p, p_new)
             assert_bits(shifted.height, [max(min(h, q), HEIGHT_FLOOR) for h, q in zip(h_class, p_new)])
             assert_bits(shifted.core, core)
@@ -519,7 +535,7 @@ def rebuilt(batch):
 
 # One class the catalog lacks and one the heights lack, so both fallbacks run.
 FALLBACK_ALERTS = (
-    [Alert("q", "QuantumExfil", 0.7, label=1), Alert("d", "DoS", 0.9, label=0)],
+    {"ids": ["q", "d"], "classes": ["QuantumExfil", "DoS"], "p": [0.7, 0.9], "labels": [1, 0]},
     {"DoS": 0.8},
 )
 
@@ -541,16 +557,17 @@ class TestBatchTransforms:
     def test_transforms_equal_fresh_assembly(self, inputs, cf_mode, uf_scale, heights2, scale2):
         alerts, heights = inputs
         catalog = load_catalog()
-        base = assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=uf_scale)
+        alerts = dict(alerts, catalog=catalog, cf_mode=cf_mode)
+        base = assemble(**alerts, heights=heights, uf_scale=uf_scale)
         log10_height, id_rank = base.log10_height, base.id_rank
 
         by_heights = base.with_class_heights(heights2)
-        fresh = assemble(alerts, catalog, heights2, cf_mode=cf_mode, uf_scale=uf_scale)
+        fresh = assemble(**alerts, heights=heights2, uf_scale=uf_scale)
         assert_same_batch(by_heights, fresh)
         assert by_heights.id_rank is id_rank
 
         by_scale = base.with_uf_scale(catalog, scale2)
-        fresh = assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=scale2)
+        fresh = assemble(**alerts, heights=heights, uf_scale=scale2)
         assert_same_batch(by_scale, fresh)
         assert by_scale.id_rank is id_rank and by_scale.log10_height is log10_height
 
@@ -558,7 +575,7 @@ class TestBatchTransforms:
     @settings(max_examples=100, deadline=None)
     def test_with_p_carries_id_rank(self, inputs, shift):
         alerts, heights = inputs
-        base = assemble(alerts, load_catalog(), heights)
+        base = assemble(**alerts, catalog=load_catalog(), heights=heights)
         id_rank = base.id_rank
         shifted = base.with_p(np.minimum(base.p + shift, 1.0))
         assert shifted.id_rank is id_rank
@@ -569,20 +586,20 @@ class TestBatchTransforms:
         alerts, heights = FALLBACK_ALERTS
         catalog = load_catalog()
         with pytest.raises(ValidationError) as expected:
-            assemble(alerts, catalog, heights, uf_scale=scale)
+            assemble(**alerts, catalog=catalog, heights=heights, uf_scale=scale)
         with pytest.raises(ValidationError) as got:
-            assemble(alerts, catalog, heights).with_uf_scale(catalog, scale)
+            assemble(**alerts, catalog=catalog, heights=heights).with_uf_scale(catalog, scale)
         assert str(got.value) == str(expected.value)
 
     def test_class_height_errors_match_assemble(self):
         alerts, _ = FALLBACK_ALERTS
         with pytest.raises(ValidationError) as expected:
-            assemble(alerts, load_catalog(), {"DoS": 1.5})
+            assemble(**alerts, catalog=load_catalog(), heights={"DoS": 1.5})
         with pytest.raises(ValidationError) as got:
-            assemble(alerts, load_catalog(), {}).with_class_heights({"DoS": 1.5})
+            assemble(**alerts, catalog=load_catalog(), heights={}).with_class_heights({"DoS": 1.5})
         assert str(got.value) == str(expected.value)
 
     def test_with_p_length_mismatch_rejected(self):
         alerts, heights = FALLBACK_ALERTS
         with pytest.raises(ValidationError, match="one entry per id"):
-            assemble(alerts, load_catalog(), heights).with_p(0.5)
+            assemble(**alerts, catalog=load_catalog(), heights=heights).with_p(0.5)

@@ -333,7 +333,7 @@ class TestMain:
         # Artifacts are UTF-8 whatever the locale, so a run in the C locale
         # writes the bytes a UTF-8 run writes.
         flows = tmp_path / "flows.csv"
-        write_flow_csv(synth_generate(SynthConfig(n_flows=600)), flows)
+        write_flow_csv(synth_generate(SynthConfig(n_flows=600)), range(600), flows)
         class_map = tmp_path / "map.csv"
         class_map.write_text("raw,class\nPortScan,Déni\n", encoding="utf-8")
         ini = tmp_path / "run.ini"
@@ -506,12 +506,33 @@ def flows_text(attack_label, days=(), n_rows=400):
 
 def full_external_scores(out):
     # every alert carries the p its id has in the scores file
-    p_by_id = dict(line.split(",") for line in scores_text(flow_ids(300)).splitlines()[1:])
+    p_by_id = dict(line.split(",") for line in scores_text(flow_ids(range(300))).splitlines()[1:])
     assert {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()} == EVALUATE_FILES
     assert data_rows(out / "eval" / "detector.csv")[0].startswith("external_scores,")
     rows = [line.split(",") for line in data_rows(out / "queues" / "queue_confidence_only.csv")]
     assert len(rows) == len(data_rows(out / "splits" / "test.csv")) == 120
     assert all(float(row[7]) == float(p_by_id[row[1]]) for row in rows)
+
+
+def dropped_rows_inputs():
+    """A flow CSV whose data rows 1 and 2 are dropped (an Infinity and a
+    non-numeric cell), and scores keyed by data row (counted from 0): p 0.9
+    for each attack row and 0.2 for each benign one."""
+    header, *rows = flows_text("DoS Hulk").splitlines()
+    for n, cell in ((1, "Infinity"), (2, "n/a")):
+        rows[n] = cell + rows[n][rows[n].index(","):]
+    p = ("0.2" if row.endswith("BENIGN") else "0.9" for row in rows)
+    scores = "".join(f"{i},{q}\n" for i, q in zip(flow_ids(range(len(rows))), p))
+    return {"flows.csv": "\n".join([header, *rows]) + "\n", "scores.csv": "id,p\n" + scores}
+
+
+def scores_follow_source_rows(out):
+    # an alert's id names its flow's data row, dropped rows counted, so each
+    # alert gets its own row's p: 0.9 exactly when its label is 1
+    rows = [line.split(",") for line in data_rows(out / "queues" / "queue_confidence_only.csv")]
+    assert len(rows) == len(data_rows(out / "splits" / "test.csv")) > 0
+    assert {(row[7], row[9]) for row in rows} == {("0.9", "1"), ("0.2", "0")}
+    assert not {"flow-00001", "flow-00002"} & {row[1] for row in rows}
 
 
 def unmapped_class_calibrated(out):
@@ -537,15 +558,16 @@ EXTERNAL_SCORES_INI = (
 
 # name -> files written beside the INI, whose directory "{dir}" names in the INI text
 DEGENERATE_INPUTS = {
-    "external_scores_full": {"scores.csv": scores_text(flow_ids(300))},
-    "external_scores_65pct": {"scores.csv": scores_text(flow_ids(195))},
-    "external_scores_1pct": {"scores.csv": scores_text(flow_ids(3))},
+    "external_scores_full": {"scores.csv": scores_text(flow_ids(range(300)))},
+    "external_scores_65pct": {"scores.csv": scores_text(flow_ids(range(195)))},
+    "external_scores_1pct": {"scores.csv": scores_text(flow_ids(range(3)))},
     "external_scores_0pct": {"scores.csv": scores_text(["elsewhere-0"])},
     # Mystery-Attack maps to no class
     "only_unmapped_attacks": {"flows.csv": flows_text("Mystery-Attack")},
     # day-based splits with no Monday or Tuesday rows, and no Thursday or Friday rows
     "empty_train_split": {"flows.csv": flows_text("DoS Hulk", ("Wednesday", "Thursday", "Friday"))},
     "empty_test_split": {"flows.csv": flows_text("DoS Hulk", ("Monday", "Tuesday", "Wednesday"))},
+    "external_scores_dropped_rows": dropped_rows_inputs(),
 }
 DAY_BASED_CSV_INI = "[dataset]\nsource = csv\npath = {dir}/flows.csv\n[split]\nmode = day_based\n"
 
@@ -601,6 +623,13 @@ DEGENERATE_RUNS = {
             ("0pct", "error: external scores miss 60 of 60 validation ids (first: 'flow-00002')"),
         )
     },
+    "external_scores_dropped_rows": (
+        "[dataset]\nsource = csv\npath = {dir}/flows.csv\n"
+        "[detector]\nmode = external_scores\nscores_path = {dir}/scores.csv\n",
+        0,
+        ["WARNING fuzztriage.pipeline: dropped 2 rows with non-numeric or non-finite features"],
+        scores_follow_source_rows,
+    ),
     "only_unmapped_attacks": (
         "[dataset]\nsource = csv\npath = {dir}/flows.csv\n", 0, [], unmapped_class_calibrated,
     ),

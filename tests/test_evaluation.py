@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_batch, make_record, random_batch
-from fuzztriage.alerts import Alert, CfMode, Criticality, assemble, load_catalog
+from conftest import alert_columns, make_batch, make_record, random_batch
+from fuzztriage.alerts import CfMode, Criticality, assemble, load_catalog
 from fuzztriage.calibration import HeightParams, heights_from_f1, instance_height
 from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import EvaluationError, ValidationError
@@ -541,20 +541,21 @@ class TestScenarioEval:
         assert zero.change_pct is None
 
 
-SWEEP_ALERTS = (
-    Alert("a1", "DoS", 0.9, label=1, criticality=Criticality.IMPORTANT),
-    Alert("a2", "PortScan", 0.8, label=1, criticality=Criticality.NON_CRITICAL),
-    Alert("a3", "DoS", 0.7, label=0, criticality=Criticality.IMPORTANT),
-    Alert("a4", "Bot", 0.6, label=1, criticality=Criticality.CRITICAL),
-    Alert("a5", "DDoS", 0.55, label=1, criticality=Criticality.IMPORTANT),
-    Alert("a6", "PortScan", 0.3, label=0, criticality=Criticality.ISOLATED),
+SWEEP_ROWS = (
+    ("a1", "DoS", 0.9, 1, Criticality.IMPORTANT),
+    ("a2", "PortScan", 0.8, 1, Criticality.NON_CRITICAL),
+    ("a3", "DoS", 0.7, 0, Criticality.IMPORTANT),
+    ("a4", "Bot", 0.6, 1, Criticality.CRITICAL),
+    ("a5", "DDoS", 0.55, 1, Criticality.IMPORTANT),
+    ("a6", "PortScan", 0.3, 0, Criticality.ISOLATED),
 )
+SWEEP_ALERTS = alert_columns(SWEEP_ROWS)
 SWEEP_F1 = {"DoS": 0.7, "PortScan": 0.55, "Bot": 0.8, "DDoS": 0.6}
 
 
 def sweep_fixture(alerts=SWEEP_ALERTS, f1=SWEEP_F1):
     catalog = load_catalog(None)
-    return assemble(alerts, catalog, heights_from_f1(f1)), catalog, f1
+    return assemble(**alerts, catalog=catalog, heights=heights_from_f1(f1)), catalog, f1
 
 
 def reference_sweep(
@@ -564,7 +565,7 @@ def reference_sweep(
     """The sweep as first written: each grid point assembles the alerts anew."""
     def assemble_with(params, scale):
         heights = heights_from_f1(f1_by_class, params)
-        return assemble(alerts, catalog, heights, cf_mode=cf_mode, uf_scale=scale)
+        return assemble(**alerts, catalog=catalog, heights=heights, cf_mode=cf_mode, uf_scale=scale)
 
     def spread(points):
         ndcg = np.array([p.ndcg_by_cutoff for p in points])
@@ -645,7 +646,7 @@ class TestSensitivitySweep:
             )
 
     def test_empty_predicted_queue_rejected(self):
-        alerts = (Alert("a1", "DoS", 0.2, label=1, criticality=Criticality.CRITICAL),)
+        alerts = alert_columns([("a1", "DoS", 0.2, 1, Criticality.CRITICAL)])
         with pytest.raises(EvaluationError):
             sensitivity_sweep(*sweep_fixture(alerts, {"DoS": 0.7}), {"alpha": (0.9,)})
 
@@ -668,7 +669,7 @@ class TestSensitivitySweep:
 
     def test_uf_value_past_half_matches_reference(self):
         # Infiltration's catalog uf 0.35 leaves (0, 0.5] at scale 1.5.
-        alerts = (*SWEEP_ALERTS, Alert("a7", "Infiltration", 0.95, label=1))
+        alerts = alert_columns([*SWEEP_ROWS, ("a7", "Infiltration", 0.95, 1, None)])
         f1 = {**SWEEP_F1, "Infiltration": 0.9}
         grid = {"kappa": (0.5,), "uf_scale": (1.2, 1.5)}
         expected = outcome(lambda: reference_sweep(alerts, load_catalog(), f1, grid))
@@ -700,12 +701,12 @@ class TestSensitivitySweep:
     def test_equals_reassembling_reference(
         self, rows, f1, grid, cf_mode, uf_scale, kappa, cutoffs
     ):
-        alerts = [Alert(f"a{i}", c, p, label=y, criticality=crit)
-                  for i, (c, p, y, crit) in enumerate(rows)]
+        alerts = alert_columns((f"a{i}", *row) for i, row in enumerate(rows))
         catalog = load_catalog()
         defaults = HeightParams(alpha=0.8, h_min=0.05, h_max=0.9)
         records = assemble(
-            alerts, catalog, heights_from_f1(f1, defaults), cf_mode=cf_mode, uf_scale=uf_scale
+            **alerts, catalog=catalog, heights=heights_from_f1(f1, defaults),
+            cf_mode=cf_mode, uf_scale=uf_scale,
         )
         expected = outcome(lambda: reference_sweep(
             alerts, catalog, f1, grid, cf_mode=cf_mode, defaults=defaults, kappa=kappa,

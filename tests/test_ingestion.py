@@ -56,17 +56,16 @@ class TestFlowDataset:
         with pytest.raises(ValidationError):
             FlowDataset(np.zeros((2, 2)), ("a", "b"), ("x", "y"), days=("Monday",))
 
-    def test_take_preserves_alignment(self):
+    def test_writer_keeps_row_order(self, tmp_path):
         ds = FlowDataset(
             np.arange(6.0).reshape(3, 2),
             ("a", "b"),
             ("x", "y", "z"),
             days=("Monday", "Tuesday", "Wednesday"),
         )
-        sub = ds.take(np.array([2, 0]))
-        assert np.array_equal(sub.features, [[4.0, 5.0], [0.0, 1.0]])
-        assert sub.labels == ("z", "x")
-        assert sub.days == ("Wednesday", "Monday")
+        write_flow_csv(ds, [2, 0], tmp_path / "flows.csv")
+        data = (tmp_path / "flows.csv").read_bytes()
+        assert data == b"a,b,Label,Day\r\n4,5,z,Wednesday\r\n0,1,x,Monday\r\n"
 
 
 class TestLoadCsv:
@@ -90,14 +89,16 @@ class TestLoadCsv:
         ds, report = load_csv(path)
         assert report.rows_kept == 8
         assert report.rows_dropped == 2
+        assert report.rows.tolist() == [0, 1, 2, 4, 5, 7, 8, 9]
         assert ds.days is None
 
     def test_non_numeric_rows_dropped(self, tmp_path):
         path = tmp_path / "flows.csv"
-        write_rows(path, ["f1", "Label"], [[1.0, "BENIGN"], ["oops", "BENIGN"]])
+        write_rows(path, ["f1", "Label"], [["oops", "BENIGN"], [1.0, "BENIGN"]])
         _, report = load_csv(path)
         assert report.rows_kept == 1
         assert report.rows_dropped == 1
+        assert report.rows.tolist() == [1]
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -150,14 +151,15 @@ class TestLoadCsv:
 
 # --- scalar references for the flow CSV reader and writer ----------------------
 
-def reference_flow_csv(dataset, header_comment=None) -> bytes:
-    """``write_flow_csv`` one value at a time: csv.writer over f"{v:.6g}" fields."""
+def reference_flow_csv(dataset, rows=None, header_comment=None) -> bytes:
+    """``write_flow_csv`` one value at a time: csv.writer over f"{v:.6g}"
+    fields of the flows ``rows`` (all of them by default)."""
     out = io.StringIO(newline="")
     if header_comment is not None:
         out.write(f"# {header_comment}\n")
     writer = csv.writer(out)
     writer.writerow([*dataset.feature_names, "Label"] + (["Day"] if dataset.days is not None else []))
-    for i in range(len(dataset)):
+    for i in range(len(dataset)) if rows is None else rows:
         row = [f"{v:.6g}" for v in dataset.features[i]] + [dataset.labels[i]]
         if dataset.days is not None:
             row.append(dataset.days[i])
@@ -167,7 +169,8 @@ def reference_flow_csv(dataset, header_comment=None) -> bytes:
 
 def reference_load(text):
     """``load_csv`` one row at a time with float() and isfinite: the error
-    message (without the path) or (features, names, labels, days, dropped)."""
+    message (without the path) or (features, names, labels, days, dropped,
+    the data-row index of each kept row)."""
     rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
     header = [name.strip() for name in rows[0]]
     label_idx = header.index("Label")
@@ -175,7 +178,7 @@ def reference_load(text):
     feature_idx = [i for i in range(len(header)) if i not in (label_idx, day_idx)]
     if len(rows) == 1:
         return "no data rows"
-    kept, dropped = [], 0
+    kept, kept_rows, dropped = [], [], 0
     for n, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             return f"row {n} has {len(row)} fields, expected {len(header)}"
@@ -188,12 +191,13 @@ def reference_load(text):
             dropped += 1
             continue
         kept.append((values, row[label_idx].strip(), None if day_idx is None else row[day_idx].strip()))
+        kept_rows.append(n - 2)
     if not kept:
         return f"all {dropped} data rows were dropped"
     features = np.array([values for values, _, _ in kept], dtype=float)
     names = tuple(header[i] for i in feature_idx)
     days = None if day_idx is None else tuple(day for _, _, day in kept)
-    return features, names, tuple(label for _, label, _ in kept), days, dropped
+    return features, names, tuple(label for _, label, _ in kept), days, dropped, kept_rows
 
 
 def csv_line(fields) -> str:
@@ -245,24 +249,27 @@ def flow_files(draw):
 
 
 class TestFlowCsvProperties:
-    @given(flow_datasets(), st.none() | st.just("config_hash=abc seed=1"))
+    @given(flow_datasets(), st.data(), st.none() | st.just("config_hash=abc seed=1"))
     @settings(max_examples=200, deadline=None)
-    def test_writer_matches_reference(self, tmp_path_factory, dataset, comment):
+    def test_writer_matches_reference(self, tmp_path_factory, dataset, data, comment):
+        # any rows of the dataset, in any order, repeats included
+        rows = data.draw(st.lists(st.integers(0, len(dataset) - 1)) if len(dataset) else st.just([]))
         path = tmp_path_factory.getbasetemp() / "written.csv"
-        write_flow_csv(dataset, path, header_comment=comment)
-        assert path.read_bytes() == reference_flow_csv(dataset, comment)
+        write_flow_csv(dataset, rows, path, header_comment=comment)
+        assert path.read_bytes() == reference_flow_csv(dataset, rows, comment)
 
     def test_writer_matches_reference_across_chunks(self, tmp_path):
         dataset = synth_generate(SynthConfig(n_flows=2 * ROWS_PER_WRITE + 1, seed=4))
-        write_flow_csv(dataset, tmp_path / "flows.csv")
-        assert (tmp_path / "flows.csv").read_bytes() == reference_flow_csv(dataset)
+        rows = np.random.default_rng(4).permutation(len(dataset))
+        write_flow_csv(dataset, rows, tmp_path / "flows.csv")
+        assert (tmp_path / "flows.csv").read_bytes() == reference_flow_csv(dataset, rows.tolist())
 
     def test_writer_memory_stays_bounded(self, tmp_path):
         dataset = synth_generate(SynthConfig(n_flows=20_000, seed=4))
         assert dataset.features.shape == (20_000, 22)
         tracemalloc.start()
         try:
-            write_flow_csv(dataset, tmp_path / "flows.csv")
+            write_flow_csv(dataset, np.arange(len(dataset)), tmp_path / "flows.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -279,12 +286,13 @@ class TestFlowCsvProperties:
                 load_csv(path)
             assert str(err.value) == f"{path}: {expected}"
             return
-        features, names, labels, days, dropped = expected
+        features, names, labels, days, dropped, kept_rows = expected
         ds, report = load_csv(path)
         assert ds.features.shape == features.shape
         assert ds.features.tobytes() == features.tobytes()
         assert (ds.feature_names, ds.labels, ds.days) == (names, labels, days)
         assert (report.rows_kept, report.rows_dropped) == (len(labels), dropped)
+        assert report.rows.tolist() == kept_rows
 
 
 class TestClassMapping:
@@ -331,6 +339,14 @@ class TestClassMapping:
         path.write_text("raw,class\nx,\n")
         with pytest.raises(ParseError, match="row 2"):
             load_class_map_override(path)
+
+    def test_override_repeated_raw_label_rejected(self, tmp_path):
+        # the second row matches the first once case and dashes are ignored
+        path = tmp_path / "map.csv"
+        path.write_text("raw,class\nPortScan,DoS\nBot,Bot\nportscan,Bot\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_class_map_override(path)
+        assert str(err.value) == f"{path}: raw label 'portscan' at row 4 repeats row 2"
 
 
 class TestNormalization:
@@ -503,8 +519,9 @@ class TestSynthGenerate:
         config = SynthConfig(n_flows=150, seed=9)
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        write_flow_csv(synth_generate(config), first, header_comment="seed=9")
-        write_flow_csv(synth_generate(config), second, header_comment="seed=9")
+        rows = np.arange(config.n_flows)
+        write_flow_csv(synth_generate(config), rows, first, header_comment="seed=9")
+        write_flow_csv(synth_generate(config), rows, second, header_comment="seed=9")
         assert first.read_bytes() == second.read_bytes()
 
     def test_different_seed_differs(self):
@@ -516,7 +533,7 @@ class TestSynthGenerate:
         config = SynthConfig(n_flows=60, seed=3)
         ds = synth_generate(config)
         path = tmp_path / "synth.csv"
-        write_flow_csv(ds, path)
+        write_flow_csv(ds, np.arange(len(ds)), path)
         loaded, report = load_csv(path)
         assert report.rows_dropped == 0
         assert loaded.labels == ds.labels

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from fuzztriage.alerts import Alert, AttackClassProfile, load_alerts_csv, load_catalog
+from fuzztriage.alerts import AttackClassProfile, load_alerts_csv, load_catalog
 from fuzztriage.detector import load_external_scores, load_model
 from fuzztriage.errors import ParseError
 from fuzztriage.ingestion import load_class_map_override, load_csv
@@ -31,7 +31,8 @@ READERS = {
     ),
     "alerts": (
         load_alerts_csv, "ID,Attack_Class,P,Label,Criticality", ["a1,DoS,0.5,1,"],
-        lambda r: r == [Alert("a1", "DoS", 0.5, label=1)],
+        lambda r: r == {"ids": ["a1"], "classes": ["DoS"], "p": [0.5], "labels": [1],
+                        "criticalities": [None]},
     ),
     "scores": (
         load_external_scores, " Id , P ", ["flow-1,0.9"],
