@@ -8,7 +8,8 @@ One executable, five subcommands covering the pipeline stages:
     fuzztriage evaluate  --config run.ini          # full evaluation report
     fuzztriage stress    --config run.ini          # flags-only end-to-end run
 
-Exit codes: 0 success, 2 configuration or input error, 3 runtime error.
+Exit codes: 0 success, 2 configuration or input error (a path that cannot
+be read or written included), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        kappas = parse_key("ranking", "kappa", args.kappa, "--kappa") if args.kappa else None
+        kappas = None if args.kappa is None else parse_key("ranking", "kappa", args.kappa, "--kappa")
         config = load_config(args.config, seed=args.seed, out_dir=args.out, kappas=kappas)
         result = _COMMANDS[args.command](config)
-    except (ConfigError, ParseError, ValidationError, TrainingError) as exc:
+    except (ConfigError, ParseError, ValidationError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FuzztriageError as exc:

@@ -226,8 +226,9 @@ def _require_files(config: RunConfig) -> None:
         ("detector.scores_path",
          detector.scores_path if detector.mode is DetectorMode.EXTERNAL_SCORES else None),
     ):
-        if path is not None and not Path(path).exists():
-            raise ConfigError(f"{what} does not exist: {path}")
+        if path is not None and not Path(path).is_file():
+            problem = "is not a file" if Path(path).exists() else "does not exist"
+            raise ConfigError(f"{what} {problem}: {path}")
 
 
 def load_config(
@@ -240,7 +241,7 @@ def load_config(
     """Build a RunConfig from an optional INI file plus CLI overrides.
 
     Every referenced file must exist at load time; a bad key, value, or
-    missing file raises ConfigError.
+    missing file, or a directory where a file is named, raises ConfigError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     source = "<defaults>" if path is None else str(path)

@@ -272,12 +272,15 @@ def _fit_platt(scores: np.ndarray, y: np.ndarray, max_iters: int = 100) -> tuple
     return float(theta[0]), float(theta[1])
 
 
-def flags_only_subset(feature_names: Sequence[str], minimum: int = 5) -> list[int]:
+FLAGS_ONLY_MINIMUM = 5  # features the flags-only subset must have
+
+
+def flags_only_subset(feature_names: Sequence[str]) -> list[int]:
     """Indices of features whose name contains "flag" (case-insensitive)."""
     indices = [i for i, name in enumerate(feature_names) if "flag" in name.lower()]
-    if len(indices) < minimum:
+    if len(indices) < FLAGS_ONLY_MINIMUM:
         raise ValidationError(
-            f"flags-only subset needs at least {minimum} features, found {len(indices)}"
+            f"flags-only subset needs at least {FLAGS_ONLY_MINIMUM} features, found {len(indices)}"
         )
     return indices
 

@@ -10,11 +10,12 @@ onto eight attack classes plus benign; unmapped labels become a flagged
 from __future__ import annotations
 
 import logging
+import math
 import operator
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -111,11 +112,14 @@ def load_csv(
     # itemgetter returns a bare field, not a 1-tuple, for one column.
     fields = getter if len(feature_idx) > 1 else lambda row: (getter(row),)
 
+    first = next(rows, None)
+    if first is None:
+        raise ParseError(f"{path}: no data rows")
     values = array("d")  # one row per data row; NaN where a feature does not parse
     unparsed = [float("nan")] * len(feature_idx)
     labels: list[str] = []
     days: list[str] = []
-    for _, row in rows:
+    for _, row in chain((first,), rows):
         try:
             values.extend(map(float, fields(row)))
         except ValueError:
@@ -124,14 +128,17 @@ def load_csv(
         labels.append(row[label_idx].strip())
         if day_idx is not None:
             days.append(row[day_idx].strip())
-    if not labels:
-        raise ParseError(f"{path}: no data rows")
     matrix = np.frombuffer(values, dtype=float).reshape(len(labels), len(feature_idx))
     finite = np.isfinite(matrix).all(axis=1)
     kept = np.flatnonzero(finite)
     dropped = len(labels) - len(kept)
     if not len(kept):
-        raise ParseError(f"{path}: all {dropped} data rows were dropped")
+        n, row = first
+        name, text = next((header[i], row[i]) for i in feature_idx if not _is_finite(row[i]))
+        raise ParseError(
+            f"{path}: all {dropped} data rows were dropped "
+            f"(row {n}: {name!r} is {text!r}, not a finite number)"
+        )
     dataset = FlowDataset(
         matrix[finite],
         tuple(header[i] for i in feature_idx),
@@ -139,6 +146,13 @@ def load_csv(
         tuple(compress(days, finite)) if day_idx is not None else None,
     )
     return dataset, LoadReport(kept, dropped)
+
+
+def _is_finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def write_flow_csv(

@@ -8,9 +8,10 @@ skipped rows not counted, and every reader names rows by that number.
 
 Writers that hold their rows as arrays write them :data:`ROWS_PER_WRITE`
 rows at a time, in one way: :func:`format_g` gives the ``%g`` text of many
-floats at once, :func:`g_rows` joins it into one string per row, and the
-writer appends each row's remaining fields, quoted once per distinct value,
-in Python.
+floats at once as NUL-padded byte columns, :func:`g_rows` joins them into one
+string per row by laying them out cell after cell and dropping the padding,
+and the writer appends each row's remaining fields, quoted once per distinct
+value, in Python.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -87,24 +88,15 @@ def csv_row(fields: Sequence[object]) -> str:
 ROWS_PER_WRITE = 2048  # rows formatted, joined and written at a time
 
 
-class Texts(NamedTuple):
-    """The text of n values, one column each: value i is the bytes
-    ``chars[begin[i]:end[i], i]``."""
-
-    chars: np.ndarray  # uint8, (width, n)
-    begin: np.ndarray
-    end: np.ndarray
-
-
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 10**22 is the last exact double
 _SPLITTER = 2.0**27 + 1  # splits a double into two halves whose products are exact
 _LEAD = 6  # character rows before the first digit, room for "-0.000"
-# The text before the digits, right-aligned: column 5 * negative + z holds
-# the sign and, for z > 0, "0." and z - 1 zeros.
+# The text before the digits, right-aligned after NULs: column
+# 5 * negative + z holds the sign and, for z > 0, "0." and z - 1 zeros.
 _PREFIXES = np.array(
-    [(sign + (b"0." + b"0" * (z - 1) if z else b"")).rjust(_LEAD) for sign in (b"", b"-") for z in range(5)]
+    [(sign + (b"0." + b"0" * (z - 1) if z else b"")).rjust(_LEAD, b"\0")
+     for sign in (b"", b"-") for z in range(5)]
 ).view(np.uint8).reshape(10, _LEAD).T.copy()
-_SCATTER_SIZE = 1 << 16  # index entries g_rows builds at a time
 
 
 def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndarray:
@@ -119,9 +111,10 @@ def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndar
     return ((ah * bh - product) + ah * bl + al * bh) + al * bl
 
 
-def format_g(values: np.ndarray, precision: int) -> Texts:
+def format_g(values: np.ndarray, precision: int) -> np.ndarray:
     """The bytes of ``"%.*g" % (precision, v)`` for each float64 ``v`` of
-    ``values`` in C order, for precision 1 to 15.
+    ``values`` in C order, for precision 1 to 15: a ``uint8`` matrix of
+    shape ``(width, n)`` whose column i holds value i's text between NULs.
 
     A finite nonzero ``|v|`` is scaled by an exact power of ten, at most
     1e22, into ``[10**(p-1), 10**p)``. That one rounding leaves the scaled
@@ -181,7 +174,7 @@ def format_g(values: np.ndarray, precision: int) -> Texts:
     # Rows: the prefix right-aligned before _LEAD, then the digits with the
     # point after the first `point` of them, then "e+dd". A text from `%`
     # starts at _LEAD and is at most precision + 7 long ("-2.22507e-308").
-    out = np.empty((_LEAD + precision + 7, n), np.uint8)
+    out = np.zeros((_LEAD + precision + 7, n), np.uint8)
     out[:_LEAD] = _PREFIXES.take(5 * negative + np.maximum(1 - point, 0), axis=1)
     at_point = np.where(point > 0, point, precision + 1).astype(np.uint8)
     # Row _LEAD + c holds digits[c] before the point, the point, and
@@ -193,8 +186,8 @@ def format_g(values: np.ndarray, precision: int) -> Texts:
     out[_LEAD] = digits[0]
     out[_LEAD + 1:_LEAD + precision + 1] = zone
     shown = np.maximum(significant, point)
-    begin = _LEAD - negative - (point <= 0) * (2 - point)
     end = _LEAD + shown + (shown > at_point)
+    out[_LEAD:_LEAD + precision + 1] *= np.arange(_LEAD, _LEAD + precision + 1)[:, None] < end
 
     sci = np.flatnonzero(fast & ~fixed)
     if sci.size:
@@ -202,7 +195,6 @@ def format_g(values: np.ndarray, precision: int) -> Texts:
         tail = np.stack([np.full(sci.size, ord("e")), np.where(e < 0, ord("-"), ord("+")),
                          np.abs(e) // 10 + ord("0"), np.abs(e) % 10 + ord("0")])
         out[end[sci] + np.arange(4)[:, None], sci] = tail
-        end[sci] += 4
     slow = np.flatnonzero(~fast)
     if slow.size:
         bits = x[slow].view(np.uint64)  # -0.0 and nan payloads stay apart
@@ -211,10 +203,9 @@ def format_g(values: np.ndarray, precision: int) -> Texts:
         texts = np.array([b"%.*g" % (precision, v) for v in distinct.view(np.float64).tolist()])
         chars = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
         which = np.searchsorted(distinct, bits)
-        out[_LEAD:_LEAD + texts.itemsize, slow] = chars[which].T
-        begin[slow] = _LEAD
-        end[slow] = _LEAD + np.char.str_len(texts)[which]
-    return Texts(out, begin.astype(np.uint8), end.astype(np.uint8))
+        out[:, slow] = 0  # the fast path's bytes for these columns are not their text
+        out[_LEAD:_LEAD + texts.itemsize, slow] = chars[which].T  # NUL-padded by numpy
+    return out
 
 
 def g_rows(values: np.ndarray, precision: int) -> list[str]:
@@ -226,29 +217,18 @@ def g_rows(values: np.ndarray, precision: int) -> list[str]:
         return [""] * n
     rows: list[str] = []
     for start in range(0, n, ROWS_PER_WRITE):
-        texts = format_g(values[start:start + ROWS_PER_WRITE], precision)
-        # each value and its separator, and a "\n" (never in a %g text)
-        # after the separator that ends each row
-        widths = (texts.end - texts.begin).astype(np.intp) + 1
-        widths[k - 1::k] += 1
-        ends = np.cumsum(widths)
-        size = int(ends[-1])
-        # Every byte no text covers is a separator; byte `size` takes the
-        # writes of each column a text does not use.
-        buf = np.full(size + 1, ord(","), np.uint8)
-        buf[ends[k - 1::k] - 1] = ord("\n")
-        base = ends - widths - texts.begin - size
-        # as many columns at a time as keep `at` to _SCATTER_SIZE entries
-        step = max(_SCATTER_SIZE // len(widths), 1)
-        stop = int(texts.end.max())
-        for lo in range(int(texts.begin.min()), stop, step):
-            hi = min(lo + step, stop)
-            c = np.arange(lo, hi, dtype=texts.begin.dtype)[:, None]
-            # where each byte of columns lo:hi goes, or the dump byte where
-            # a text has none (masked copies and np.where are slower)
-            at = base + c
-            at *= (texts.begin <= c) & (c < texts.end)
-            at += size
-            buf[at] = texts.chars[lo:hi]
-        rows += str(buf[:size], "ascii").split("\n")[:-1]
+        block = values[start:start + ROWS_PER_WRITE]
+        chars = format_g(block, precision)
+        used = np.flatnonzero(chars.any(axis=1))  # the rows some text reaches
+        chars = chars[used[0]:used[-1] + 1]
+        width = len(chars)
+        # One cell per value: its padded text, then "," and, after a row's
+        # last value, "\n"; every other byte is NUL. No %g text holds a NUL
+        # or a "\n", so dropping the NULs joins each row and "\n" ends it.
+        cells = np.zeros((len(block), k, width + 2), np.uint8)
+        cells[:, :, :width] = chars.T.reshape(-1, k, width)
+        cells[:, :, width] = ord(",")
+        cells[:, -1, width + 1] = ord("\n")
+        text = cells[cells != 0]
+        rows += str(text, "ascii").split("\n")[:-1]
     return rows

@@ -312,9 +312,20 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_kappa_exits_2(self, tmp_path, capsys):
-        rc = cli.main(["rank", "--out", str(tmp_path), "--kappa", "one"])
+        for kappa in ("one", ""):
+            rc = cli.main(["rank", "--out", str(tmp_path), "--kappa", kappa])
+            assert rc == 2
+            assert "kappa" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "results"
+        blocker.write_text("", encoding="utf-8")
+        rc = cli.main(["prepare", "--out", str(blocker / "run")])
         assert rc == 2
-        assert "kappa" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(blocker / "run") in err[0]
 
     @pytest.mark.parametrize("kappa", ["nan", "inf"])
     def test_non_finite_kappa_exits_2(self, tmp_path, capsys, kappa):
@@ -641,6 +652,14 @@ DEGENERATE_RUNS = {
         DAY_BASED_CSV_INI, 2, ["error: test split is empty; there are no alerts to rank"],
         nothing_written,
     ),
+    "dataset_path_is_directory": (
+        "[dataset]\nsource = csv\npath = {dir}\n", 2,
+        ["error: dataset.path is not a file: {dir}"], nothing_written,
+    ),
+    "catalog_is_directory": (
+        "[dataset]\ncatalog = {dir}\n", 2,
+        ["error: dataset.catalog is not a file: {dir}"], nothing_written,
+    ),
 }
 
 
@@ -664,7 +683,9 @@ class TestDegenerateInputs:
             capture_output=True, text=True, encoding="utf-8",
         )
         assert proc.returncode == code, proc.stderr
-        expected = [line.replace("{ini}", str(ini)) for line in stderr_lines]
+        expected = [
+            line.replace("{ini}", str(ini)).replace("{dir}", str(tmp_path)) for line in stderr_lines
+        ]
         assert proc.stderr.splitlines() == expected
         check(out)
 

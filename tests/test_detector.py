@@ -211,7 +211,7 @@ class TestFlagsSubset:
         assert flags_only_subset(names) == [0, 1, 2, 3, 4]
 
     def test_too_few(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="needs at least 5 features, found 0$"):
             flags_only_subset(["duration", "bytes"])
 
 

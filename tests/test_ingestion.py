@@ -167,6 +167,13 @@ def reference_flow_csv(dataset, rows=None, header_comment=None) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def float_or_nan(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def reference_load(text):
     """``load_csv`` one row at a time with float() and isfinite: the error
     message (without the path) or (features, names, labels, days, dropped,
@@ -193,7 +200,9 @@ def reference_load(text):
         kept.append((values, row[label_idx].strip(), None if day_idx is None else row[day_idx].strip()))
         kept_rows.append(n - 2)
     if not kept:
-        return f"all {dropped} data rows were dropped"
+        name, text = next((header[i], rows[1][i]) for i in feature_idx
+                          if not math.isfinite(float_or_nan(rows[1][i])))
+        return f"all {dropped} data rows were dropped (row 2: {name!r} is {text!r}, not a finite number)"
     features = np.array([values for values, _, _ in kept], dtype=float)
     names = tuple(header[i] for i in feature_idx)
     days = None if day_idx is None else tuple(day for _, _, day in kept)

@@ -82,9 +82,14 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
 
 
 def g_texts(values, precision):
-    texts = format_g(np.array(values, dtype=np.float64), precision)
-    spans = zip(texts.begin.tolist(), texts.end.tolist())
-    return [texts.chars[b:e, i].tobytes().decode() for i, (b, e) in enumerate(spans)]
+    """The text in each column of format_g's matrix, which must be NULs, one
+    run of bytes with no NUL in it, then NULs."""
+    values = np.array(values, dtype=np.float64)
+    chars = format_g(values, precision)
+    assert chars.dtype == np.uint8 and chars.shape[1] == values.size
+    texts = [column.tobytes().strip(b"\0") for column in chars.T]
+    assert all(text and b"\0" not in text for text in texts)
+    return [text.decode() for text in texts]
 
 
 # Any double, or a 3-decimal one: at 6 and 10 significant digits those are
