@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -227,9 +228,10 @@ class AlertBatch:
     """Prepared alerts as aligned columns, one entry per alert; ids are
     unique and non-empty, and each label is 0, 1 or ``None``.
 
-    ``p`` to ``height`` are read-only float64 arrays. Indexing and iteration
-    build :class:`PreparedAlert` rows on demand. ``log10_height`` and
-    ``id_rank`` are derived once per batch, when ranking first needs them.
+    ``p`` to ``height`` are read-only float64 arrays, and ``catalog`` is a
+    read-only copy of the catalog the batch was assembled from. Indexing and
+    iteration build :class:`PreparedAlert` rows on demand. ``log10_height``
+    and ``id_rank`` are derived once per batch, when ranking first needs them.
     """
 
     ids: tuple[str, ...]
@@ -242,11 +244,13 @@ class AlertBatch:
     core: np.ndarray
     spread: np.ndarray
     height: np.ndarray
+    catalog: Mapping[str, AttackClassProfile]
 
     def __post_init__(self) -> None:
         n = len(self.ids)
         for name in _FLOAT_COLUMNS:
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "catalog", MappingProxyType(dict(self.catalog)))
         shapes = {(len(self.classes),), (len(self.labels),)}
         if shapes | {getattr(self, f).shape for f in _FLOAT_COLUMNS} != {(n,)}:
             raise ValidationError("alert batch columns must all have one entry per id")
@@ -319,15 +323,13 @@ class AlertBatch:
         h_class = np.array(class_heights, dtype=float)[of_class]
         return self._derive(h_class=h_class, height=instance_height(h_class, self.p))
 
-    def with_uf_scale(
-        self, catalog: Mapping[str, AttackClassProfile], uf_scale: float
-    ) -> AlertBatch:
+    def with_uf_scale(self, uf_scale: float) -> AlertBatch:
         """The same alerts under the uf scale ``uf_scale``: ``uf`` is the
-        class's catalog uf times the scale, which must lie in (0, 0.5], and
-        ``spread`` follows. ``catalog`` is the one the batch was built from."""
+        class's uf in the batch's catalog times the scale, which must lie in
+        (0, 0.5], and ``spread`` follows."""
         check_uf_scale(uf_scale)
         classes, of_class = self._class_index
-        class_uf = [resolve_profile(c, catalog).uf for c in classes]
+        class_uf = [resolve_profile(c, self.catalog).uf for c in classes]
         for c, scaled in zip(classes, (uf * uf_scale for uf in class_uf)):
             if not (0.0 < scaled <= 0.5):
                 raise ValidationError(f"scaled uf {scaled!r} for class {c!r} outside (0, 0.5]")
@@ -364,5 +366,5 @@ def assemble(
     cvss = {c: resolve_profile(c, catalog).cvss for c in dict.fromkeys(classes)}
     core = np.array(list(map(cvss.__getitem__, classes)), dtype=float) * cf
     unset = np.zeros(len(ids))  # columns the two transforms fill in
-    batch = AlertBatch(ids, classes, labels, p, cf, unset, unset, core, unset, unset)
-    return batch.with_uf_scale(catalog, uf_scale).with_class_heights(heights)
+    batch = AlertBatch(ids, classes, labels, p, cf, unset, unset, core, unset, unset, catalog)
+    return batch.with_uf_scale(uf_scale).with_class_heights(heights)

@@ -19,7 +19,7 @@ import logging
 import sys
 from typing import Sequence
 
-from .config import config_hash, load_config, parse_key
+from .config import artifact_stamp, load_config, parse_key
 from .errors import ConfigError, FuzztriageError, ParseError, TrainingError, ValidationError
 from .pipeline import cmd_calibrate, cmd_evaluate, cmd_prepare, cmd_rank, cmd_stress
 
@@ -77,7 +77,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RUNTIME
     for path in result.written:
         print(path)
-    print(f"config_hash={config_hash(config)} seed={config.seed}")
+    print(artifact_stamp(config))
     return EXIT_OK
 
 

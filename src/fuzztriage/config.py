@@ -8,7 +8,7 @@ output artifact. Two runs with the same hash produce byte-identical CSVs.
 Each key, its default and its validation are declared once, as a field of
 a section dataclass (most live beside the stage they configure). The
 accepted INI keys, the INI reader and the canonical form that gets hashed
-are all derived from those fields.
+are all derived from those fields. ``run.seed`` is the one seed of a run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import configparser
 import hashlib
 import math
 from collections import abc
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
@@ -67,6 +67,8 @@ class EvaluationConfig:
             raise ConfigError(f"evaluation.cutoffs must be positive integers, got {self.cutoffs!r}")
         if self.bootstrap_k < 1 or self.bootstrap_resamples < 1:
             raise ConfigError("bootstrap settings must be >= 1")
+        if self.bootstrap_seed < 0:
+            raise ConfigError(f"evaluation.bootstrap_seed must be >= 0, got {self.bootstrap_seed!r}")
         if not (math.isfinite(self.noise_sd) and self.noise_sd > 0.0):
             raise ConfigError(f"evaluation.noise_sd must be finite and > 0, got {self.noise_sd!r}")
         try:
@@ -89,6 +91,10 @@ class RunConfig:
     heights: HeightParams = field(default_factory=HeightParams)
     ranking: RankingConfig = field(default_factory=RankingConfig)
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self.seed!r}")
 
 
 # --- text form of field values -----------------------------------------------
@@ -161,8 +167,6 @@ _SECTIONS: dict[str, type] = {
     "run": RunConfig,
     **{name: tp for name, tp in get_type_hints(RunConfig).items() if is_dataclass(tp)},
 }
-# The seeds of these sections are copies of run.seed, not keys of their own.
-_SEEDED = ("synth", "split")
 # INI keys spelled differently from their field.
 _INI_NAMES = {("ranking", "kappas"): "kappa"}
 
@@ -173,7 +177,7 @@ def _walk(section: str, cls: type) -> dict[str, tuple[str, _Codec]]:
     return {
         _INI_NAMES.get((section, f.name), f.name): (f.name, _codec(hints[f.name]))
         for f in fields(cls)
-        if not (is_dataclass(hints[f.name]) or (f.name == "seed" and section in _SEEDED))
+        if not is_dataclass(hints[f.name])
     }
 
 
@@ -217,7 +221,7 @@ def parse_key(section: str, key: str, text: str, source: str) -> Any:
         ) from exc
 
 
-def _require_files(config: RunConfig) -> None:
+def _require_paths(config: RunConfig) -> None:
     dataset, detector = config.dataset, config.detector
     for what, path in (
         ("dataset.path", dataset.path if dataset.source == "csv" else None),
@@ -229,6 +233,11 @@ def _require_files(config: RunConfig) -> None:
         if path is not None and not Path(path).is_file():
             problem = "is not a file" if Path(path).exists() else "does not exist"
             raise ConfigError(f"{what} {problem}: {path}")
+    out = Path(config.out_dir)
+    nearest = next(part for part in (out, *out.parents) if part.exists())
+    if not nearest.is_dir():
+        blocked = "" if nearest == out else f" ({nearest} is not a directory)"
+        raise ConfigError(f"run.out_dir is not a directory: {config.out_dir}{blocked}")
 
 
 def load_config(
@@ -240,8 +249,8 @@ def load_config(
 ) -> RunConfig:
     """Build a RunConfig from an optional INI file plus CLI overrides.
 
-    Every referenced file must exist at load time; a bad key, value, or
-    missing file, or a directory where a file is named, raises ConfigError.
+    Referenced files must be files, and no file may stand where the output
+    directory goes; a bad key, value or path raises ConfigError at load time.
     """
     parser = configparser.ConfigParser(interpolation=None)
     source = "<defaults>" if path is None else str(path)
@@ -258,21 +267,13 @@ def load_config(
     }
     for section, values in flags.items():
         given[section].update((name, v) for name, v in values.items() if v is not None)
-    for section in _SEEDED:
-        given[section]["seed"] = given["run"].get("seed", RunConfig.seed)
-
     try:
         sections = {name: cls(**given[name]) for name, cls in _SECTIONS.items() if name != "run"}
+        config = RunConfig(**given["run"], **sections)
     except (ConfigError, ValidationError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    config = RunConfig(**given["run"], **sections)
-    _require_files(config)
+    _require_paths(config)
     return config
-
-
-def with_detector_mode(config: RunConfig, mode: DetectorMode) -> RunConfig:
-    """Same run with a different detector feature subset or score source."""
-    return replace(config, detector=replace(config.detector, mode=mode))
 
 
 # --- canonical form and hashing ------------------------------------------------

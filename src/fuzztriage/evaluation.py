@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alerts import AlertBatch, AttackClassProfile
+from .alerts import AlertBatch
 from .calibration import HeightParams, heights_from_f1
 from .detector import ATTACK_THRESHOLD
 from .errors import EvaluationError, ValidationError
@@ -350,7 +350,6 @@ class SweepReport:
 
 def sensitivity_sweep(
     records: AlertBatch,
-    catalog: Mapping[str, AttackClassProfile],
     f1_by_class: Mapping[str, float],
     grid: Mapping[str, Sequence[float]] | None = None,
     *,
@@ -360,14 +359,15 @@ def sensitivity_sweep(
 ) -> SweepReport:
     """One-at-a-time sensitivity sweep of the risk-averse predicted queue.
 
-    ``records`` must be assembled from ``catalog`` with the class heights
-    ``heights_from_f1(f1_by_class, defaults)``, and its uf scale is the
-    default one. Each point varies one parameter: a κ point ranks ``records``
-    as it is, a height point ``records.with_class_heights(...)`` and a
-    ``uf_scale`` point ``records.with_uf_scale(catalog, value)``. Relevance
-    comes from ``records``, one fixed target for every point. Records of
-    other class heights, an empty grid, a parameter with no values and empty
-    ``cutoffs`` are each a :class:`ValidationError`.
+    ``records`` must carry the class heights ``heights_from_f1(f1_by_class,
+    defaults)``, and its uf scale is the default one. Each point varies one
+    parameter: a κ point ranks ``records`` as it is, a height point
+    ``records.with_class_heights(...)`` and a ``uf_scale`` point
+    ``records.with_uf_scale(value)``, which re-derives ``uf`` from the
+    batch's own catalog. Relevance comes from ``records``, one fixed target
+    for every point. Records of other class heights, an empty grid, a
+    parameter with no values and empty ``cutoffs`` are each a
+    :class:`ValidationError`.
     """
     grid = DEFAULT_SWEEP_GRID if grid is None else grid
     for what, given in (("grid", grid), ("cutoffs", cutoffs)):
@@ -390,7 +390,7 @@ def sensitivity_sweep(
             if name == "kappa":
                 kap = value
             elif name == "uf_scale":
-                batch = records.with_uf_scale(catalog, value)
+                batch = records.with_uf_scale(value)
             else:
                 params = replace(defaults, **{name: value})
                 batch = records.with_class_heights(heights_from_f1(f1_by_class, params))

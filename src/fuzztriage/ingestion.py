@@ -303,7 +303,6 @@ class SplitSpec:
     mode: SplitMode | None = None
     fractions: tuple[float, float, float] = (0.5, 0.2, 0.3)
     attack_share_threshold: float = 0.05
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if len(self.fractions) != 3:
@@ -343,9 +342,9 @@ def _day_indices(days: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _stratified_indices(
-    classes: Sequence[str], spec: SplitSpec
+    classes: Sequence[str], spec: SplitSpec, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     parts: tuple[list[np.ndarray], ...] = ([], [], [])  # train, validation, test
     arr = np.asarray(classes)
     for cls in sorted(set(classes)):
@@ -365,12 +364,12 @@ def _stratified_indices(
     return train, val, test
 
 
-def split(dataset: FlowDataset, classes: Sequence[str], spec: SplitSpec) -> SplitResult:
+def split(dataset: FlowDataset, classes: Sequence[str], spec: SplitSpec, seed: int) -> SplitResult:
     """Partition rows into train/validation/test.
 
     Day-based uses Monday+Tuesday for train, Wednesday for validation,
     Thursday+Friday for test, and is only viable when its training split
-    contains enough attacks; stratified preserves class proportions.
+    contains enough attacks; stratified, seeded by ``seed``, preserves class proportions.
     """
     if len(classes) != len(dataset):
         raise ValidationError(f"{len(classes)} class labels for {len(dataset)} rows")
@@ -388,7 +387,7 @@ def split(dataset: FlowDataset, classes: Sequence[str], spec: SplitSpec) -> Spli
     if mode is SplitMode.DAY_BASED:
         train_idx, val_idx, test_idx = _day_indices(dataset.days)
     else:
-        train_idx, val_idx, test_idx = _stratified_indices(classes, spec)
+        train_idx, val_idx, test_idx = _stratified_indices(classes, spec, seed)
     return SplitResult(train_idx, val_idx, test_idx, mode)
 
 
@@ -495,7 +494,6 @@ class SynthConfig:
 
     n_flows: int = 5000
     attack_fraction: float = 0.2
-    seed: int = 42
     separation: float = 3.2
     class_weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_CLASS_MIX))
     attack_detectable_rate: float = 0.45
@@ -547,9 +545,9 @@ def class_counts(config: SynthConfig) -> dict[str, int]:
     return counts
 
 
-def synth_generate(config: SynthConfig = SynthConfig()) -> FlowDataset:
-    """Generate the synthetic benchmark; byte-identical output per seed."""
-    rng = np.random.default_rng(config.seed)
+def synth_generate(config: SynthConfig, seed: int) -> FlowDataset:
+    """Generate the synthetic benchmark; byte-identical output per config and seed."""
+    rng = np.random.default_rng(seed)
     counts = class_counts(config)
     n_attacks = sum(counts.values())
     n_benign = config.n_flows - n_attacks

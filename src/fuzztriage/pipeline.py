@@ -9,7 +9,7 @@ the config hash and seed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .alerts import AlertBatch, AttackClassProfile, assemble, load_catalog
 from .calibration import CalibrationRow, build_height_table, per_class_counts, write_calibration_csv
-from .config import DetectorMode, RunConfig, artifact_stamp, with_detector_mode
+from .config import DetectorMode, RunConfig, artifact_stamp
 from .detector import (
     ATTACK_THRESHOLD,
     DetectorReport,
@@ -84,7 +84,7 @@ class PreparedData:
 def prepare_data(config: RunConfig) -> PreparedData:
     """Load or generate the dataset, map classes, and split."""
     if config.dataset.source == "synth":
-        dataset = synth_generate(config.synth)
+        dataset = synth_generate(config.synth, config.seed)
         rows = np.arange(len(dataset))
     else:
         dataset, report = load_csv(
@@ -101,13 +101,12 @@ def prepare_data(config: RunConfig) -> PreparedData:
         load_class_map_override(config.dataset.class_map) if config.dataset.class_map else None
     )
     classes = map_attack_types(dataset.labels, override)
-    split = split_dataset(dataset, classes, config.split)
+    split = split_dataset(dataset, classes, config.split, config.seed)
     return PreparedData(dataset, classes, rows, split)
 
 
 @dataclass(frozen=True)
 class DetectorOutput:
-    mode: DetectorMode
     p_val: np.ndarray
     p_test: np.ndarray
     report: DetectorReport
@@ -144,7 +143,7 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
         p_val = model.predict_proba(X_va)
         p_test = model.predict_proba(X_te)
     report = DetectorReport.from_predictions(y[te], p_test >= ATTACK_THRESHOLD)
-    return DetectorOutput(mode, p_val, p_test, report)
+    return DetectorOutput(p_val, p_test, report)
 
 
 def calibrate_heights(
@@ -164,8 +163,9 @@ def build_alerts(
     detector_out: DetectorOutput,
     table: Mapping[str, CalibrationRow],
 ) -> tuple[AlertBatch, dict[str, AttackClassProfile]]:
-    """Turn the test split into an alert batch with fuzzy severities; the
-    catalog is returned for the sweep's uf points."""
+    """Turn the test split into an alert batch with fuzzy severities. The
+    batch keeps its catalog; the pair ``(batch, catalog)`` is still returned
+    because ``perfbench/tracer.py`` reads the batch as its first item."""
     te = prep.split.test_idx
     if te.size == 0:
         raise ValidationError("test split is empty; there are no alerts to rank")
@@ -204,7 +204,6 @@ class MetricRow:
 @dataclass(frozen=True)
 class EvalTables:
     detector: DetectorReport
-    detector_mode: DetectorMode
     metrics: tuple[MetricRow, ...]
     bands: dict[str, tuple[BandResult, ...]]
     bootstrap: dict[str, BootstrapResult]
@@ -217,7 +216,6 @@ def evaluate_all(
     detector_out: DetectorOutput,
     table: Mapping[str, CalibrationRow],
     records: AlertBatch,
-    catalog: Mapping[str, AttackClassProfile],
     queues: Mapping[str, RankedQueue],
 ) -> EvalTables:
     rel = relevance(records)
@@ -259,7 +257,6 @@ def evaluate_all(
     if config.evaluation.sweep:
         sweep = sensitivity_sweep(
             records,
-            catalog,
             {cls: row.metrics.f1 for cls, row in table.items()},
             defaults=config.heights,
             kappa=first_kappa,
@@ -267,7 +264,6 @@ def evaluate_all(
 
     return EvalTables(
         detector=detector_out.report,
-        detector_mode=detector_out.mode,
         metrics=tuple(metrics),
         bands=bands,
         bootstrap=bootstrap,
@@ -324,7 +320,7 @@ def write_eval(config: RunConfig, tables: EvalTables) -> list[Path]:
     written = [
         _write_eval_csv(
             config, "detector.csv", "mode,accuracy,precision,recall,f1",
-            [(tables.detector_mode.value, *map(_fmt, (d.accuracy, d.precision, d.recall, d.f1)))],
+            [(config.detector.mode.value, *map(_fmt, (d.accuracy, d.precision, d.recall, d.f1)))],
         ),
         _write_eval_csv(
             config, "metrics.csv", "method,queue,cutoff,ndcg",
@@ -375,7 +371,7 @@ def write_summary(config: RunConfig, tables: EvalTables) -> Path:
     lines = [""]
     d = tables.detector
     lines.append(
-        f"detector ({tables.detector_mode.value}): accuracy={d.accuracy:.4f} "
+        f"detector ({config.detector.mode.value}): accuracy={d.accuracy:.4f} "
         f"precision={d.precision:.4f} recall={d.recall:.4f} f1={d.f1:.4f}"
     )
     lines.append("")
@@ -452,11 +448,11 @@ def cmd_rank(config: RunConfig, evaluate: bool = False) -> RunOutput:
     prep = prepare_data(config)
     detector_out = run_detector(config, prep)
     table = calibrate_heights(config, prep, detector_out)
-    records, catalog = build_alerts(config, prep, detector_out, table)
+    records, _ = build_alerts(config, prep, detector_out, table)
     queues = rank_all(config, records)
     tables = None
     if evaluate:
-        tables = evaluate_all(config, detector_out, table, records, catalog, queues)
+        tables = evaluate_all(config, detector_out, table, records, queues)
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
     written.extend(write_queues(config, queues))
@@ -471,4 +467,5 @@ def cmd_evaluate(config: RunConfig) -> RunOutput:
 
 def cmd_stress(config: RunConfig) -> RunOutput:
     """Flags-only end-to-end run through the identical evaluate path."""
-    return cmd_evaluate(with_detector_mode(config, DetectorMode.TRAIN_FLAGS_ONLY))
+    flags_only = replace(config.detector, mode=DetectorMode.TRAIN_FLAGS_ONLY)
+    return cmd_evaluate(replace(config, detector=flags_only))

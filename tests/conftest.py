@@ -38,7 +38,8 @@ def make_record(
 
 
 def make_batch(records: Iterable[PreparedAlert]) -> AlertBatch:
-    """AlertBatch holding the given rows in order, bypassing assembly."""
+    """AlertBatch holding the given rows in order, bypassing assembly; its
+    catalog is empty."""
     rows = list(records)
 
     def column(name: str) -> tuple:
@@ -49,6 +50,7 @@ def make_batch(records: Iterable[PreparedAlert]) -> AlertBatch:
         classes=column("attack_class"),
         labels=column("label"),
         **{name: column(name) for name in ("p", "cf", "uf", "h_class", "core", "spread", "height")},
+        catalog={},
     )
 
 

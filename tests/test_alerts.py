@@ -355,6 +355,15 @@ class TestAlertBatch:
         with pytest.raises(ValueError):
             batch.p[0] = 0.1
 
+    def test_catalog_is_a_read_only_copy(self):
+        catalog = load_catalog()
+        batch = assemble(["a1"], ["DoS"], [0.9], catalog, {"DoS": 0.8})
+        catalog["DoS"] = AttackClassProfile("DoS", 1.0, 0.5)
+        assert batch.catalog["DoS"] == load_catalog()["DoS"]
+        assert batch.with_uf_scale(1.0).uf.tolist() == batch.uf.tolist()
+        with pytest.raises(TypeError):
+            batch.catalog["DoS"] = catalog["DoS"]
+
     def test_duplicate_ids_rejected(self):
         record = make_record("a", 6.0, 0.9, 0.6, 0.6)
         with pytest.raises(ValidationError, match="unique"):
@@ -392,6 +401,15 @@ class TestAlertBatch:
 # Catalog classes, the zero-core benign class, and a class the catalog
 # lacks (CVSS 5.0 / uf 0.35 defaults).
 SAMPLE_CLASSES = ("DoS", "PortScan", "Heartbleed", "benign", "QuantumExfil")
+
+# The bundled catalog, or profiles drawn for some sample classes with a uf
+# that every scale drawn below keeps in (0, 0.5].
+catalogs = st.one_of(
+    st.builds(load_catalog),
+    st.dictionaries(
+        st.sampled_from(SAMPLE_CLASSES), st.tuples(st.floats(0.0, 10.0), st.floats(0.01, 0.35))
+    ).map(lambda drawn: {c: AttackClassProfile(c, cvss, uf) for c, (cvss, uf) in drawn.items()}),
+)
 
 
 # Free-text ids and classes: any Unicode but surrogates, with NUL (also
@@ -439,14 +457,14 @@ class TestAssembleMatchesScalarReference:
 
     @given(
         assembly_inputs(),
+        catalogs,
         st.sampled_from(list(CfMode)),
         st.sampled_from([0.5, 1.0, 1.2]),
         st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.7]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_columns_scores_and_scenarios(self, inputs, cf_mode, uf_scale, kappa):
+    def test_columns_scores_and_scenarios(self, inputs, catalog, cf_mode, uf_scale, kappa):
         alerts, heights = inputs
-        catalog = load_catalog()
         batch = assemble(
             **alerts, catalog=catalog, heights=heights, cf_mode=cf_mode, uf_scale=uf_scale
         )
@@ -523,6 +541,7 @@ heights_maps = st.dictionaries(
 
 def assert_same_batch(batch, fresh):
     assert (batch.ids, batch.classes, batch.labels) == (fresh.ids, fresh.classes, fresh.labels)
+    assert batch.catalog == fresh.catalog
     for name in ("p", "cf", "uf", "h_class", "core", "spread", "height", "log10_height"):
         assert_bits(getattr(batch, name), getattr(fresh, name))
     assert batch.id_rank.tolist() == fresh.id_rank.tolist()
@@ -546,17 +565,22 @@ class TestBatchTransforms:
 
     @given(
         assembly_inputs(),
+        catalogs,
         st.sampled_from(list(CfMode)),
         st.sampled_from([0.5, 1.0, 1.2]),
         heights_maps,
         st.sampled_from([0.5, 0.8, 1.0, 1.2, 1.4]),
     )
-    @example(FALLBACK_ALERTS, CfMode.CATEGORICAL, 1.2, {"QuantumExfil": 0.3}, 0.8)
-    @example(FALLBACK_ALERTS, CfMode.CONTINUOUS, 1.0, {}, 1.4)
+    @example(FALLBACK_ALERTS, load_catalog(), CfMode.CATEGORICAL, 1.2, {"QuantumExfil": 0.3}, 0.8)
+    @example(FALLBACK_ALERTS, load_catalog(), CfMode.CONTINUOUS, 1.0, {}, 1.4)
+    @example(
+        FALLBACK_ALERTS, {"DoS": AttackClassProfile("DoS", 4.0, 0.1)}, CfMode.CONTINUOUS, 1.0, {}, 1.2
+    )
     @settings(max_examples=200, deadline=None)
-    def test_transforms_equal_fresh_assembly(self, inputs, cf_mode, uf_scale, heights2, scale2):
+    def test_transforms_equal_fresh_assembly(
+        self, inputs, catalog, cf_mode, uf_scale, heights2, scale2
+    ):
         alerts, heights = inputs
-        catalog = load_catalog()
         alerts = dict(alerts, catalog=catalog, cf_mode=cf_mode)
         base = assemble(**alerts, heights=heights, uf_scale=uf_scale)
         log10_height, id_rank = base.log10_height, base.id_rank
@@ -566,7 +590,7 @@ class TestBatchTransforms:
         assert_same_batch(by_heights, fresh)
         assert by_heights.id_rank is id_rank
 
-        by_scale = base.with_uf_scale(catalog, scale2)
+        by_scale = base.with_uf_scale(scale2)
         fresh = assemble(**alerts, heights=heights, uf_scale=scale2)
         assert_same_batch(by_scale, fresh)
         assert by_scale.id_rank is id_rank and by_scale.log10_height is log10_height
@@ -588,7 +612,7 @@ class TestBatchTransforms:
         with pytest.raises(ValidationError) as expected:
             assemble(**alerts, catalog=catalog, heights=heights, uf_scale=scale)
         with pytest.raises(ValidationError) as got:
-            assemble(**alerts, catalog=catalog, heights=heights).with_uf_scale(catalog, scale)
+            assemble(**alerts, catalog=catalog, heights=heights).with_uf_scale(scale)
         assert str(got.value) == str(expected.value)
 
     def test_class_height_errors_match_assemble(self):

@@ -280,7 +280,7 @@ class TestSweepRun:
 
 class TestStress:
     def test_recall_degrades_on_weak_features(self, full_run, stress_run):
-        assert stress_run.tables.detector_mode is DetectorMode.TRAIN_FLAGS_ONLY
+        assert stress_run.config.detector.mode is DetectorMode.TRAIN_FLAGS_ONLY
         assert stress_run.tables.detector.recall < full_run.tables.detector.recall
 
     def test_config_differs_only_in_detector_mode(self, full_run, stress_run):
@@ -318,14 +318,50 @@ class TestMain:
             assert "kappa" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+    @pytest.fixture
+    def no_stage_runs(self, monkeypatch):
+        def prepare_data(config):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr("fuzztriage.pipeline.prepare_data", prepare_data)
+
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys, no_stage_runs):
         blocker = tmp_path / "results"
         blocker.write_text("", encoding="utf-8")
         rc = cli.main(["prepare", "--out", str(blocker / "run")])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert str(blocker / "run") in err[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: run.out_dir is not a directory: {blocker / 'run'} ({blocker} is not a directory)"
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["results"]
+
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys, no_stage_runs):
+        blocker = tmp_path / "results"
+        blocker.write_text("", encoding="utf-8")
+        rc = cli.main(["evaluate", "--out", str(blocker)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: run.out_dir is not a directory: {blocker}"
+        ]
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["prepare", "--out", str(tmp_path / "r"), "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: <defaults>: run.seed must be >= 0, got -1"
+        ]
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_bootstrap_seed_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[evaluation]\nbootstrap_seed = -3\n", encoding="utf-8")
+        rc = cli.main(["evaluate", "--config", str(ini), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ini}: evaluation.bootstrap_seed must be >= 0, got -3"
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     @pytest.mark.parametrize("kappa", ["nan", "inf"])
     def test_non_finite_kappa_exits_2(self, tmp_path, capsys, kappa):
@@ -344,7 +380,7 @@ class TestMain:
         # Artifacts are UTF-8 whatever the locale, so a run in the C locale
         # writes the bytes a UTF-8 run writes.
         flows = tmp_path / "flows.csv"
-        write_flow_csv(synth_generate(SynthConfig(n_flows=600)), range(600), flows)
+        write_flow_csv(synth_generate(SynthConfig(n_flows=600), 42), range(600), flows)
         class_map = tmp_path / "map.csv"
         class_map.write_text("raw,class\nPortScan,Déni\n", encoding="utf-8")
         ini = tmp_path / "run.ini"
@@ -698,7 +734,6 @@ class TestWriteEvalBytes:
         config = load_config(None, out_dir=str(tmp_path), kappas=(1.0, 0.5))
         tables = EvalTables(
             detector=DetectorReport(0.9375, 2 / 3, 0.8, 0.7272727272727273),
-            detector_mode=DetectorMode.TRAIN_FULL,
             metrics=(
                 MetricRow("severity_only", "full", 10, 0.123456789012),
                 MetricRow("risk_averse_k1", "pred", 100, 1.0),

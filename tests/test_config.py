@@ -21,11 +21,11 @@ from fuzztriage.config import (
     canonical_lines,
     config_hash,
     load_config,
-    with_detector_mode,
 )
 from fuzztriage.errors import ConfigError, ValidationError
 from fuzztriage.evaluation import ScenarioKind
 from fuzztriage.ingestion import SplitMode
+from fuzztriage.pipeline import cmd_prepare
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,12 +52,6 @@ class TestDefaults:
         assert config.evaluation.bootstrap_k == 500
         assert config.evaluation.scenarios == tuple(ScenarioKind)
         assert config.evaluation.sweep is False
-
-    def test_seed_flows_into_synth_and_split(self):
-        config = load_config(None, seed=7)
-        assert config.seed == 7
-        assert config.synth.seed == 7
-        assert config.split.seed == 7
 
     def test_cli_overrides_without_file(self):
         config = load_config(None, seed=9, out_dir="elsewhere", kappas=[0.0, 2.0])
@@ -114,7 +108,6 @@ sweep = yes
         assert config.out_dir == "out"
         assert config.synth.n_flows == 500
         assert config.synth.attack_fraction == 0.25
-        assert config.synth.seed == 11
         assert config.split.mode is SplitMode.STRATIFIED
         assert config.split.fractions == (0.6, 0.2, 0.2)
         assert config.detector.mode is DetectorMode.TRAIN_FLAGS_ONLY
@@ -139,7 +132,6 @@ sweep = yes
         path = write_ini(tmp_path, "[run]\nseed = 11\nout_dir = out\n[ranking]\nkappa = 1.5\n")
         config = load_config(path, seed=99, out_dir="cli_out", kappas=[0.5])
         assert config.seed == 99
-        assert config.synth.seed == 99
         assert config.out_dir == "cli_out"
         assert config.ranking.kappas == (0.5,)
 
@@ -182,14 +174,18 @@ class TestIniErrors:
                 load_config(path)
 
     def test_unknown_key(self, tmp_path):
-        path = write_ini(tmp_path, "[ranking]\nkapa = 1.0\n")
-        with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[ranking\]: kapa"):
-            load_config(path)
+        # run.seed is the only seed: the sections hold no copy to set
+        for section, key in (("ranking", "kapa"), ("synth", "seed"), ("split", "seed")):
+            path = write_ini(tmp_path, f"[{section}]\n{key} = 3\n")
+            with pytest.raises(ConfigError, match=rf"unknown key\(s\) in \[{section}\]: {key}$"):
+                load_config(path)
 
     @pytest.mark.parametrize(
         "body, message",
         [
             ("[run]\nseed = forty-two\n", "bad value for run.seed"),
+            ("[run]\nseed = -5\n", r"run.ini: run.seed must be >= 0, got -5$"),
+            ("[evaluation]\nbootstrap_seed = -3\n", "evaluation.bootstrap_seed must be >= 0"),
             ("[synth]\nattack_fraction = lots\n", "bad value for synth.attack_fraction"),
             ("[split]\nmode = weekly\n", "bad split.mode"),
             ("[split]\nfractions = 0.5, 0.5\n", "split.fractions needs three values"),
@@ -295,6 +291,7 @@ class TestDataclassValidation:
             {"cutoffs": (0, 10)},
             {"bootstrap_k": 0},
             {"bootstrap_resamples": 0},
+            {"bootstrap_seed": -1},
             {"noise_sd": 0.0},
             {"noise_sd": float("inf")},
             {"bands": ((0.7, 0.3),)},
@@ -333,7 +330,8 @@ class TestHashing:
 
     def test_detector_mode_flips_exactly_one_line(self):
         base = load_config(None)
-        stress = with_detector_mode(base, DetectorMode.TRAIN_FLAGS_ONLY)
+        flags_only = dataclasses.replace(base.detector, mode=DetectorMode.TRAIN_FLAGS_ONLY)
+        stress = dataclasses.replace(base, detector=flags_only)
         before = canonical_lines(base)
         after = canonical_lines(stress)
         assert len(before) == len(after)
@@ -351,8 +349,18 @@ class TestHashing:
         base = dataclasses.replace(base, dataset=dataclasses.replace(base.dataset, path="f.csv"))
         changes = dict(_single_field_changes(base))
         moved = {name for name, config in changes.items() if config_hash(config) != config_hash(base)}
-        # out_dir never shapes content; the section seeds are copies of run.seed
-        assert changes.keys() - moved == {"run.out_dir", "synth.seed", "split.seed"}
+        # out_dir never shapes content
+        assert changes.keys() - moved == {"run.out_dir"}
+
+    def test_replaced_seed_writes_what_a_loaded_seed_writes(self, tmp_path):
+        path = write_ini(tmp_path, "[synth]\nn_flows = 500\n")
+        replaced = dataclasses.replace(load_config(path, out_dir=str(tmp_path / "a")), seed=7)
+        loaded = load_config(path, seed=7, out_dir=str(tmp_path / "b"))
+        assert config_hash(replaced) == config_hash(loaded)
+        written = [cmd_prepare(config).written for config in (replaced, loaded)]
+        assert [p.name for p in written[0]] == [p.name for p in written[1]]
+        for a, b in zip(*written):
+            assert a.read_bytes() == b.read_bytes()
 
     def test_stamp_format(self):
         config = load_config(None, seed=5)

@@ -111,7 +111,7 @@ class TestTraining:
         assert "max |grad| = " in message
 
     def test_default_solver_converges_silently(self, caplog):
-        flows = synth_generate(SynthConfig(n_flows=2000))
+        flows = synth_generate(SynthConfig(n_flows=2000), 42)
         X = apply_normalization(flows.features, fit_normalization(flows.features))
         y = binary_labels(map_attack_types(flows.labels))
         with caplog.at_level(logging.WARNING, logger="fuzztriage.detector"):

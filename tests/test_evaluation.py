@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import alert_columns, make_batch, make_record, random_batch
-from fuzztriage.alerts import CfMode, Criticality, assemble, load_catalog
+from fuzztriage.alerts import AttackClassProfile, CfMode, Criticality, assemble, load_catalog
 from fuzztriage.calibration import HeightParams, heights_from_f1, instance_height
 from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import EvaluationError, ValidationError
@@ -554,8 +554,7 @@ SWEEP_F1 = {"DoS": 0.7, "PortScan": 0.55, "Bot": 0.8, "DDoS": 0.6}
 
 
 def sweep_fixture(alerts=SWEEP_ALERTS, f1=SWEEP_F1):
-    catalog = load_catalog(None)
-    return assemble(**alerts, catalog=catalog, heights=heights_from_f1(f1)), catalog, f1
+    return assemble(**alerts, catalog=load_catalog(), heights=heights_from_f1(f1)), f1
 
 
 def reference_sweep(
@@ -663,9 +662,9 @@ class TestSensitivitySweep:
             sensitivity_sweep(*sweep_fixture(), {"alpha": (0.9,)}, cutoffs=())
 
     def test_records_of_other_heights_rejected(self):
-        records, catalog, f1 = sweep_fixture()
+        records, f1 = sweep_fixture()
         with pytest.raises(ValidationError, match="heights of f1_by_class"):
-            sensitivity_sweep(records, catalog, f1, defaults=HeightParams(alpha=0.5))
+            sensitivity_sweep(records, f1, defaults=HeightParams(alpha=0.5))
 
     def test_uf_value_past_half_matches_reference(self):
         # Infiltration's catalog uf 0.35 leaves (0, 0.5] at scale 1.5.
@@ -677,6 +676,15 @@ class TestSensitivitySweep:
             ValidationError, f"scaled uf {0.35 * 1.5!r} for class 'Infiltration' outside (0, 0.5]"
         )
         assert outcome(lambda: sensitivity_sweep(*sweep_fixture(alerts, f1), grid)) == expected
+
+    def test_uf_points_use_the_batch_catalog(self):
+        catalog = {**load_catalog(), "DoS": AttackClassProfile("DoS", 7.5, 0.12)}
+        records = assemble(**SWEEP_ALERTS, catalog=catalog, heights=heights_from_f1(SWEEP_F1))
+        grid, cutoffs = {"uf_scale": (0.8, 1.2, 1.5)}, (1, 3, 5)
+        expected = reference_sweep(SWEEP_ALERTS, catalog, SWEEP_F1, grid, cutoffs=cutoffs)
+        bundled = reference_sweep(SWEEP_ALERTS, load_catalog(), SWEEP_F1, grid, cutoffs=cutoffs)
+        assert expected != bundled
+        assert sensitivity_sweep(records, SWEEP_F1, grid, cutoffs=cutoffs) == expected
 
     @given(
         st.lists(
@@ -713,6 +721,6 @@ class TestSensitivitySweep:
             uf_scale=uf_scale, cutoffs=cutoffs,
         ))
         got = outcome(lambda: sensitivity_sweep(
-            records, catalog, f1, grid, defaults=defaults, kappa=kappa, cutoffs=cutoffs
+            records, f1, grid, defaults=defaults, kappa=kappa, cutoffs=cutoffs
         ))
         assert got == expected

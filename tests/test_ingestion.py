@@ -268,13 +268,13 @@ class TestFlowCsvProperties:
         assert path.read_bytes() == reference_flow_csv(dataset, rows, comment)
 
     def test_writer_matches_reference_across_chunks(self, tmp_path):
-        dataset = synth_generate(SynthConfig(n_flows=2 * ROWS_PER_WRITE + 1, seed=4))
+        dataset = synth_generate(SynthConfig(n_flows=2 * ROWS_PER_WRITE + 1), 4)
         rows = np.random.default_rng(4).permutation(len(dataset))
         write_flow_csv(dataset, rows, tmp_path / "flows.csv")
         assert (tmp_path / "flows.csv").read_bytes() == reference_flow_csv(dataset, rows.tolist())
 
     def test_writer_memory_stays_bounded(self, tmp_path):
-        dataset = synth_generate(SynthConfig(n_flows=20_000, seed=4))
+        dataset = synth_generate(SynthConfig(n_flows=20_000), 4)
         assert dataset.features.shape == (20_000, 22)
         tracemalloc.start()
         try:
@@ -402,7 +402,7 @@ class TestSplit:
         days = tuple(WEEKDAYS[i % 5] for i in range(20))
         attacks = {0, 1, 5, 6, 12, 17}  # Monday and Tuesday rows included
         ds, classes = labeled_dataset(20, attacks, days=days)
-        result = split(ds, classes, SplitSpec())
+        result = split(ds, classes, SplitSpec(), 42)
         assert result.mode_used is SplitMode.DAY_BASED
         assert all(days[i] in ("Monday", "Tuesday") for i in result.train_idx)
         assert all(days[i] == "Wednesday" for i in result.val_idx)
@@ -412,12 +412,12 @@ class TestSplit:
         days = tuple(WEEKDAYS[i % 5] for i in range(40))
         attacks = {i for i in range(40) if days[i] == "Thursday"}
         ds, classes = labeled_dataset(40, attacks, days=days)
-        result = split(ds, classes, SplitSpec())
+        result = split(ds, classes, SplitSpec(), 42)
         assert result.mode_used is SplitMode.STRATIFIED
 
     def test_stratified_partitions_exactly(self):
         ds, classes = labeled_dataset(40, set(range(8)))
-        result = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED))
+        result = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED), 42)
         merged = np.sort(
             np.concatenate([result.train_idx, result.val_idx, result.test_idx])
         )
@@ -425,42 +425,42 @@ class TestSplit:
 
     def test_stratified_respects_fractions_per_class(self):
         ds, classes = labeled_dataset(100, set(range(20)))
-        result = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED))
+        result = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED), 42)
         train_classes = [classes[i] for i in result.train_idx]
         assert train_classes.count("DoS") == 10
         assert train_classes.count("benign") == 40
 
     def test_same_seed_reproduces(self):
         ds, classes = labeled_dataset(200, set(range(40)))
-        a = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED, seed=7))
-        b = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED, seed=7))
+        a = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED), 7)
+        b = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED), 7)
         assert np.array_equal(a.train_idx, b.train_idx)
         assert np.array_equal(a.val_idx, b.val_idx)
         assert np.array_equal(a.test_idx, b.test_idx)
-        c = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED, seed=8))
+        c = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED), 8)
         assert not np.array_equal(a.train_idx, c.train_idx)
 
     def test_day_based_requires_day_tags(self):
         ds, classes = labeled_dataset(10, {0})
         with pytest.raises(ValidationError):
-            split(ds, classes, SplitSpec(mode=SplitMode.DAY_BASED))
+            split(ds, classes, SplitSpec(mode=SplitMode.DAY_BASED), 42)
 
     def test_unknown_day_tag_rejected(self):
         ds, classes = labeled_dataset(2, {0}, days=("Monday", "Someday"))
         with pytest.raises(ValidationError, match="Someday"):
-            split(ds, classes, SplitSpec(mode=SplitMode.DAY_BASED))
+            split(ds, classes, SplitSpec(mode=SplitMode.DAY_BASED), 42)
 
     def test_label_count_mismatch(self):
         ds, classes = labeled_dataset(10, {0})
         with pytest.raises(ValidationError):
-            split(ds, classes[:-1], SplitSpec())
+            split(ds, classes[:-1], SplitSpec(), 42)
 
     def test_tiny_class_goes_to_train(self, caplog):
         import logging
 
         ds, classes = labeled_dataset(12, {3})
         with caplog.at_level(logging.WARNING):
-            result = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED))
+            result = split(ds, classes, SplitSpec(mode=SplitMode.STRATIFIED), 42)
         assert 3 in result.train_idx
         assert any("fewer than 3" in r.getMessage() for r in caplog.records)
 
@@ -512,8 +512,8 @@ class TestSynthConfig:
 
 class TestSynthGenerate:
     def test_schema_and_counts(self):
-        config = SynthConfig(n_flows=200, seed=1)
-        ds = synth_generate(config)
+        config = SynthConfig(n_flows=200)
+        ds = synth_generate(config, 1)
         assert len(ds) == 200
         assert ds.feature_names == STRONG_FEATURE_NAMES + FLAG_FEATURE_NAMES
         assert set(ds.days) <= set(WEEKDAYS)
@@ -525,22 +525,21 @@ class TestSynthGenerate:
         assert mapped.count("benign") == 200 - sum(expected.values())
 
     def test_same_seed_is_byte_identical(self, tmp_path):
-        config = SynthConfig(n_flows=150, seed=9)
+        config = SynthConfig(n_flows=150)
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         rows = np.arange(config.n_flows)
-        write_flow_csv(synth_generate(config), rows, first, header_comment="seed=9")
-        write_flow_csv(synth_generate(config), rows, second, header_comment="seed=9")
+        write_flow_csv(synth_generate(config, 9), rows, first, header_comment="seed=9")
+        write_flow_csv(synth_generate(config, 9), rows, second, header_comment="seed=9")
         assert first.read_bytes() == second.read_bytes()
 
     def test_different_seed_differs(self):
-        a = synth_generate(SynthConfig(n_flows=100, seed=1))
-        b = synth_generate(SynthConfig(n_flows=100, seed=2))
+        a = synth_generate(SynthConfig(n_flows=100), 1)
+        b = synth_generate(SynthConfig(n_flows=100), 2)
         assert not np.array_equal(a.features, b.features)
 
     def test_round_trips_through_csv(self, tmp_path):
-        config = SynthConfig(n_flows=60, seed=3)
-        ds = synth_generate(config)
+        ds = synth_generate(SynthConfig(n_flows=60), 3)
         path = tmp_path / "synth.csv"
         write_flow_csv(ds, np.arange(len(ds)), path)
         loaded, report = load_csv(path)
@@ -555,7 +554,7 @@ class TestSynthGenerate:
         d_strong = len(STRONG_FEATURE_NAMES)
 
         def strong_f1(separation):
-            ds = synth_generate(SynthConfig(n_flows=600, seed=42, separation=separation))
+            ds = synth_generate(SynthConfig(n_flows=600, separation=separation), 42)
             y = binary_labels(map_attack_types(ds.labels))
             X = ds.features[:, :d_strong]
             model = train_lr(X, y)
