@@ -137,9 +137,9 @@ def paired_bootstrap(
     queues: Mapping[str, RankedQueue],
     rel: np.ndarray,
     *,
-    k: int = 500,
-    resamples: int = 1000,
-    seed: int = 0,
+    k: int,
+    resamples: int,
+    seed: int,
 ) -> dict[str, BootstrapResult]:
     """Paired bootstrap over rank positions for NDCG@k of each of ``queues``
     against ``baseline``, keyed as ``queues``.
@@ -153,7 +153,10 @@ def paired_bootstrap(
     comes from the shifted (null-centered) distribution, floored at
     1/resamples. One draw and the baseline's replicates serve every queue,
     so each result equals that of a separate draw with the same seed.
-    ``k`` or ``resamples`` below 1 is a :class:`ValidationError`.
+    ``k`` or ``resamples`` below 1 is a :class:`ValidationError`. Every
+    queue must rank a batch with the baseline's ids in the same row order
+    (``rel`` is aligned with those rows) and hold the baseline's rows, or
+    the call is an :class:`EvaluationError`.
     """
     if resamples < 1:
         raise ValidationError(f"resamples must be >= 1, got {resamples!r}")
@@ -161,9 +164,11 @@ def paired_bootstrap(
         raise ValidationError(f"k must be >= 1, got {k!r}")
     if not queues:
         return {}
-    universe = set(baseline.ids())
+    ids = baseline.records.ids
+    member = np.zeros(len(ids), dtype=bool)
+    member[baseline.order] = True
     for name, queue in queues.items():
-        if set(queue.ids()) != universe:
+        if queue.records.ids != ids or len(queue) != len(baseline) or not member[queue.order].all():
             raise EvaluationError(
                 f"paired bootstrap requires queues over the same alert universe; "
                 f"queue {name!r} differs from the baseline"
@@ -251,8 +256,8 @@ _SCENARIO_SCALES = {ScenarioKind.OVERCONFIDENT: 1.15, ScenarioKind.UNDERCONFIDEN
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: ScenarioKind
-    noise_sd: float = 0.2
-    seed: int = 42
+    noise_sd: float
+    seed: int
 
 
 def perturb(p: Sequence[float] | np.ndarray, spec: ScenarioSpec) -> np.ndarray:

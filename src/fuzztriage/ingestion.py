@@ -23,7 +23,7 @@ import numpy as np
 
 from .alerts import UNKNOWN_CLASS
 from .errors import ConfigError, ParseError, ValidationError
-from .tables import ROWS_PER_WRITE, csv_row, g_rows, read_table, write_artifact
+from .tables import quoted_cells, read_table, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -160,27 +160,16 @@ def write_flow_csv(
     header_comment: str | None = None,
 ) -> None:
     """Write the flows ``rows`` of a dataset, in that order, in the schema
-    load_csv reads: the bytes of ``csv.writer`` given ``f"{v:.6g}"`` for
-    each feature, the label and the day. The features of
-    :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a time come from one
-    :func:`~fuzztriage.tables.g_rows` call (``%.6g`` text never needs
-    quoting); the label and day are quoted once per distinct pair."""
-    header = list(dataset.feature_names) + [LABEL_COLUMN_DEFAULT]
-    tags = [dataset.labels]
-    if dataset.days is not None:
-        header.append(DAY_COLUMN_DEFAULT)
-        tags.append(dataset.days)
+    load_csv reads, as ``csv.writer`` would: ``f"{v:.6g}"`` for each feature,
+    the label and the day."""
+    tags = {LABEL_COLUMN_DEFAULT: dataset.labels, DAY_COLUMN_DEFAULT: dataset.days}
+    tags = {name: tag for name, tag in tags.items() if tag is not None}
     rows = np.asarray(rows, dtype=np.intp)
-    tails: dict[tuple[str, ...], str] = {}
-    with write_artifact(path, header_comment) as fh:
-        fh.write(csv_row(header))
-        for start in range(0, len(rows), ROWS_PER_WRITE):
-            chunk = rows[start : start + ROWS_PER_WRITE]
-            keys = list(zip(*(map(tag.__getitem__, chunk.tolist()) for tag in tags)))
-            for key in set(keys).difference(tails):
-                tails[key] = csv_row(("",) + key)[1:]  # drop the leading ","
-            pairs = zip(g_rows(dataset.features[chunk], 6), keys)
-            fh.write("".join([row + tails[key] for row, key in pairs]))
+    cells, which = quoted_cells(zip(*(map(tag.__getitem__, rows.tolist()) for tag in tags.values())))
+    tails = np.empty((len(dataset), cells.shape[1]), np.uint8)  # by dataset row, as features are
+    tails[rows] = cells[which]
+    header = [*dataset.feature_names, *tags]
+    write_rows(path, header_comment, header, rows, [(dataset.features, 6), tails])
 
 
 # --- attack-class mapping --------------------------------------------------

@@ -246,6 +246,10 @@ def evaluate_all(
             resamples=config.evaluation.bootstrap_resamples,
             seed=config.evaluation.bootstrap_seed,
         )
+    else:
+        logger.warning(
+            "no alert is a predicted attack; the pred metrics and the paired bootstrap are skipped"
+        )
 
     specs = tuple(
         ScenarioSpec(kind, noise_sd=config.evaluation.noise_sd, seed=config.seed)
@@ -378,6 +382,9 @@ def write_summary(config: RunConfig, tables: EvalTables) -> Path:
     lines.append("NDCG_rel by method (queue@cutoff):")
     for row in tables.metrics:
         lines.append(f"  {row.method:28s} {row.queue}@{row.cutoff:<4d} {row.ndcg:.4f}")
+    if all(row.queue != "pred" for row in tables.metrics):
+        lines.append("")
+        lines.append("no alert is a predicted attack: pred metrics and paired bootstrap skipped")
     if tables.bootstrap:
         lines.append("")
         lines.append("paired bootstrap vs risk-averse (delta [95% CI], p):")

@@ -16,7 +16,7 @@ import numpy as np
 from .alerts import AlertBatch
 from .errors import ValidationError
 from .sgfn import check_kappa
-from .tables import ROWS_PER_WRITE, csv_row, g_rows, write_artifact
+from .tables import csv_row, g_cells, quoted_cells, text_cells, write_rows
 
 
 class Method(str, Enum):
@@ -136,12 +136,8 @@ def write_queue_csvs(
     files: Mapping[str | Path, RankedQueue], header_comment: str | None = None
 ) -> None:
     """Write each queue to its path as ``csv.writer`` would, floats as
-    ``f"{x:.10g}"`` from :func:`~fuzztriage.tables.g_rows`. The queues must
-    be ranked from one alert batch. The text that depends only on the batch
-    (the id, quoted only when one id needs it, and the
-    ``c,sigma,h,p,class,label`` tail, each distinct pair quoted once) is
-    built once for all of them; each queue adds its rank, method and scores
-    to :data:`~fuzztriage.tables.ROWS_PER_WRITE` rows at a time.
+    ``f"{x:.10g}"``. The queues must be ranked from one alert batch, whose
+    cells are built once for all of them.
 
     Raises:
         ValidationError: if the queues are not ranked from one batch.
@@ -154,18 +150,13 @@ def write_queue_csvs(
     ids = batch.ids
     if csv_row(ids) != ",".join(ids) + "\r\n":
         ids = [csv_row((alert_id, ""))[:-3] for alert_id in ids]  # drop ",\r\n"
-    keys = list(zip(batch.classes, batch.labels))
-    quoted = {key: csv_row(key) for key in set(keys)}
-    floats = g_rows(np.stack([batch.core, batch.spread, batch.height, batch.p], axis=1), 10)
-    tails = [row + quoted[key] for row, key in zip(floats, keys)]
-    ranks = list(map(str, range(1, len(batch) + 1)))
+    ids = text_cells(ids)
+    floats = g_cells(np.stack([batch.core, batch.spread, batch.height, batch.p], axis=1), 10)
+    tails, which = quoted_cells(zip(batch.classes, batch.labels))
+    positions = text_cells(list(map(str, range(1, len(batch) + 1))))
     for path, queue in files.items():
-        method, scores = queue.method.value, g_rows(queue.scores[:, None], 10)
-        order = queue.order.tolist()
-        with write_artifact(path, header_comment) as fh:
-            fh.write(csv_row(QUEUE_HEADER))
-            for start in range(0, len(order), ROWS_PER_WRITE):
-                rows = zip(ranks[start:start + ROWS_PER_WRITE], order[start:start + ROWS_PER_WRITE])
-                fh.write("".join([
-                    f"{rank},{ids[i]},{method},{scores[i]}{tails[i]}" for rank, i in rows
-                ]))
+        ranks = np.empty_like(positions)
+        ranks[queue.order] = positions[:len(queue)]
+        method = text_cells([queue.method.value]).repeat(len(batch), axis=0)
+        columns = [ranks, ids, method, g_cells(queue.scores[:, None], 10), floats, tails[which]]
+        write_rows(path, header_comment, QUEUE_HEADER, queue.order, columns)

@@ -6,12 +6,10 @@ skipped; the first remaining row is the header and every later row must have
 as many fields as the header. Rows are numbered with the header as row 1 and
 skipped rows not counted, and every reader names rows by that number.
 
-Writers that hold their rows as arrays write them :data:`ROWS_PER_WRITE`
-rows at a time, in one way: :func:`format_g` gives the ``%g`` text of many
-floats at once as NUL-padded byte columns, :func:`g_rows` joins them into one
-string per row by laying them out cell after cell and dropping the padding,
-and the writer appends each row's remaining fields, quoted once per distinct
-value, in Python.
+Writers that hold their rows as arrays write them with :func:`write_rows`:
+a row is a gather of cells, each the UTF-8 bytes of one or more fields padded
+with :data:`PAD`, laid out with ``,`` between them and ``\r\n`` after the
+last; dropping the padding with one mask leaves the text.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -83,18 +81,19 @@ def csv_row(fields: Sequence[object]) -> str:
     return out.getvalue()
 
 
-# --- the text of many values at once -------------------------------------------
+# --- the text of many rows at once ---------------------------------------------
 
-ROWS_PER_WRITE = 2048  # rows formatted, joined and written at a time
+ROWS_PER_WRITE = 2048  # rows gathered, joined and written at a time
+PAD = 0xFF  # pads every cell; never a byte of UTF-8 text
 
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 10**22 is the last exact double
 _SPLITTER = 2.0**27 + 1  # splits a double into two halves whose products are exact
 _LEAD = 6  # character rows before the first digit, room for "-0.000"
-# The text before the digits, right-aligned after NULs: column
+# The text before the digits, right-aligned after PADs: column
 # 5 * negative + z holds the sign and, for z > 0, "0." and z - 1 zeros.
 _PREFIXES = np.array(
-    [(sign + (b"0." + b"0" * (z - 1) if z else b"")).rjust(_LEAD, b"\0")
+    [(sign + (b"0." + b"0" * (z - 1) if z else b"")).rjust(_LEAD, bytes([PAD]))
      for sign in (b"", b"-") for z in range(5)]
 ).view(np.uint8).reshape(10, _LEAD).T.copy()
 
@@ -114,7 +113,7 @@ def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndar
 def format_g(values: np.ndarray, precision: int) -> np.ndarray:
     """The bytes of ``"%.*g" % (precision, v)`` for each float64 ``v`` of
     ``values`` in C order, for precision 1 to 15: a ``uint8`` matrix of
-    shape ``(width, n)`` whose column i holds value i's text between NULs.
+    shape ``(width, n)`` whose column i holds value i's text between PADs.
 
     A finite nonzero ``|v|`` is scaled by an exact power of ten, at most
     1e22, into ``[10**(p-1), 10**p)``. That one rounding leaves the scaled
@@ -174,7 +173,7 @@ def format_g(values: np.ndarray, precision: int) -> np.ndarray:
     # Rows: the prefix right-aligned before _LEAD, then the digits with the
     # point after the first `point` of them, then "e+dd". A text from `%`
     # starts at _LEAD and is at most precision + 7 long ("-2.22507e-308").
-    out = np.zeros((_LEAD + precision + 7, n), np.uint8)
+    out = np.full((_LEAD + precision + 7, n), PAD, np.uint8)
     out[:_LEAD] = _PREFIXES.take(5 * negative + np.maximum(1 - point, 0), axis=1)
     at_point = np.where(point > 0, point, precision + 1).astype(np.uint8)
     # Row _LEAD + c holds digits[c] before the point, the point, and
@@ -187,7 +186,8 @@ def format_g(values: np.ndarray, precision: int) -> np.ndarray:
     out[_LEAD + 1:_LEAD + precision + 1] = zone
     shown = np.maximum(significant, point)
     end = _LEAD + shown + (shown > at_point)
-    out[_LEAD:_LEAD + precision + 1] *= np.arange(_LEAD, _LEAD + precision + 1)[:, None] < end
+    past_end = np.arange(_LEAD, _LEAD + precision + 1)[:, None] >= end
+    out[_LEAD:_LEAD + precision + 1] |= past_end * np.uint8(PAD)
 
     sci = np.flatnonzero(fast & ~fixed)
     if sci.size:
@@ -200,35 +200,55 @@ def format_g(values: np.ndarray, precision: int) -> np.ndarray:
         bits = x[slow].view(np.uint64)  # -0.0 and nan payloads stay apart
         distinct = np.sort(bits)
         distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-        texts = np.array([b"%.*g" % (precision, v) for v in distinct.view(np.float64).tolist()])
-        chars = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+        texts = text_cells(["%.*g" % (precision, v) for v in distinct.view(np.float64).tolist()])
         which = np.searchsorted(distinct, bits)
-        out[:, slow] = 0  # the fast path's bytes for these columns are not their text
-        out[_LEAD:_LEAD + texts.itemsize, slow] = chars[which].T  # NUL-padded by numpy
+        out[:, slow] = PAD  # the fast path's bytes for these columns are not their text
+        out[_LEAD:_LEAD + texts.shape[1], slow] = texts[which].T
     return out
 
 
-def g_rows(values: np.ndarray, precision: int) -> list[str]:
-    """Each row of a 2-D array as the :func:`format_g` texts of its values,
-    each followed by ``,``; ``[[1.5, 2.0]]`` gives ``["1.5,2,"]`` and a row
-    of no values gives ``""``."""
-    n, k = values.shape
-    if not k:
-        return [""] * n
-    rows: list[str] = []
-    for start in range(0, n, ROWS_PER_WRITE):
-        block = values[start:start + ROWS_PER_WRITE]
-        chars = format_g(block, precision)
-        used = np.flatnonzero(chars.any(axis=1))  # the rows some text reaches
-        chars = chars[used[0]:used[-1] + 1]
-        width = len(chars)
-        # One cell per value: its padded text, then "," and, after a row's
-        # last value, "\n"; every other byte is NUL. No %g text holds a NUL
-        # or a "\n", so dropping the NULs joins each row and "\n" ends it.
-        cells = np.zeros((len(block), k, width + 2), np.uint8)
-        cells[:, :, :width] = chars.T.reshape(-1, k, width)
-        cells[:, :, width] = ord(",")
-        cells[:, -1, width + 1] = ord("\n")
-        text = cells[cells != 0]
-        rows += str(text, "ascii").split("\n")[:-1]
-    return rows
+def text_cells(texts: Sequence[str]) -> np.ndarray:
+    """The UTF-8 bytes of each text as one row of a ``uint8`` matrix,
+    padded with :data:`PAD` to the longest text."""
+    encoded = [text.encode() for text in texts]
+    length = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    cells = np.full((len(encoded), length.max(initial=0)), PAD, np.uint8)
+    cells[np.arange(cells.shape[1]) < length[:, None]] = np.frombuffer(b"".join(encoded), np.uint8)
+    return cells
+
+
+def quoted_cells(keys: Iterable[tuple[object, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`text_cells` of each distinct tuple of ``keys`` (its fields as
+    ``csv.writer`` writes them after a row's first field) and each key's index."""
+    keys = list(keys)
+    index = {key: n for n, key in enumerate(dict.fromkeys(keys))}
+    which = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    return text_cells([csv_row(("", *key))[1:-2] for key in index]), which  # drop "," and "\r\n"
+
+
+def g_cells(values: np.ndarray, precision: int) -> np.ndarray:
+    """One cell for each row of the 2-D ``values``: the :func:`format_g`
+    texts of its values, separated by ``,``."""
+    (n, k), chars = values.shape, format_g(values, precision)
+    used = chars[(chars != PAD).any(axis=1)]  # the character rows some text reaches
+    chars = np.vstack([used, np.full((1, n * k), ord(","), np.uint8)])  # and a "," after each
+    return chars.T.reshape(n, k * len(chars))[:, :-1]
+
+
+def write_rows(
+    path: str | Path, stamp: str | None, header: Sequence[str], rows: np.ndarray,
+    columns: Sequence[np.ndarray | tuple[np.ndarray, int]],
+) -> None:
+    """Write the entries ``rows`` of ``columns`` as the artifact's data rows, as
+    ``csv.writer`` would, :data:`ROWS_PER_WRITE` at a time. A column is a matrix
+    of cells or a 2-D float array and its precision, formatted by :func:`g_cells`."""
+    with write_artifact(path, stamp) as fh:
+        fh.write(csv_row(header))
+        for start in range(0, len(rows), ROWS_PER_WRITE):
+            chunk = rows[start:start + ROWS_PER_WRITE]
+            comma = np.full((len(chunk), 1), ord(","), np.uint8)
+            cells = (g_cells(c[0][chunk], c[1]) if isinstance(c, tuple) else c[chunk] for c in columns)
+            line = np.concatenate([*(x for cell in cells for x in (cell, comma)), comma], axis=1)
+            line[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # in place of the last ","
+            fh.write(str(np.compress((line != PAD).ravel(), line), "utf-8"))
+            del line  # freed before the next chunk's floats are formatted

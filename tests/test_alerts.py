@@ -505,7 +505,7 @@ class TestAssembleMatchesScalarReference:
         assert rank(batch, Method.RISK_AVERSE, RiskProfile(kappa)).ids() == tuple(reference_order)
 
         for kind in ScenarioKind:
-            spec = ScenarioSpec(kind, seed=3)
+            spec = ScenarioSpec(kind, noise_sd=0.2, seed=3)
             shifted = apply_scenario(batch, spec)
             p_new = perturb(p, spec).tolist()
             assert_bits(shifted.p, p_new)

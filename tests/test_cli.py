@@ -501,21 +501,31 @@ EVALUATE_FILES = {
 SKIPPED_PLATT = (
     "WARNING fuzztriage.detector: validation labels contain a single class; skipping calibration"
 )
+NO_PREDICTED_ATTACK = (
+    "WARNING fuzztriage.pipeline: no alert is a predicted attack; "
+    "the pred metrics and the paired bootstrap are skipped"
+)
 
 
 def nothing_written(out):
     assert not out.exists()
 
 
-def tiny_report(n_alerts):
-    """An evaluate run over ``n_alerts`` test alerts whose detector flags
-    none of them, so it reports F1 0."""
+def tiny_report(n_alerts, predicted):
+    """An evaluate run over ``n_alerts`` test alerts whose detector finds
+    none of the attacks, so it reports F1 0. Unless some alert is a
+    ``predicted`` attack, the paired bootstrap is skipped and the summary
+    says so."""
 
     def check(out):
         assert {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()} == EVALUATE_FILES
         for queue in (out / "queues").iterdir():
             assert len(data_rows(queue)) == n_alerts
         assert data_rows(out / "eval" / "detector.csv")[0].split(",")[-1] == "0"
+        assert bool(data_rows(out / "eval" / "bootstrap.csv")) == predicted
+        summary = (out / "eval" / "summary.txt").read_text(encoding="utf-8").splitlines()
+        skipped = "no alert is a predicted attack: pred metrics and paired bootstrap skipped"
+        assert (skipped in summary) == (not predicted)
 
     return check
 
@@ -624,13 +634,16 @@ DEGENERATE_RUNS = {
     "six_flows": (
         "[synth]\nn_flows = 6\n", 0,
         ["WARNING fuzztriage.ingestion: class DoS has 1 rows, fewer than 3; placing all in train",
-         SKIPPED_PLATT],
-        tiny_report(2),
+         SKIPPED_PLATT, NO_PREDICTED_ATTACK],
+        tiny_report(2, predicted=False),
     ),
-    "twelve_flows": ("[synth]\nn_flows = 12\n", 0, [SKIPPED_PLATT], tiny_report(4)),
+    "twelve_flows": (
+        "[synth]\nn_flows = 12\n", 0, [SKIPPED_PLATT], tiny_report(4, predicted=True)
+    ),
     "forty_flows_sweep": (
         "[synth]\nn_flows = 40\n[evaluation]\nsweep = true\n", 3,
-        ["error: sensitivity sweep: predicted queue is empty"], nothing_written,
+        [NO_PREDICTED_ATTACK, "error: sensitivity sweep: predicted queue is empty"],
+        nothing_written,
     ),
     "cutoff_past_queue_end": (
         "[synth]\nn_flows = 600\n[evaluation]\ncutoffs = 10, 240, 100000\n", 0, [],

@@ -252,7 +252,8 @@ class TestPairedBootstrap:
         rel = relevance(a)
         with pytest.raises(EvaluationError, match="same alert universe"):
             paired_bootstrap(
-                rank(b, Method.SEVERITY_ONLY), {"a": rank(a, Method.SEVERITY_ONLY)}, rel
+                rank(b, Method.SEVERITY_ONLY), {"a": rank(a, Method.SEVERITY_ONLY)}, rel,
+                k=10, resamples=50, seed=0,
             )
 
     def test_k_clamped_to_queue_length(self, rng):
@@ -279,7 +280,7 @@ class TestPairedBootstrap:
             raise AssertionError("paired_bootstrap drew resamples for no queue")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        assert paired_bootstrap(queue, {}, relevance(records)) == {}
+        assert paired_bootstrap(queue, {}, relevance(records), k=10, resamples=50, seed=0) == {}
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_below_one_rejected_before_any_draw(self, rng, monkeypatch, k):
@@ -291,14 +292,35 @@ class TestPairedBootstrap:
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(ValidationError, match=rf"^k must be >= 1, got {k}$"):
-            paired_bootstrap(queue, {"so": queue}, relevance(records), k=k)
+            paired_bootstrap(queue, {"so": queue}, relevance(records), k=k, resamples=50, seed=0)
 
     def test_mismatched_universe_names_queue(self, rng):
         a = random_batch(rng, 10)
         b = make_batch([*list(a)[1:], make_record("intruder", 5.0, 1.0, 0.5, 0.5)])
         queues = {"same": rank(a, Method.CONFIDENCE_ONLY), "other": rank(b, Method.SEVERITY_ONLY)}
         with pytest.raises(EvaluationError, match="same alert universe; queue 'other'"):
-            paired_bootstrap(rank(a, Method.SEVERITY_ONLY), queues, relevance(a))
+            paired_bootstrap(
+                rank(a, Method.SEVERITY_ONLY), queues, relevance(a), k=10, resamples=50, seed=0
+            )
+
+    def test_reordered_batch_rejected(self):
+        # The same 40 alerts twice, the second time in reversed row order:
+        # the queues list the same ids in the same order, but rel is aligned
+        # with the rows of the first batch only.
+        a = random_batch(np.random.default_rng(23), 40)
+        b = make_batch(reversed(list(a)))
+        qa, qb = rank(a, Method.SEVERITY_ONLY), rank(b, Method.SEVERITY_ONLY)
+        assert qa.ids() == qb.ids()
+        with pytest.raises(EvaluationError, match="same alert universe; queue 'b'"):
+            paired_bootstrap(qa, {"b": qb}, relevance(a), k=20, resamples=200, seed=0)
+
+    def test_queue_over_other_rows_of_the_batch_rejected(self, rng):
+        records = random_batch(rng, 30)
+        full = rank(records, Method.SEVERITY_ONLY)
+        queues = {"pred": predicted_queue(rank(records, Method.CONFIDENCE_ONLY))}
+        assert 0 < len(queues["pred"]) < len(full)
+        with pytest.raises(EvaluationError, match="same alert universe; queue 'pred'"):
+            paired_bootstrap(full, queues, relevance(records), k=10, resamples=50, seed=0)
 
 
 def reference_paired_bootstrap(queue_a, queue_b, rel, *, k=500, resamples=1000, seed=0):
@@ -447,27 +469,27 @@ class TestPercentiles:
 
 class TestPerturb:
     def test_overconfident_caps_at_one(self):
-        spec = ScenarioSpec(ScenarioKind.OVERCONFIDENT)
+        spec = ScenarioSpec(ScenarioKind.OVERCONFIDENT, noise_sd=0.2, seed=42)
         np.testing.assert_allclose(perturb([0.95], spec), [1.0])
         np.testing.assert_allclose(perturb([0.4], spec), [0.46])
 
     def test_underconfident_scales_down(self):
-        spec = ScenarioSpec(ScenarioKind.UNDERCONFIDENT)
+        spec = ScenarioSpec(ScenarioKind.UNDERCONFIDENT, noise_sd=0.2, seed=42)
         np.testing.assert_allclose(perturb([0.4, 1.0], spec), [0.34, 0.85])
 
     def test_noise_is_seed_deterministic(self):
-        spec = ScenarioSpec(ScenarioKind.NOISE, seed=42)
+        spec = ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=42)
         p = np.linspace(0.0, 1.0, 20)
         first = perturb(p, spec)
         second = perturb(p, spec)
         np.testing.assert_array_equal(first, second)
         assert np.all(first >= 0.0) and np.all(first <= 1.0)
-        shifted = perturb(p, ScenarioSpec(ScenarioKind.NOISE, seed=43))
+        shifted = perturb(p, ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=43))
         assert not np.array_equal(first, shifted)
 
     def test_out_of_range_input_rejected(self):
         with pytest.raises(ValidationError):
-            perturb([1.2], ScenarioSpec(ScenarioKind.NOISE))
+            perturb([1.2], ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=42))
 
 
 class TestApplyScenario:
@@ -488,7 +510,7 @@ class TestApplyScenario:
 
     def test_core_and_spread_held_fixed(self):
         records = self.consistent_batch(5, 10)
-        shifted = apply_scenario(records, ScenarioSpec(ScenarioKind.NOISE, seed=9))
+        shifted = apply_scenario(records, ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=9))
         for before, after in zip(records, shifted):
             assert after.core == before.core
             assert after.spread == before.spread
@@ -496,7 +518,8 @@ class TestApplyScenario:
 
     def test_height_tracks_perturbed_p(self):
         record = make_record("a", 6.0, 0.9, 0.6, 0.6, h_class=0.9)
-        shifted = apply_scenario(make_batch([record]), ScenarioSpec(ScenarioKind.OVERCONFIDENT))[0]
+        spec = ScenarioSpec(ScenarioKind.OVERCONFIDENT, noise_sd=0.2, seed=42)
+        shifted = apply_scenario(make_batch([record]), spec)[0]
         assert shifted.p == pytest.approx(0.69)
         assert shifted.height == pytest.approx(0.69)
 
@@ -507,7 +530,8 @@ class TestApplyScenario:
             return ranking_index(GaussianFuzzyNumber(r.core, r.spread, r.height), 1.0)
 
         records = self.consistent_batch(7, 50)
-        shifted = apply_scenario(records, ScenarioSpec(ScenarioKind.OVERCONFIDENT))
+        spec = ScenarioSpec(ScenarioKind.OVERCONFIDENT, noise_sd=0.2, seed=42)
+        shifted = apply_scenario(records, spec)
         for before, after in zip(records, shifted):
             assert after.height >= before.height - 1e-15
             change = index(after) - index(before)
@@ -518,7 +542,7 @@ class TestScenarioEval:
     def test_underconfident_confidence_only_unchanged(self, rng):
         records = random_batch(rng, 40)
         results = scenario_eval(
-            records, [ScenarioSpec(ScenarioKind.UNDERCONFIDENT)], k=25
+            records, [ScenarioSpec(ScenarioKind.UNDERCONFIDENT, noise_sd=0.2, seed=42)], k=25
         )
         co = [r for r in results if r.method is Method.CONFIDENCE_ONLY][0]
         assert co.ndcg_after == co.ndcg_before
@@ -526,8 +550,8 @@ class TestScenarioEval:
     def test_result_grid_shape(self, rng):
         records = random_batch(rng, 15)
         scenarios = [
-            ScenarioSpec(ScenarioKind.OVERCONFIDENT),
-            ScenarioSpec(ScenarioKind.NOISE, seed=1),
+            ScenarioSpec(ScenarioKind.OVERCONFIDENT, noise_sd=0.2, seed=42),
+            ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=1),
         ]
         results = scenario_eval(records, scenarios, k=10)
         assert len(results) == len(scenarios) * len(Method)

@@ -1,6 +1,9 @@
-"""The shared table rules hold for every reader of an input file, and the
-vector text kernel writes the bytes of ``%``."""
+"""The shared table rules hold for every reader of an input file, the
+vector text kernel writes the bytes of ``%``, and the row writer writes the
+bytes of ``csv.writer``."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -12,7 +15,7 @@ from fuzztriage.alerts import AttackClassProfile, load_alerts_csv, load_catalog
 from fuzztriage.detector import load_external_scores, load_model
 from fuzztriage.errors import ParseError
 from fuzztriage.ingestion import load_class_map_override, load_csv
-from fuzztriage.tables import ROWS_PER_WRITE, format_g, g_rows
+from fuzztriage.tables import PAD, ROWS_PER_WRITE, format_g, write_rows
 
 # reader, header (spaced or in another case), data rows, check of the result
 READERS = {
@@ -82,14 +85,24 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
 
 
 def g_texts(values, precision):
-    """The text in each column of format_g's matrix, which must be NULs, one
-    run of bytes with no NUL in it, then NULs."""
+    """The text in each column of format_g's matrix, which must be PADs, one
+    run of bytes with no PAD and no NUL in it, then PADs."""
     values = np.array(values, dtype=np.float64)
     chars = format_g(values, precision)
     assert chars.dtype == np.uint8 and chars.shape[1] == values.size
-    texts = [column.tobytes().strip(b"\0") for column in chars.T]
-    assert all(text and b"\0" not in text for text in texts)
+    texts = [column.tobytes().strip(bytes([PAD])) for column in chars.T]
+    assert all(text and PAD not in text and b"\0" not in text for text in texts)
     return [text.decode() for text in texts]
+
+
+def written_rows(tmp_path, values, precision):
+    """The data rows write_rows writes for one float column, beside the rows
+    ``csv.writer`` writes for the ``%`` texts of the same values."""
+    path = tmp_path / "rows.csv"
+    write_rows(path, None, ["x"], np.arange(len(values)), [(values, precision)])
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([["%.*g" % (precision, v) for v in row] for row in values.tolist()])
+    return path.read_bytes().decode("utf-8").split("\r\n", 1)[1], expected.getvalue()
 
 
 # Any double, or a 3-decimal one: at 6 and 10 significant digits those are
@@ -121,11 +134,11 @@ class TestFormatG:
         assert g_texts(values, 6) == ["1.5", "-0.25", "3e-07", "0", "1.23457e+07", "nan"]
         assert g_texts(np.empty((0, 3)), 6) == []
 
-    def test_rows_across_chunks(self):
+    def test_rows_across_chunks(self, tmp_path):
         values = np.random.default_rng(16).lognormal(0, 8, (2 * ROWS_PER_WRITE + 1, 3))
-        expected = ["".join("%.10g," % v for v in row) for row in values.tolist()]
-        assert g_rows(values, 10) == expected
-        assert g_rows(np.empty((0, 2)), 6) == []
+        written, expected = written_rows(tmp_path, values, 10)
+        assert written == expected
+        assert written_rows(tmp_path, np.empty((0, 2)), 6) == ("", "")
 
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
                   elements=doubles))
@@ -133,7 +146,7 @@ class TestFormatG:
     @example(np.empty((0, 3)))
     @example(np.empty((3, 0)))
     @settings(max_examples=300, deadline=None)
-    def test_rows_match_percent_format(self, values):
+    def test_rows_match_percent_format(self, tmp_path_factory, values):
         for precision in (6, 10):
-            expected = ["".join("%.*g," % (precision, v) for v in row) for row in values.tolist()]
-            assert g_rows(values, precision) == expected
+            written, expected = written_rows(tmp_path_factory.getbasetemp(), values, precision)
+            assert written == expected
