@@ -121,6 +121,8 @@ def band_eval(
 
 # --- paired bootstrap ------------------------------------------------------
 
+BOOTSTRAP_BLOCK = 32768  # values per scoring buffer: 256 KiB of float64, within L2
+
 
 @dataclass(frozen=True)
 class BootstrapResult:
@@ -152,7 +154,9 @@ def paired_bootstrap(
     baseline), the CI is the percentile interval, and the two-sided p-value
     comes from the shifted (null-centered) distribution, floored at
     1/resamples. One draw and the baseline's replicates serve every queue,
-    so each result equals that of a separate draw with the same seed.
+    so each result equals that of a separate draw with the same seed. The
+    replicates are scored :data:`BOOTSTRAP_BLOCK` values at a time; every
+    step works on one replicate's row, so the blocks change no bit.
     ``k`` or ``resamples`` below 1 is a :class:`ValidationError`. Every
     queue must rank a batch with the baseline's ids in the same row order
     (``rel`` is aligned with those rows) and hold the baseline's rows, or
@@ -180,25 +184,30 @@ def paired_bootstrap(
 
     rng = np.random.default_rng(seed)
     # Sorting each draw keeps the queue's own rank order within the resample.
-    idx = np.sort(rng.integers(0, k_eff, size=(resamples, k_eff)), axis=1)
-    # One pair of buffers serves every queue: the drawn gains and their
-    # discounted values.
-    drawn = np.empty((resamples, k_eff))
+    idx = rng.integers(0, k_eff, size=(resamples, k_eff))
+    idx.sort(axis=1)
+    # One pair of buffers serves every block of replicates of every queue:
+    # the drawn gains and their discounted values.
+    rows = max(1, BOOTSTRAP_BLOCK // k_eff)
+    drawn = np.empty((min(rows, resamples), k_eff))
     scaled = np.empty_like(drawn)
 
     def replicate_ndcg(queue: RankedQueue) -> np.ndarray:
         gains = np.exp2(queue_relevances(queue, rel)[:k_eff]) - 1.0
-        np.take(gains, idx, out=drawn, mode="clip")
-        dcg = np.divide(drawn, discounts, out=scaled).sum(axis=1)
-        # The ideal orders each resample descending. Sorting the negated gains
-        # ascending does that, and as negation commutes exactly with division
-        # and rounding, the negated sums have the bits of the descending ones.
-        np.negative(drawn, out=drawn)
-        drawn.sort(axis=1)
-        ideal = -np.divide(drawn, discounts, out=scaled).sum(axis=1)
         out = np.zeros(resamples)
-        nonzero = ideal > 0.0
-        out[nonzero] = dcg[nonzero] / ideal[nonzero]
+        for start in range(0, resamples, rows):
+            block = idx[start:start + rows]
+            d, s = drawn[:len(block)], scaled[:len(block)]
+            np.take(gains, block, out=d, mode="clip")
+            dcg = np.divide(d, discounts, out=s).sum(axis=1)
+            # The ideal orders each resample descending. Sorting the negated gains
+            # ascending does that, and as negation commutes exactly with division
+            # and rounding, the negated sums have the bits of the descending ones.
+            np.negative(d, out=d)
+            d.sort(axis=1)
+            ideal = -np.divide(d, discounts, out=s).sum(axis=1)
+            nonzero = ideal > 0.0
+            out[start:start + len(block)][nonzero] = dcg[nonzero] / ideal[nonzero]
         return out
 
     base = replicate_ndcg(baseline)

@@ -247,9 +247,7 @@ def evaluate_all(
             seed=config.evaluation.bootstrap_seed,
         )
     else:
-        logger.warning(
-            "no alert is a predicted attack; the pred metrics and the paired bootstrap are skipped"
-        )
+        logger.warning("no alert is a predicted attack; %s are skipped", _skipped(config))
 
     specs = tuple(
         ScenarioSpec(kind, noise_sd=config.evaluation.noise_sd, seed=config.seed)
@@ -258,7 +256,9 @@ def evaluate_all(
     scenarios = tuple(scenario_eval(records, specs, kappa=first_kappa))
 
     sweep = None
-    if config.evaluation.sweep:
+    # p does not depend on any sweep parameter, so each sweep point's
+    # predicted queue is empty exactly when ra_pred is.
+    if config.evaluation.sweep and len(ra_pred):
         sweep = sensitivity_sweep(
             records,
             {cls: row.metrics.f1 for cls, row in table.items()},
@@ -274,6 +274,13 @@ def evaluate_all(
         scenarios=scenarios,
         sweep=sweep,
     )
+
+
+def _skipped(config: RunConfig) -> str:
+    """What a run with no predicted attack leaves out."""
+    if config.evaluation.sweep:
+        return "the pred metrics, the paired bootstrap and the sensitivity sweep"
+    return "the pred metrics and the paired bootstrap"
 
 
 # --- artifact writers --------------------------------------------------------
@@ -384,7 +391,8 @@ def write_summary(config: RunConfig, tables: EvalTables) -> Path:
         lines.append(f"  {row.method:28s} {row.queue}@{row.cutoff:<4d} {row.ndcg:.4f}")
     if all(row.queue != "pred" for row in tables.metrics):
         lines.append("")
-        lines.append("no alert is a predicted attack: pred metrics and paired bootstrap skipped")
+        skipped = _skipped(config).replace("the ", "")
+        lines.append(f"no alert is a predicted attack: {skipped} skipped")
     if tables.bootstrap:
         lines.append("")
         lines.append("paired bootstrap vs risk-averse (delta [95% CI], p):")

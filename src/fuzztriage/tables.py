@@ -83,7 +83,8 @@ def csv_row(fields: Sequence[object]) -> str:
 
 # --- the text of many rows at once ---------------------------------------------
 
-ROWS_PER_WRITE = 2048  # rows gathered, joined and written at a time
+ROWS_PER_WRITE = 1024  # rows gathered, joined and written at a time
+FORMAT_BLOCK = 16384  # values formatted at a time: a block's temporaries fit in L2
 PAD = 0xFF  # pads every cell; never a byte of UTF-8 text
 
 
@@ -125,9 +126,18 @@ def format_g(values: np.ndarray, precision: int) -> np.ndarray:
     digit as ``%`` does. Zeros, inf, nan and values whose scale is not an
     exact power of ten, or whose scaled value misses the range (log10 may be
     one off next to a power of ten), are formatted by ``%``, once per
-    distinct value.
+    distinct value of a block. The width depends only on the precision, so
+    blocks of :data:`FORMAT_BLOCK` values are formatted into one matrix.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    out = np.full((_LEAD + precision + 7, x.size), PAD, np.uint8)
+    for start in range(0, x.size, FORMAT_BLOCK):
+        _format_block(x[start:start + FORMAT_BLOCK], precision, out[:, start:start + FORMAT_BLOCK])
+    return out
+
+
+def _format_block(x: np.ndarray, precision: int, out: np.ndarray) -> None:
+    """:func:`format_g` of the values ``x`` into the PAD-filled columns ``out``."""
     n = x.size
     low, high = _POW10[precision - 1], _POW10[precision]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -173,7 +183,6 @@ def format_g(values: np.ndarray, precision: int) -> np.ndarray:
     # Rows: the prefix right-aligned before _LEAD, then the digits with the
     # point after the first `point` of them, then "e+dd". A text from `%`
     # starts at _LEAD and is at most precision + 7 long ("-2.22507e-308").
-    out = np.full((_LEAD + precision + 7, n), PAD, np.uint8)
     out[:_LEAD] = _PREFIXES.take(5 * negative + np.maximum(1 - point, 0), axis=1)
     at_point = np.where(point > 0, point, precision + 1).astype(np.uint8)
     # Row _LEAD + c holds digits[c] before the point, the point, and
@@ -204,7 +213,6 @@ def format_g(values: np.ndarray, precision: int) -> np.ndarray:
         which = np.searchsorted(distinct, bits)
         out[:, slow] = PAD  # the fast path's bytes for these columns are not their text
         out[_LEAD:_LEAD + texts.shape[1], slow] = texts[which].T
-    return out
 
 
 def text_cells(texts: Sequence[str]) -> np.ndarray:

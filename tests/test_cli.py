@@ -5,6 +5,7 @@ full-size defaults are exercised by the acceptance tests.
 """
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -311,6 +312,23 @@ class TestMain:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_run_freezes_the_heap_and_main_does_not(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["fuzztriage", "prepare", "--config", str(tmp_path / "x")])
+        frozen = gc.get_freeze_count()
+        assert cli.main() == 2
+        assert gc.get_freeze_count() == frozen
+        main, seen = cli.main, []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or main())
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.run()
+            assert exited.value.code == 2
+            assert seen[0] > frozen  # frozen before main ran
+            assert gc.get_freeze_count() > seen[0]  # and again after
+        finally:
+            gc.unfreeze()
+        assert capsys.readouterr().err.count("error:") == 2
+
     def test_bad_kappa_exits_2(self, tmp_path, capsys):
         for kappa in ("one", ""):
             rc = cli.main(["rank", "--out", str(tmp_path), "--kappa", kappa])
@@ -505,17 +523,21 @@ NO_PREDICTED_ATTACK = (
     "WARNING fuzztriage.pipeline: no alert is a predicted attack; "
     "the pred metrics and the paired bootstrap are skipped"
 )
+NO_PREDICTED_ATTACK_SWEEP = (
+    "WARNING fuzztriage.pipeline: no alert is a predicted attack; "
+    "the pred metrics, the paired bootstrap and the sensitivity sweep are skipped"
+)
 
 
 def nothing_written(out):
     assert not out.exists()
 
 
-def tiny_report(n_alerts, predicted):
+def tiny_report(n_alerts, predicted, sweep=False):
     """An evaluate run over ``n_alerts`` test alerts whose detector finds
     none of the attacks, so it reports F1 0. Unless some alert is a
-    ``predicted`` attack, the paired bootstrap is skipped and the summary
-    says so."""
+    ``predicted`` attack, the paired bootstrap (and with the ``sweep`` on,
+    the sensitivity sweep) is skipped and the summary says so."""
 
     def check(out):
         assert {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()} == EVALUATE_FILES
@@ -524,7 +546,10 @@ def tiny_report(n_alerts, predicted):
         assert data_rows(out / "eval" / "detector.csv")[0].split(",")[-1] == "0"
         assert bool(data_rows(out / "eval" / "bootstrap.csv")) == predicted
         summary = (out / "eval" / "summary.txt").read_text(encoding="utf-8").splitlines()
-        skipped = "no alert is a predicted attack: pred metrics and paired bootstrap skipped"
+        skipped = "no alert is a predicted attack: " + (
+            "pred metrics, paired bootstrap and sensitivity sweep skipped" if sweep
+            else "pred metrics and paired bootstrap skipped"
+        )
         assert (skipped in summary) == (not predicted)
 
     return check
@@ -641,9 +666,8 @@ DEGENERATE_RUNS = {
         "[synth]\nn_flows = 12\n", 0, [SKIPPED_PLATT], tiny_report(4, predicted=True)
     ),
     "forty_flows_sweep": (
-        "[synth]\nn_flows = 40\n[evaluation]\nsweep = true\n", 3,
-        [NO_PREDICTED_ATTACK, "error: sensitivity sweep: predicted queue is empty"],
-        nothing_written,
+        "[synth]\nn_flows = 40\n[evaluation]\nsweep = true\n", 0,
+        [NO_PREDICTED_ATTACK_SWEEP], tiny_report(16, predicted=False, sweep=True),
     ),
     "cutoff_past_queue_end": (
         "[synth]\nn_flows = 600\n[evaluation]\ncutoffs = 10, 240, 100000\n", 0, [],

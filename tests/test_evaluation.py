@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fuzztriage.calibration import HeightParams, heights_from_f1, instance_heigh
 from fuzztriage.config import EvaluationConfig
 from fuzztriage.errors import EvaluationError, ValidationError
 from fuzztriage.evaluation import (
+    BOOTSTRAP_BLOCK,
     Band,
     BootstrapResult,
     ScenarioKind,
@@ -417,21 +419,52 @@ class TestBootstrapMatchesReference:
         for name, queue in queues.items():
             assert results[name] == reference_paired_bootstrap(queue, baseline, rel, **options)
 
-    def test_benchmark_shaped_case(self):
+    @pytest.fixture(scope="class")
+    def evaluate_shaped(self):
         # The evaluate command's shape: the seven default queues restricted
-        # to predicted attacks, longer than k = 500, with 1000 resamples.
+        # to predicted attacks, longer than k = 500.
         records = random_batch(np.random.default_rng(14), 1400)
-        rel = relevance(records)
         queues = {
             name: predicted_queue(rank(records, *spec)) for name, spec in QUEUE_METHODS.items()
         }
         baseline = queues.pop("risk_averse_k1")
         assert len(baseline) > 600
+        return relevance(records), baseline, queues
+
+    def test_benchmark_shaped_case(self, evaluate_shaped):
+        rel, baseline, queues = evaluate_shaped
         options = dict(k=500, resamples=1000, seed=0)
         results = paired_bootstrap(baseline, queues, rel, **options)
         assert list(results) == list(queues)
         for name, queue in queues.items():
             assert results[name] == reference_paired_bootstrap(queue, baseline, rel, **options)
+
+    @pytest.mark.parametrize("k", [1, 2, 500, 501])
+    def test_row_blocks_change_no_bit(self, evaluate_shaped, k):
+        rel, baseline, queues = evaluate_shaped
+        queues = {name: queues[name] for name in ("severity_only", "risk_averse_k0")}
+        block = max(1, BOOTSTRAP_BLOCK // k)  # replicates scored at a time
+        for resamples in (1, block - 1, block, block + 1, 1000):
+            options = dict(k=k, resamples=resamples, seed=resamples)
+            results = paired_bootstrap(baseline, queues, rel, **options)
+            for name, queue in queues.items():
+                expected = reference_paired_bootstrap(queue, baseline, rel, **options)
+                assert expected.k == k
+                assert bits(results[name]) == bits(expected)
+
+    def test_memory_stays_bounded(self, evaluate_shaped):
+        rel, baseline, queues = evaluate_shaped
+        tracemalloc.start()
+        try:
+            paired_bootstrap(baseline, queues, rel, k=500, resamples=1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+
+def bits(result):
+    return np.array(dataclasses.astuple(result), dtype=float).tobytes()
 
 
 @st.composite

@@ -5,6 +5,7 @@ bytes of ``csv.writer``."""
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fuzztriage.alerts import AttackClassProfile, load_alerts_csv, load_catalog
 from fuzztriage.detector import load_external_scores, load_model
 from fuzztriage.errors import ParseError
 from fuzztriage.ingestion import load_class_map_override, load_csv
-from fuzztriage.tables import PAD, ROWS_PER_WRITE, format_g, write_rows
+from fuzztriage.tables import FORMAT_BLOCK, PAD, ROWS_PER_WRITE, format_g, write_rows
 
 # reader, header (spaced or in another case), data rows, check of the result
 READERS = {
@@ -128,6 +129,32 @@ class TestFormatG:
         ])
         for precision in (1, 6, 10, 15):
             assert g_texts(values, precision) == ["%.*g" % (precision, v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("n", [FORMAT_BLOCK - 1, FORMAT_BLOCK, FORMAT_BLOCK + 1,
+                                   2 * FORMAT_BLOCK + 3])
+    def test_block_edges(self, n):
+        # Zeros, inf, nan, huge and subnormal values and exact ties at 2, 6
+        # and 10 digits, just before and just after each block edge.
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -5e-324, 1e-310,
+                   0.125, -100000.5, 1234565.0, 12345678905.0]
+        values = np.random.default_rng(n).lognormal(0, 8, n)
+        for edge in (FORMAT_BLOCK, 2 * FORMAT_BLOCK):
+            for start in (edge - len(special), edge):
+                stop = min(start + len(special), n)
+                values[start:stop] = special[:max(stop - start, 0)]
+        for precision in (2, 6, 10):
+            assert g_texts(values, precision) == ["%.*g" % (precision, v) for v in values.tolist()]
+
+    def test_memory_stays_bounded(self):
+        # The split and queue writers format up to 320k values at a time.
+        values = np.random.default_rng(17).random(320_000)
+        tracemalloc.start()
+        try:
+            format_g(values, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_shape_is_flattened_in_c_order(self):
         values = np.array([[1.5, -0.25, 3e-7], [0.0, 12345678.0, math.nan]])
