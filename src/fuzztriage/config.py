@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
 from collections import abc
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -26,7 +25,7 @@ from .alerts import CfMode, check_uf_scale
 from .calibration import HeightParams
 from .detector import DetectorConfig, DetectorMode
 from .errors import ConfigError, DomainError, ValidationError
-from .evaluation import Band, ScenarioKind
+from .evaluation import Band, ScenarioKind, check_noise_sd
 from .ingestion import DatasetConfig, SplitSpec, SynthConfig
 from .ranking import risk_averse_queue_name
 from .sgfn import check_kappa
@@ -69,8 +68,14 @@ class EvaluationConfig:
             raise ConfigError("bootstrap settings must be >= 1")
         if self.bootstrap_seed < 0:
             raise ConfigError(f"evaluation.bootstrap_seed must be >= 0, got {self.bootstrap_seed!r}")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd > 0.0):
-            raise ConfigError(f"evaluation.noise_sd must be finite and > 0, got {self.noise_sd!r}")
+        for key in ("cutoffs", "bands", "scenarios"):
+            values = tuple(getattr(v, "value", v) for v in getattr(self, key))
+            if len(set(values)) < len(values):
+                raise ConfigError(f"evaluation.{key} repeats a value: {values!r}")
+        try:
+            check_noise_sd(self.noise_sd)
+        except ValidationError as exc:
+            raise ConfigError(f"evaluation.{exc}") from exc
         try:
             self.band_objects()
         except ValueError as exc:

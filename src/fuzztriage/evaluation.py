@@ -262,11 +262,20 @@ class ScenarioKind(str, Enum):
 _SCENARIO_SCALES = {ScenarioKind.OVERCONFIDENT: 1.15, ScenarioKind.UNDERCONFIDENT: 0.85}
 
 
+def check_noise_sd(noise_sd: float) -> None:
+    """The scenario noise scale must be finite and positive."""
+    if not (math.isfinite(noise_sd) and noise_sd > 0.0):
+        raise ValidationError(f"noise_sd must be finite and > 0, got {noise_sd!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: ScenarioKind
     noise_sd: float
     seed: int
+
+    def __post_init__(self) -> None:
+        check_noise_sd(self.noise_sd)
 
 
 def perturb(p: Sequence[float] | np.ndarray, spec: ScenarioSpec) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -80,6 +81,11 @@ class PreparedData:
     rows: np.ndarray  # each flow's data-row index, which names it (flow_ids)
     split: SplitResult
 
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Each flow's binary label (1: attack), computed once, when a stage first reads it."""
+        return binary_labels(self.classes)
+
 
 def prepare_data(config: RunConfig) -> PreparedData:
     """Load or generate the dataset, map classes, and split."""
@@ -109,14 +115,12 @@ def prepare_data(config: RunConfig) -> PreparedData:
 class DetectorOutput:
     p_val: np.ndarray
     p_test: np.ndarray
-    report: DetectorReport
 
 
 def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
     """Produce attack probabilities for the validation and test splits."""
     if prep.split.val_idx.size == 0:
         raise ValidationError("validation split is empty; cannot calibrate heights")
-    y = binary_labels(prep.classes)
     tr, va, te = prep.split.train_idx, prep.split.val_idx, prep.split.test_idx
     mode = config.detector.mode
 
@@ -138,12 +142,11 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
         X_va = apply_normalization(prep.dataset.features[va][:, keep], stats)
         X_te = apply_normalization(prep.dataset.features[te][:, keep], stats)
 
-        model = train_lr(X_tr, y[tr], config.detector, feature_names=[names[i] for i in keep])
-        model = platt_calibrate(model, X_va, y[va])
+        model = train_lr(X_tr, prep.y[tr], config.detector, feature_names=[names[i] for i in keep])
+        model = platt_calibrate(model, X_va, prep.y[va])
         p_val = model.predict_proba(X_va)
         p_test = model.predict_proba(X_te)
-    report = DetectorReport.from_predictions(y[te], p_test >= ATTACK_THRESHOLD)
-    return DetectorOutput(p_val, p_test, report)
+    return DetectorOutput(p_val, p_test)
 
 
 def calibrate_heights(
@@ -151,9 +154,8 @@ def calibrate_heights(
 ) -> dict[str, CalibrationRow]:
     """Per-class calibration table from validation-split predictions."""
     va = prep.split.val_idx
-    y_val = binary_labels(prep.classes)[va]
     yhat_val = (detector_out.p_val >= ATTACK_THRESHOLD).astype(int)
-    counts = per_class_counts([prep.classes[i] for i in va], y_val, yhat_val)
+    counts = per_class_counts([prep.classes[i] for i in va], prep.y[va], yhat_val)
     return build_height_table(counts, config.heights)
 
 
@@ -174,7 +176,7 @@ def build_alerts(
     heights = {cls: row.h_class for cls, row in table.items()}
     records = assemble(
         flow_ids(prep.rows[te]), classes, detector_out.p_test, catalog, heights,
-        labels=binary_labels(classes).tolist(),
+        labels=prep.y[te].tolist(),
         cf_mode=config.ranking.cf_mode, uf_scale=config.ranking.uf_scale,
     )
     return records, catalog
@@ -204,6 +206,7 @@ class MetricRow:
 @dataclass(frozen=True)
 class EvalTables:
     detector: DetectorReport
+    predicted: bool  # whether any alert is a predicted attack
     metrics: tuple[MetricRow, ...]
     bands: dict[str, tuple[BandResult, ...]]
     bootstrap: dict[str, BootstrapResult]
@@ -213,74 +216,65 @@ class EvalTables:
 
 def evaluate_all(
     config: RunConfig,
-    detector_out: DetectorOutput,
     table: Mapping[str, CalibrationRow],
     records: AlertBatch,
     queues: Mapping[str, RankedQueue],
 ) -> EvalTables:
+    """Score the queues of the alert batch ``records``. The detector report
+    is the batch's own: its labels against its predicted attacks."""
+    ev, first_kappa = config.evaluation, config.ranking.kappas[0]
     rel = relevance(records)
-    first_kappa = config.ranking.kappas[0]
-    ra_name = risk_averse_queue_name(first_kappa)
+    attack = records.p >= ATTACK_THRESHOLD
+    # Every queue ranks the one batch and no sweep parameter moves p, so each
+    # predicted view, a sweep point's too, is empty exactly when no alert is
+    # a predicted attack.
+    predicted = bool(attack.any())
+    preds = {name: predicted_queue(queue) for name, queue in queues.items()}
 
-    metrics: list[MetricRow] = []
-    for name, queue in queues.items():
-        pred = predicted_queue(queue)
-        for cutoff in config.evaluation.cutoffs:
-            metrics.append(MetricRow(name, "full", cutoff, ndcg_of_queue(queue, rel, cutoff)))
-            if len(pred):
-                metrics.append(MetricRow(name, "pred", cutoff, ndcg_of_queue(pred, rel, cutoff)))
-
-    bands = {
-        name: tuple(band_eval(queue, rel, config.evaluation.band_objects()))
+    metrics = tuple(
+        MetricRow(name, kind, cutoff, ndcg_of_queue(view, rel, cutoff))
         for name, queue in queues.items()
-    }
+        for cutoff in ev.cutoffs
+        for kind, view in (("full", queue), ("pred", preds[name]))
+        if predicted or kind == "full"
+    )
+    bands = {name: tuple(band_eval(q, rel, ev.band_objects())) for name, q in queues.items()}
 
     bootstrap: dict[str, BootstrapResult] = {}
-    ra_pred = predicted_queue(queues[ra_name])
-    if len(ra_pred):
+    ra_name = risk_averse_queue_name(first_kappa)
+    if predicted:
         bootstrap = paired_bootstrap(
-            ra_pred,
-            {name: predicted_queue(q) for name, q in queues.items() if name != ra_name},
+            preds[ra_name],
+            {name: view for name, view in preds.items() if name != ra_name},
             rel,
-            k=config.evaluation.bootstrap_k,
-            resamples=config.evaluation.bootstrap_resamples,
-            seed=config.evaluation.bootstrap_seed,
+            k=ev.bootstrap_k,
+            resamples=ev.bootstrap_resamples,
+            seed=ev.bootstrap_seed,
         )
     else:
-        logger.warning("no alert is a predicted attack; %s are skipped", _skipped(config))
+        logger.warning("no alert is a predicted attack; %s are skipped", _skipped(config, "the "))
 
-    specs = tuple(
-        ScenarioSpec(kind, noise_sd=config.evaluation.noise_sd, seed=config.seed)
-        for kind in config.evaluation.scenarios
-    )
+    specs = tuple(ScenarioSpec(kind, ev.noise_sd, config.seed) for kind in ev.scenarios)
     scenarios = tuple(scenario_eval(records, specs, kappa=first_kappa))
 
     sweep = None
-    # p does not depend on any sweep parameter, so each sweep point's
-    # predicted queue is empty exactly when ra_pred is.
-    if config.evaluation.sweep and len(ra_pred):
+    if ev.sweep and predicted:
         sweep = sensitivity_sweep(
             records,
             {cls: row.metrics.f1 for cls, row in table.items()},
             defaults=config.heights,
             kappa=first_kappa,
         )
-
-    return EvalTables(
-        detector=detector_out.report,
-        metrics=tuple(metrics),
-        bands=bands,
-        bootstrap=bootstrap,
-        scenarios=scenarios,
-        sweep=sweep,
-    )
+    detector = DetectorReport.from_predictions(np.array(records.labels), attack)
+    return EvalTables(detector, predicted, metrics, bands, bootstrap, scenarios, sweep)
 
 
-def _skipped(config: RunConfig) -> str:
-    """What a run with no predicted attack leaves out."""
+def _skipped(config: RunConfig, article: str = "") -> str:
+    """What a run with no predicted attack leaves out, each part after ``article``."""
+    a = article
     if config.evaluation.sweep:
-        return "the pred metrics, the paired bootstrap and the sensitivity sweep"
-    return "the pred metrics and the paired bootstrap"
+        return f"{a}pred metrics, {a}paired bootstrap and {a}sensitivity sweep"
+    return f"{a}pred metrics and {a}paired bootstrap"
 
 
 # --- artifact writers --------------------------------------------------------
@@ -379,48 +373,38 @@ def write_eval(config: RunConfig, tables: EvalTables) -> list[Path]:
 
 def write_summary(config: RunConfig, tables: EvalTables) -> Path:
     path = Path(config.out_dir, "eval", "summary.txt")
-    lines = [""]
     d = tables.detector
-    lines.append(
+    lines = [
+        "",
         f"detector ({config.detector.mode.value}): accuracy={d.accuracy:.4f} "
-        f"precision={d.precision:.4f} recall={d.recall:.4f} f1={d.f1:.4f}"
-    )
-    lines.append("")
-    lines.append("NDCG_rel by method (queue@cutoff):")
-    for row in tables.metrics:
-        lines.append(f"  {row.method:28s} {row.queue}@{row.cutoff:<4d} {row.ndcg:.4f}")
-    if all(row.queue != "pred" for row in tables.metrics):
-        lines.append("")
-        skipped = _skipped(config).replace("the ", "")
-        lines.append(f"no alert is a predicted attack: {skipped} skipped")
+        f"precision={d.precision:.4f} recall={d.recall:.4f} f1={d.f1:.4f}",
+        "",
+        "NDCG_rel by method (queue@cutoff):",
+        *(f"  {m.method:28s} {m.queue}@{m.cutoff:<4d} {m.ndcg:.4f}" for m in tables.metrics),
+    ]
+    if not tables.predicted:
+        lines += ["", f"no alert is a predicted attack: {_skipped(config)} skipped"]
     if tables.bootstrap:
-        lines.append("")
-        lines.append("paired bootstrap vs risk-averse (delta [95% CI], p):")
-        for name, r in tables.bootstrap.items():
-            lines.append(
-                f"  {name:28s} {r.delta:+.4f} [{r.ci_low:+.4f}, {r.ci_high:+.4f}] p={r.p_value:.4g}"
-            )
+        lines += ["", "paired bootstrap vs risk-averse (delta [95% CI], p):"]
+        lines += (
+            f"  {name:28s} {r.delta:+.4f} [{r.ci_low:+.4f}, {r.ci_high:+.4f}] p={r.p_value:.4g}"
+            for name, r in tables.bootstrap.items()
+        )
     if tables.scenarios:
-        lines.append("")
-        lines.append("miscalibration scenarios (NDCG before -> after):")
+        lines += ["", "miscalibration scenarios (NDCG before -> after):"]
         for row in tables.scenarios:
             pct = "n/a" if row.change_pct is None else f"{row.change_pct:+.2f}%"
             lines.append(
                 f"  {row.scenario.value:16s} {row.method.value:18s} "
                 f"{row.ndcg_before:.4f} -> {row.ndcg_after:.4f} ({pct})"
             )
-    if tables.sweep is not None:
-        lines.append("")
-        spread = ", ".join(
-            f"@{k}={s:.4f}"
-            for k, s in zip(tables.sweep.cutoffs, tables.sweep.spread_by_cutoff)
-        )
-        lines.append(f"sensitivity sweep spread: {spread}")
-        for name, spreads in tables.sweep.parameter_spread.items():
-            per = ", ".join(
-                f"@{k}={s:.4f}" for k, s in zip(tables.sweep.cutoffs, spreads)
-            )
-            lines.append(f"  {name:12s} {per}")
+    sweep = tables.sweep
+    if sweep is not None:
+        def at(values: Sequence[float]) -> str:
+            return ", ".join(f"@{k}={v:.4f}" for k, v in zip(sweep.cutoffs, values))
+
+        lines += ["", f"sensitivity sweep spread: {at(sweep.spread_by_cutoff)}"]
+        lines += (f"  {name:12s} {at(spreads)}" for name, spreads in sweep.parameter_spread.items())
     with write_artifact(path, artifact_stamp(config)) as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -467,7 +451,7 @@ def cmd_rank(config: RunConfig, evaluate: bool = False) -> RunOutput:
     queues = rank_all(config, records)
     tables = None
     if evaluate:
-        tables = evaluate_all(config, detector_out, table, records, queues)
+        tables = evaluate_all(config, table, records, queues)
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
     written.extend(write_queues(config, queues))

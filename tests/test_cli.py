@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzztriage import cli
+from fuzztriage import cli, pipeline
 from fuzztriage.alerts import UNKNOWN_CLASS
 from fuzztriage.calibration import (
     CALIBRATION_HEADER,
@@ -30,7 +30,7 @@ from fuzztriage.config import (
     config_hash,
     load_config,
 )
-from fuzztriage.detector import DetectorReport
+from fuzztriage.detector import ATTACK_THRESHOLD, DetectorReport
 from fuzztriage.errors import EvaluationError, ValidationError
 from fuzztriage.evaluation import (
     DEFAULT_SWEEP_GRID,
@@ -42,8 +42,15 @@ from fuzztriage.evaluation import (
     ScenarioResult,
     SweepPoint,
     SweepReport,
+    predicted_queue,
 )
-from fuzztriage.ingestion import SplitMode, SynthConfig, synth_generate, write_flow_csv
+from fuzztriage.ingestion import (
+    SplitMode,
+    SynthConfig,
+    binary_labels,
+    synth_generate,
+    write_flow_csv,
+)
 from fuzztriage.pipeline import (
     EvalTables,
     MetricRow,
@@ -52,7 +59,9 @@ from fuzztriage.pipeline import (
     cmd_prepare,
     cmd_rank,
     cmd_stress,
+    evaluate_all,
     flow_ids,
+    rank_all,
     write_eval,
 )
 from fuzztriage.ranking import Method
@@ -294,6 +303,74 @@ class TestStress:
         full_names = [(p.parent.name, p.name) for p in full_run.written]
         stress_names = [(p.parent.name, p.name) for p in stress_run.written]
         assert stress_names == full_names
+
+
+@pytest.fixture(scope="module")
+def external_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("external")
+    scores = out / "scores.csv"
+    scores.write_text(scores_text(flow_ids(range(600))), encoding="utf-8")
+    config = small_config(out)
+    detector = dataclasses.replace(
+        config.detector, mode=DetectorMode.EXTERNAL_SCORES, scores_path=str(scores)
+    )
+    return cmd_evaluate(dataclasses.replace(config, detector=detector))
+
+
+class TestEvaluateAll:
+    """evaluate_all reads only the alert batch, its queues and the
+    calibration table."""
+
+    def evaluate_counting_views(self, run, monkeypatch, records=None, queues=None):
+        """evaluate_all of ``run``'s stages and the queues each
+        predicted_queue call restricted, in call order."""
+        viewed = []
+
+        def counting(queue):
+            viewed.append(queue)
+            return predicted_queue(queue)
+
+        monkeypatch.setattr(pipeline, "predicted_queue", counting)
+        records = run.records if records is None else records
+        queues = run.queues if queues is None else queues
+        return evaluate_all(run.config, run.table, records, queues), viewed
+
+    @pytest.mark.parametrize("run_name", ["full_run", "sweep_run"])
+    def test_one_predicted_view_per_queue(self, request, monkeypatch, run_name):
+        run = request.getfixturevalue(run_name)
+        tables, viewed = self.evaluate_counting_views(run, monkeypatch)
+        assert len(viewed) == len(run.queues)
+        assert all(a is b for a, b in zip(viewed, run.queues.values()))
+        assert tables.predicted
+        assert tables == run.tables
+
+    def test_no_predicted_attack_is_one_recorded_skip(self, sweep_run, monkeypatch, caplog):
+        # every p under the threshold: each view is empty, and the metrics,
+        # bootstrap, sweep and summary all follow the one flag
+        records = sweep_run.records.with_p(np.zeros(len(sweep_run.records)))
+        queues = rank_all(sweep_run.config, records)
+        tables, viewed = self.evaluate_counting_views(sweep_run, monkeypatch, records, queues)
+        assert len(viewed) == len(queues)
+        assert not tables.predicted
+        assert {m.queue for m in tables.metrics} == {"full"}
+        assert tables.bootstrap == {} and tables.sweep is None
+        assert tables.detector.recall == 0.0
+        warning = NO_PREDICTED_ATTACK_SWEEP.split(": ", 1)[1]
+        assert [r.getMessage() for r in caplog.records] == [warning]
+
+    @pytest.mark.parametrize("run_name", ["full_run", "stress_run", "external_run"])
+    def test_detector_report_is_the_test_splits(self, request, run_name):
+        run = request.getfixturevalue(run_name)
+        y_test = binary_labels(run.prep.classes)[run.prep.split.test_idx]
+        expected = DetectorReport.from_predictions(
+            y_test, run.detector_out.p_test >= ATTACK_THRESHOLD
+        )
+        assert run.tables.detector == expected
+        mode = run.config.detector.mode.value
+        d = expected
+        assert data_rows(Path(run.config.out_dir, "eval", "detector.csv")) == [
+            f"{mode},{d.accuracy:.10g},{d.precision:.10g},{d.recall:.10g},{d.f1:.10g}"
+        ]
 
 
 class TestMain:
@@ -771,6 +848,7 @@ class TestWriteEvalBytes:
         config = load_config(None, out_dir=str(tmp_path), kappas=(1.0, 0.5))
         tables = EvalTables(
             detector=DetectorReport(0.9375, 2 / 3, 0.8, 0.7272727272727273),
+            predicted=True,
             metrics=(
                 MetricRow("severity_only", "full", 10, 0.123456789012),
                 MetricRow("risk_averse_k1", "pred", 100, 1.0),

@@ -197,6 +197,10 @@ class TestIniErrors:
             ("[evaluation]\nbands = 0.7-0.3\n", "bad evaluation.bands"),
             ("[evaluation]\nbands = -0.1-0.5\n", "bad evaluation.bands"),
             ("[evaluation]\nnoise_sd = inf\n", "evaluation.noise_sd must be finite"),
+            ("[evaluation]\nnoise_sd = -1\n", "evaluation.noise_sd must be finite"),
+            ("[evaluation]\ncutoffs = 10, 10\n", r"evaluation.cutoffs repeats a value: \(10, 10\)"),
+            ("[evaluation]\nscenarios = noise, noise\n", "evaluation.scenarios repeats a value"),
+            ("[evaluation]\nbands = 0.3-0.5, 0.3-0.5\n", "evaluation.bands repeats a value"),
             ("[ranking]\nkappa = 1, nan\n", "kappa must be finite"),
             ("[ranking]\nkappa = inf\n", "kappa must be finite"),
             ("[detector]\nmax_iters = 0\n", "max_iters must be >= 1"),
@@ -294,6 +298,10 @@ class TestDataclassValidation:
             {"bootstrap_seed": -1},
             {"noise_sd": 0.0},
             {"noise_sd": float("inf")},
+            {"noise_sd": float("nan")},
+            {"cutoffs": (10, 100, 10)},
+            {"scenarios": (ScenarioKind.NOISE, ScenarioKind.NOISE)},
+            {"bands": ((0.3, 0.5), (0.3, 0.5))},
             {"bands": ((0.7, 0.3),)},
             {"bands": ((0.3, 0.5, 0.7),)},
             {"bands": ((0.5, 1.5),)},

@@ -524,6 +524,12 @@ class TestPerturb:
         with pytest.raises(ValidationError):
             perturb([1.2], ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=42))
 
+    @pytest.mark.parametrize("noise_sd", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_noise_sd_must_be_finite_and_positive(self, noise_sd):
+        # the rule holds for library callers too, not only for a config
+        with pytest.raises(ValidationError, match="noise_sd must be finite and > 0"):
+            ScenarioSpec(ScenarioKind.NOISE, noise_sd=noise_sd, seed=42)
+
 
 class TestApplyScenario:
     def consistent_batch(self, seed, n):
