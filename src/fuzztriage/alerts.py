@@ -25,9 +25,9 @@ from .calibration import (
     UF_UNKNOWN_DEFAULT,
     instance_height,
 )
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .sgfn import PENALTY_LOG_BASE
-from .tables import read_table
+from .tables import read_keyed
 
 #: Class name given to alerts whose raw label cannot be mapped.
 UNKNOWN_CLASS = "unknown_novel"
@@ -138,17 +138,8 @@ _DEFAULT_CATALOG = Path(__file__).with_name("data") / "attack_class_profiles.csv
 def load_catalog(path: str | Path | None = None) -> dict[str, AttackClassProfile]:
     """Load the class-severity catalog; ``None`` loads the bundled default."""
     path = _DEFAULT_CATALOG if path is None else path
-    catalog: dict[str, AttackClassProfile] = {}
-    for lineno, row in read_table(path, CATALOG_HEADER)[1]:
-        try:
-            name = row[0].strip()
-            profile = AttackClassProfile(name, float(row[1]), float(row[2]))
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(f"{path}: bad catalog row {lineno}: {row!r} ({exc})") from exc
-        if name in catalog:
-            raise ParseError(f"{path}: duplicate catalog class {name!r} at row {lineno}")
-        catalog[name] = profile
-    return catalog
+    return read_keyed(path, CATALOG_HEADER, "catalog class",
+                      lambda f: (f[0], AttackClassProfile(f[0], float(f[1]), float(f[2]))))
 
 
 def resolve_profile(
@@ -168,24 +159,20 @@ def load_alerts_csv(path: str | Path) -> dict[str, list]:
     """Read alerts from the ``id,attack_class,p,label,criticality`` schema
     into the columns of :func:`assemble`, keyed by its parameter names. Each
     row is checked by the rules of an assembled batch, so an error names it."""
-    columns: dict[str, list] = {k: [] for k in ("ids", "classes", "p", "labels", "criticalities")}
-    seen: set[str] = set()
-    for lineno, row in read_table(path, ALERT_HEADER)[1]:
-        alert_id, attack_class, p_text, label_text, crit_text = (f.strip() for f in row)
-        try:
-            p = float(p_text)
-            label = int(label_text) if label_text else None
-            criticality = Criticality(crit_text) if crit_text else None
-            _check_ids_and_labels([alert_id], [label])
-            instance_height(1.0, p)  # the p rule
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(f"{path}: bad alert row {lineno}: {exc}") from exc
-        if alert_id in seen:
-            raise ParseError(f"{path}: duplicate alert id {alert_id!r} at row {lineno}")
-        seen.add(alert_id)
-        for column, value in zip(columns.values(), (alert_id, attack_class, p, label, criticality)):
-            column.append(value)
-    return columns
+    rows = read_keyed(path, ALERT_HEADER, "alert", _alert_row)
+    names = ("classes", "p", "labels", "criticalities")
+    columns = [list(column) for column in zip(*rows.values())] or [[] for _ in names]
+    return {"ids": list(rows), **dict(zip(names, columns))}
+
+
+def _alert_row(fields: list[str]) -> tuple[str, tuple]:
+    alert_id, attack_class, p_text, label_text, crit_text = fields
+    p = float(p_text)
+    label = int(label_text) if label_text else None
+    criticality = Criticality(crit_text) if crit_text else None
+    _check_ids_and_labels([alert_id], [label])
+    instance_height(1.0, p)  # the p rule
+    return alert_id, (attack_class, p, label, criticality)
 
 
 # --- batch assembly --------------------------------------------------------

@@ -70,6 +70,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         kappas = None if args.kappa is None else parse_key("ranking", "kappa", args.kappa, "--kappa")
         config = load_config(args.config, seed=args.seed, out_dir=args.out, kappas=kappas)
         result = _COMMANDS[args.command](config)
+        stamp = artifact_stamp(config)
     except (ConfigError, ParseError, ValidationError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -78,7 +79,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RUNTIME
     for path in result.written:
         print(path)
-    print(artifact_stamp(config))
+    print(stamp)
     return EXIT_OK
 
 

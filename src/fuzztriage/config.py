@@ -2,8 +2,8 @@
 
 A run is fully described by a RunConfig. The INI file is optional; every
 key has a default, command-line flags override the file, and the resolved
-configuration hashes to a short hex digest that gets stamped into every
-output artifact. Two runs with the same hash produce byte-identical CSVs.
+configuration, with the bytes of each input file it names, hashes to a short
+hex digest stamped into every artifact. Equal hashes give identical CSVs.
 
 Each key, its default and its validation are declared once, as a field of
 a section dataclass (most live beside the stage they configure). The
@@ -68,8 +68,11 @@ class EvaluationConfig:
             raise ConfigError("bootstrap settings must be >= 1")
         if self.bootstrap_seed < 0:
             raise ConfigError(f"evaluation.bootstrap_seed must be >= 0, got {self.bootstrap_seed!r}")
-        for key in ("cutoffs", "bands", "scenarios"):
-            values = tuple(getattr(v, "value", v) for v in getattr(self, key))
+        for key, values in (  # as the eval CSVs write them: a band by its %.10g bounds
+            ("cutoffs", self.cutoffs),
+            ("bands", tuple("-".join(f"{bound:.10g}" for bound in band) for band in self.bands)),
+            ("scenarios", tuple(kind.value for kind in self.scenarios)),
+        ):
             if len(set(values)) < len(values):
                 raise ConfigError(f"evaluation.{key} repeats a value: {values!r}")
         try:
@@ -226,16 +229,19 @@ def parse_key(section: str, key: str, text: str, source: str) -> Any:
         ) from exc
 
 
-def _require_paths(config: RunConfig) -> None:
+def _input_files(config: RunConfig) -> dict[str, str]:
+    """The files the run reads, by ``section.key``; the hash covers their bytes."""
     dataset, detector = config.dataset, config.detector
-    for what, path in (
-        ("dataset.path", dataset.path if dataset.source == "csv" else None),
-        ("dataset.class_map", dataset.class_map),
-        ("dataset.catalog", dataset.catalog),
-        ("detector.scores_path",
-         detector.scores_path if detector.mode is DetectorMode.EXTERNAL_SCORES else None),
-    ):
-        if path is not None and not Path(path).is_file():
+    external = detector.mode is DetectorMode.EXTERNAL_SCORES
+    named = {"dataset.path": dataset.path if dataset.source == "csv" else None,
+             "dataset.class_map": dataset.class_map, "dataset.catalog": dataset.catalog,
+             "detector.scores_path": detector.scores_path if external else None}
+    return {key: path for key, path in named.items() if path is not None}
+
+
+def _require_paths(config: RunConfig) -> None:
+    for what, path in _input_files(config).items():
+        if not Path(path).is_file():
             problem = "is not a file" if Path(path).exists() else "does not exist"
             raise ConfigError(f"{what} {problem}: {path}")
     out = Path(config.out_dir)
@@ -285,17 +291,36 @@ def load_config(
 
 def canonical_lines(config: RunConfig) -> list[str]:
     """Deterministic key=value lines covering everything that shapes output
-    content. The output directory is deliberately excluded: where results
-    land must not change what they contain."""
+    content: each input file by its bytes, not its path, and not the output
+    directory, as where inputs live and results land changes no result."""
+    digests = {key: f"sha256:{file_sha256(path)}" for key, path in _input_files(config).items()}
     lines = []
     for section, keys in KEYS.items():
         owner = config if section == "run" else getattr(config, section)
         lines += [
-            f"{section}.{key}={codec.render(getattr(owner, name))}"
+            f"{section}.{key}=" + digests.get(f"{section}.{key}", codec.render(getattr(owner, name)))
             for key, (name, codec) in keys.items()
             if (section, name) != ("run", "out_dir")
         ]
     return lines
+
+
+_FILE_SHA256: dict[tuple[Path, int, int], str] = {}
+
+
+def file_sha256(path: str | Path) -> str:
+    """The sha256 of a file's bytes, read in chunks once per process for each
+    resolved path, size and mtime, as every artifact's stamp asks for it."""
+    resolved = Path(path).resolve()
+    status = resolved.stat()
+    key = (resolved, status.st_size, status.st_mtime_ns)
+    if key not in _FILE_SHA256:
+        digest = hashlib.sha256()
+        with resolved.open("rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+        _FILE_SHA256[key] = digest.hexdigest()
+    return _FILE_SHA256[key]
 
 
 def config_hash(config: RunConfig) -> str:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .calibration import class_metrics
 from .errors import ConfigError, ParseError, TrainingError, ValidationError
-from .tables import read_table, write_artifact
+from .tables import read_keyed, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -317,21 +317,18 @@ SCORES_HEADER = ["id", "p"]
 
 def load_external_scores(path: str | Path) -> dict[str, float]:
     """Read an ``id,p`` score file into a map; malformed rows name their line."""
-    scores: dict[str, float] = {}
-    for lineno, row in read_table(path, SCORES_HEADER)[1]:
-        alert_id = row[0].strip()
-        try:
-            p = float(row[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {lineno}: p is not a number: {row[1]!r}") from exc
-        if not (0.0 <= p <= 1.0):
-            raise ParseError(f"{path}: row {lineno}: p={p!r} outside [0, 1]")
-        if alert_id in scores:
-            raise ParseError(f"{path}: duplicate id {alert_id!r} at row {lineno}")
-        scores[alert_id] = p
+    scores = read_keyed(path, SCORES_HEADER, "score", _score_row)
     if not scores:
         raise ParseError(f"{path}: no scores")
     return scores
+
+
+def _score_row(fields: list[str]) -> tuple[str, float]:
+    alert_id, p_text = fields
+    p = float(p_text)
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p={p!r} outside [0, 1]")
+    return alert_id, p
 
 
 def lookup_scores(ids: Sequence[str], scores: Mapping[str, float], split: str) -> list[float]:
@@ -353,53 +350,38 @@ def lookup_scores(ids: Sequence[str], scores: Mapping[str, float], split: str) -
 
 
 MODEL_HEADER = ["term", "value"]
+_PLATT_TERMS = ("platt_a", "platt_b")
 
 
 def save_model(path: str | Path, model: LinearModel, header_comment: str | None = None) -> None:
     """Write the model as flat ``term,value`` rows (round-trips exactly)."""
+    names = model.feature_names or [f"feature_{i}" for i in range(len(model.weights))]
+    terms = [*zip((f"w:{name}" for name in names), model.weights), ("bias", model.bias),
+             *zip(_PLATT_TERMS, model.calibrator or ())]
     with write_artifact(path, header_comment) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MODEL_HEADER)
-        names = model.feature_names or tuple(
-            f"feature_{i}" for i in range(model.weights.shape[0])
-        )
-        for name, w in zip(names, model.weights):
-            writer.writerow([f"w:{name}", repr(float(w))])
-        writer.writerow(["bias", repr(model.bias)])
-        if model.calibrator is not None:
-            writer.writerow(["platt_a", repr(model.calibrator[0])])
-            writer.writerow(["platt_b", repr(model.calibrator[1])])
+        csv.writer(fh).writerows([MODEL_HEADER, *((term, repr(float(v))) for term, v in terms)])
 
 
 def load_model(path: str | Path) -> LinearModel:
-    names: list[str] = []
-    weights: list[float] = []
-    bias: float | None = None
-    platt: dict[str, float] = {}
-    for lineno, row in read_table(path, MODEL_HEADER)[1]:
-        try:
-            term, value = row[0], float(row[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad model row {lineno}: {row!r}") from exc
-        if term.startswith("w:"):
-            names.append(term[2:])
-            weights.append(value)
-        elif term == "bias":
-            bias = value
-        elif term in ("platt_a", "platt_b"):
-            platt[term] = value
-        else:
-            raise ParseError(f"{path}: unknown model term {term!r} at row {lineno}")
-    if bias is None or not weights:
+    """Read a model written by :func:`save_model`: one row per term, with the
+    bias, at least one weight, and both calibrator terms or neither."""
+    terms = read_keyed(path, MODEL_HEADER, "model term", _model_row)
+    weights = {term[2:]: value for term, value in terms.items() if term.startswith("w:")}
+    if "bias" not in terms or not weights:
         raise ParseError(f"{path}: model file missing weights or bias")
-    calibrator = None
-    if platt:
-        if set(platt) != {"platt_a", "platt_b"}:
-            raise ParseError(f"{path}: calibrator terms incomplete: {sorted(platt)}")
-        calibrator = (platt["platt_a"], platt["platt_b"])
+    platt = [term for term in _PLATT_TERMS if term in terms]
+    if len(platt) == 1:
+        raise ParseError(f"{path}: calibrator terms incomplete: {platt}")
     return LinearModel(
-        weights=np.array(weights, dtype=float),
-        bias=bias,
-        calibrator=calibrator,
-        feature_names=tuple(names),
+        weights=np.array(list(weights.values()), dtype=float),
+        bias=terms["bias"],
+        calibrator=tuple(map(terms.get, platt)) or None,
+        feature_names=tuple(weights),
     )
+
+
+def _model_row(fields: list[str]) -> tuple[str, float]:
+    term, value = fields
+    if not (term.startswith("w:") or term == "bias" or term in _PLATT_TERMS):
+        raise ValueError(f"unknown term {term!r}")
+    return term, float(value)

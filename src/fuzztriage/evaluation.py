@@ -331,9 +331,7 @@ def scenario_eval(
     """NDCG@k before/after each scenario, per ranking method, on the full queue."""
     rel = relevance(records)
     profile = RiskProfile(kappa)
-    before = {
-        m: ndcg_of_queue(rank(records, m, profile), rel, k) for m in methods
-    }
+    before = {m: ndcg_of_queue(rank(records, m, profile), rel, k) for m in methods}
     results = []
     for spec in scenarios:
         shifted = apply_scenario(records, spec)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .alerts import UNKNOWN_CLASS
 from .errors import ConfigError, ParseError, ValidationError
-from .tables import quoted_cells, read_table, write_rows
+from .tables import quoted_cells, read_keyed, read_table, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -204,17 +204,14 @@ DEFAULT_CLASS_MAP: dict[str, str] = {
 def load_class_map_override(path: str | Path) -> dict[str, str]:
     """Read raw-label overrides from a two-column CSV (raw, class). Two rows
     whose raw labels match (see :func:`map_attack_types`) are an error."""
-    override: dict[str, str] = {}
-    first_row: dict[str, int] = {}
-    for n, row in read_table(path, ["raw", "class"])[1]:
-        raw, cls = row[0].strip(), row[1].strip()
-        if not raw or not cls:
-            raise ParseError(f"{path}: row {n} has an empty field")
-        key = _canon(raw)
-        if key in override:
-            raise ParseError(f"{path}: raw label {raw!r} at row {n} repeats row {first_row[key]}")
-        override[key], first_row[key] = cls, n
-    return override
+    return read_keyed(path, ["raw", "class"], "raw label", _class_map_row)
+
+
+def _class_map_row(fields: list[str]) -> tuple[str, str]:
+    raw, cls = fields
+    if not raw or not cls:
+        raise ValueError("empty field")
+    return _canon(raw), cls
 
 
 def map_attack_types(

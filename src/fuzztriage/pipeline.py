@@ -132,15 +132,12 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
         if tr.size == 0:
             raise ValidationError("training split is empty; cannot train the detector")
         names = prep.dataset.feature_names
-        if mode is DetectorMode.TRAIN_FLAGS_ONLY:
-            keep = flags_only_subset(names)
-        else:
-            keep = list(range(len(names)))
-
+        flags_only = mode is DetectorMode.TRAIN_FLAGS_ONLY
+        keep = flags_only_subset(names) if flags_only else list(range(len(names)))
         stats = fit_normalization(prep.dataset.features[tr][:, keep])
-        X_tr = apply_normalization(prep.dataset.features[tr][:, keep], stats)
-        X_va = apply_normalization(prep.dataset.features[va][:, keep], stats)
-        X_te = apply_normalization(prep.dataset.features[te][:, keep], stats)
+        X_tr, X_va, X_te = (
+            apply_normalization(prep.dataset.features[rows][:, keep], stats) for rows in (tr, va, te)
+        )
 
         model = train_lr(X_tr, prep.y[tr], config.detector, feature_names=[names[i] for i in keep])
         model = platt_calibrate(model, X_va, prep.y[va])
@@ -280,16 +277,10 @@ def _skipped(config: RunConfig, article: str = "") -> str:
 # --- artifact writers --------------------------------------------------------
 
 def write_splits(config: RunConfig, prep: PreparedData) -> list[Path]:
-    stamp = artifact_stamp(config)
-    written = []
-    for name, idx in (
-        ("train", prep.split.train_idx),
-        ("validation", prep.split.val_idx),
-        ("test", prep.split.test_idx),
-    ):
-        path = Path(config.out_dir, "splits", f"{name}.csv")
+    stamp, split = artifact_stamp(config), prep.split
+    written = [Path(config.out_dir, "splits", f"{name}.csv") for name in ("train", "validation", "test")]
+    for path, idx in zip(written, (split.train_idx, split.val_idx, split.test_idx)):
         write_flow_csv(prep.dataset, idx, path, header_comment=stamp)
-        written.append(path)
     return written
 
 
@@ -449,9 +440,7 @@ def cmd_rank(config: RunConfig, evaluate: bool = False) -> RunOutput:
     table = calibrate_heights(config, prep, detector_out)
     records, _ = build_alerts(config, prep, detector_out, table)
     queues = rank_all(config, records)
-    tables = None
-    if evaluate:
-        tables = evaluate_all(config, table, records, queues)
+    tables = evaluate_all(config, table, records, queues) if evaluate else None
     written = write_splits(config, prep)
     written.append(write_calibration(config, table))
     written.extend(write_queues(config, queues))

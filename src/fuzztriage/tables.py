@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -60,6 +60,25 @@ def _table(path: Path, header: Sequence[str] | None) -> Iterator:
                 yield n, row
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text") from exc
+
+
+def read_keyed(
+    path: str | Path, header: Sequence[str], what: str,
+    parse: Callable[[list[str]], tuple[Hashable, object]],
+) -> dict:
+    """The values of a table with a fixed header, keyed, in file order:
+    ``parse`` turns a row's stripped fields into its ``(key, value)`` or
+    raises ``ValueError``. Every keyed input words its two row faults here."""
+    values, first_row = {}, {}
+    for n, row in read_table(path, header)[1]:
+        try:
+            key, value = parse([field.strip() for field in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad {what} row {n}: {exc}") from exc
+        if key in first_row:
+            raise ParseError(f"{path}: {what} {key!r} at row {n} repeats row {first_row[key]}")
+        values[key], first_row[key] = value, n
+    return values
 
 
 def write_artifact(path: str | Path, stamp: str | None) -> TextIO:

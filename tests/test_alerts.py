@@ -267,8 +267,9 @@ class TestAlertsCsv:
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "alerts.csv"
         path.write_text("id,attack_class,p,label,criticality\na,DoS,0.5,,\na,Bot,0.6,,\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError) as err:
             load_alerts_csv(path)
+        assert str(err.value) == f"{path}: alert 'a' at row 3 repeats row 2"
 
     def test_bad_probability_row(self, tmp_path):
         path = tmp_path / "alerts.csv"

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import os
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -201,6 +202,8 @@ class TestIniErrors:
             ("[evaluation]\ncutoffs = 10, 10\n", r"evaluation.cutoffs repeats a value: \(10, 10\)"),
             ("[evaluation]\nscenarios = noise, noise\n", "evaluation.scenarios repeats a value"),
             ("[evaluation]\nbands = 0.3-0.5, 0.3-0.5\n", "evaluation.bands repeats a value"),
+            # bands.csv writes both as 0.3,0.5
+            ("[evaluation]\nbands = 0.3-0.5, 0.30000000001-0.5\n", "evaluation.bands repeats a value"),
             ("[ranking]\nkappa = 1, nan\n", "kappa must be finite"),
             ("[ranking]\nkappa = inf\n", "kappa must be finite"),
             ("[detector]\nmax_iters = 0\n", "max_iters must be >= 1"),
@@ -351,14 +354,48 @@ class TestHashing:
         assert config_hash(load_config(None)) == "c50d31636d03"
         assert config_hash(load_config(None, seed=5)) == "ab579ab6ddbc"
 
-    def test_every_hashed_field_changes_the_hash(self):
+    def test_every_hashed_field_changes_the_hash(self, tmp_path, monkeypatch):
+        # a dataset path lets dataset.source change to csv on its own; the
+        # files a changed field names exist, as their bytes are hashed
+        monkeypatch.chdir(tmp_path)
+        Path("f.csv").write_text("f1,Label\n1,BENIGN\n")
+        Path("x").write_text("raw,class\n")
         base = load_config(None)
-        # a dataset path lets dataset.source change to csv on its own
         base = dataclasses.replace(base, dataset=dataclasses.replace(base.dataset, path="f.csv"))
         changes = dict(_single_field_changes(base))
         moved = {name for name, config in changes.items() if config_hash(config) != config_hash(base)}
         # out_dir never shapes content
         assert changes.keys() - moved == {"run.out_dir"}
+
+    @pytest.mark.parametrize(
+        "ini",
+        [
+            "[dataset]\nsource = csv\npath = {}\n",
+            "[dataset]\nclass_map = {}\n",
+            "[dataset]\ncatalog = {}\n",
+            "[detector]\nmode = external_scores\nscores_path = {}\n",
+        ],
+        ids=["dataset.path", "dataset.class_map", "dataset.catalog", "detector.scores_path"],
+    )
+    def test_hash_covers_input_bytes_not_path(self, tmp_path, ini):
+        def hash_of(path):
+            return config_hash(load_config(write_ini(tmp_path, ini.format(path))))
+
+        original, copy = tmp_path / "a" / "input.csv", tmp_path / "b" / "copy.csv"
+        for path in (original, copy):
+            path.parent.mkdir()
+            path.write_bytes(b"id,p\nflow-00000,0.5\n")
+        h = hash_of(original)
+        assert hash_of(copy) == h
+        data = bytearray(original.read_bytes())
+        data[-2] ^= 1  # "0.5" -> "0.4"
+        original.write_bytes(bytes(data))
+        # the digest of a file is kept per size and mtime; an editor's save
+        # moves the mtime, which a same-size write within one clock tick may not
+        status = original.stat()
+        os.utime(original, ns=(status.st_atime_ns, status.st_mtime_ns + 1))
+        assert hash_of(original) != h
+        assert hash_of(copy) == h
 
     def test_replaced_seed_writes_what_a_loaded_seed_writes(self, tmp_path):
         path = write_ini(tmp_path, "[synth]\nn_flows = 500\n")

@@ -250,8 +250,9 @@ class TestExternalScores:
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("id,p\na,0.5\na,0.6\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError) as err:
             load_external_scores(path)
+        assert str(err.value) == f"{path}: score 'a' at row 3 repeats row 2"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -312,6 +313,28 @@ class TestPersistence:
         path.write_text("term,value\nw:a,1.0\nbias,0.0\ngamma,2.0\n")
         with pytest.raises(ParseError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "rows, term, row, first",
+        [
+            ("w:a,1.0\nw:a,2.0\nbias,0.0\n", "w:a", 3, 2),
+            ("w:a,1.0\nbias,0.0\nbias,0.5\n", "bias", 4, 3),
+            ("w:a,1.0\nbias,0.0\nplatt_a,-1.0\nplatt_b,0.0\nplatt_a,-2.0\n", "platt_a", 6, 4),
+        ],
+    )
+    def test_repeated_term(self, tmp_path, rows, term, row, first):
+        path = tmp_path / "model.csv"
+        path.write_text("term,value\n" + rows)
+        with pytest.raises(ParseError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: model term {term!r} at row {row} repeats row {first}"
+
+    def test_spaced_terms_load(self, tmp_path):
+        path = tmp_path / "model.csv"
+        path.write_text("term,value\n w:a , 1.5\n\tbias ,0.25 \n platt_a,-1\nplatt_b , 0\n")
+        model = load_model(path)
+        assert model.feature_names == ("a",) and model.weights.tolist() == [1.5]
+        assert model.bias == 0.25 and model.calibrator == (-1.0, 0.0)
 
     def test_missing_bias(self, tmp_path):
         path = tmp_path / "model.csv"

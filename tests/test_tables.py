@@ -78,6 +78,50 @@ class TestSharedRules:
             reader(tmp_path / "absent.csv")
 
 
+# keyed reader, header, what a row gives, a bad row and its reason, and rows
+# whose last repeats the key of the first
+KEYED = {
+    "class_map": (
+        load_class_map_override, "raw,class", "raw label", ("x,", "empty field"),
+        ["Port-Scan,DoS", "Bot,Bot", " port  scan ,Bot"], "port scan",
+    ),
+    "catalog": (
+        load_catalog, "class,cvss,uf", "catalog class",
+        ("Bot,high,0.2", "could not convert string to float: 'high'"),
+        ["DoS,7.8,0.2", " DoS ,5.0,0.1"], "DoS",
+    ),
+    "alerts": (
+        load_alerts_csv, "id,attack_class,p,label,criticality", "alert",
+        ("b,DoS,1.5,,", "p must lie in [0, 1], got 1.5"), ["a,DoS,0.5,,", "a,Bot,0.6,,"], "a",
+    ),
+    "scores": (
+        load_external_scores, "id,p", "score", ("b,1.2", "p=1.2 outside [0, 1]"),
+        ["a,0.5", "a ,0.6"], "a",
+    ),
+    "model": (
+        load_model, "term,value", "model term", ("gamma,2.0", "unknown term 'gamma'"),
+        ["w:a,1.0", "bias,0.0", "w:a,2.0"], "w:a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KEYED)
+class TestKeyedRows:
+    def test_bad_row(self, tmp_path, name):
+        reader, header, what, (bad, reason), rows, _ = KEYED[name]
+        path = write_table(tmp_path / "t.csv", header, [rows[0], bad])
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: bad {what} row 3: {reason}"
+
+    def test_repeated_key(self, tmp_path, name):
+        reader, header, what, _, rows, key = KEYED[name]
+        path = write_table(tmp_path / "t.csv", header, rows)
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: {what} {key!r} at row {len(rows) + 1} repeats row 2"
+
+
 def test_non_utf8_file_is_a_parse_error(tmp_path):
     path = tmp_path / "flows.csv"
     path.write_bytes(b"f1,Label\n1.0,Web Attack \x96 Brute Force\n")  # cp1252 en dash
