@@ -165,11 +165,9 @@ def write_flow_csv(
     tags = {LABEL_COLUMN_DEFAULT: dataset.labels, DAY_COLUMN_DEFAULT: dataset.days}
     tags = {name: tag for name, tag in tags.items() if tag is not None}
     rows = np.asarray(rows, dtype=np.intp)
-    cells, which = quoted_cells(zip(*(map(tag.__getitem__, rows.tolist()) for tag in tags.values())))
-    tails = np.empty((len(dataset), cells.shape[1]), np.uint8)  # by dataset row, as features are
-    tails[rows] = cells[which]
+    tails = quoted_cells(zip(*(map(tag.__getitem__, rows.tolist()) for tag in tags.values())))
     header = [*dataset.feature_names, *tags]
-    write_rows(path, header_comment, header, rows, [(dataset.features, 6), tails])
+    write_rows(path, header_comment, header, [((dataset.features, 6), rows), tails])
 
 
 # --- attack-class mapping --------------------------------------------------
@@ -293,6 +291,8 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if len(self.fractions) != 3:
             raise ValidationError(f"split.fractions needs three values, got {self.fractions!r}")
+        if not all(map(math.isfinite, self.fractions)):
+            raise ValidationError(f"split.fractions must be finite, got {self.fractions!r}")
         if any(f < 0.0 for f in self.fractions):
             raise ValidationError(f"fractions must be non-negative, got {self.fractions!r}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -495,10 +495,14 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_flows < 1:
             raise ConfigError(f"n_flows must be >= 1, got {self.n_flows!r}")
-        if not 0.0 <= self.attack_fraction <= 1.0:
-            raise ConfigError(f"attack_fraction must lie in [0,1], got {self.attack_fraction!r}")
-        if self.separation < 0.0:
-            raise ConfigError(f"separation must be >= 0, got {self.separation!r}")
+        shares = ("attack_fraction", "attack_detectable_rate", "benign_outlier_rate")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if name in ("separation", "attack_flag_sd", "benign_outlier_sd") and value < 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {value!r}")
+            if name in shares and not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0,1], got {value!r}")
         if not self.class_weights:
             raise ConfigError("class_weights must not be empty")
         unknown = sorted(set(self.class_weights) - set(_RAW_LABELS))
@@ -511,10 +515,6 @@ class SynthConfig:
             raise ConfigError(f"class_flag_factor missing classes: {', '.join(missing)}")
         if any(f <= 0.0 for f in self.class_flag_factor.values()):
             raise ConfigError("class_flag_factor values must be > 0")
-        for name in ("attack_detectable_rate", "benign_outlier_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0,1], got {value!r}")
 
 
 def class_counts(config: SynthConfig) -> dict[str, int]:

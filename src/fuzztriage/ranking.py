@@ -155,8 +155,7 @@ def write_queue_csvs(
     tails, which = quoted_cells(zip(batch.classes, batch.labels))
     positions = text_cells(list(map(str, range(1, len(batch) + 1))))
     for path, queue in files.items():
-        ranks = np.empty_like(positions)
-        ranks[queue.order] = positions[:len(queue)]
-        method = text_cells([queue.method.value]).repeat(len(batch), axis=0)
-        columns = [ranks, ids, method, g_cells(queue.scores[:, None], 10), floats, tails[which]]
-        write_rows(path, header_comment, QUEUE_HEADER, queue.order, columns)
+        order, method = queue.order, (text_cells([queue.method.value]), np.zeros(len(queue), np.intp))
+        columns = [(positions, np.arange(len(queue))), (ids, order), method,
+                   ((queue.scores[:, None], 10), order), (floats, order), (tails, which[order])]
+        write_rows(path, header_comment, QUEUE_HEADER, columns)

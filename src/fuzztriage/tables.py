@@ -7,9 +7,10 @@ as many fields as the header. Rows are numbered with the header as row 1 and
 skipped rows not counted, and every reader names rows by that number.
 
 Writers that hold their rows as arrays write them with :func:`write_rows`:
-a row is a gather of cells, each the UTF-8 bytes of one or more fields padded
-with :data:`PAD`, laid out with ``,`` between them and ``\r\n`` after the
-last; dropping the padding with one mask leaves the text.
+each column brings its cells and its own row index, and row i of the artifact
+holds ``cells[index[i]]`` of each column. A cell is the UTF-8 bytes of one or
+more fields padded with :data:`PAD`; a row's cells are laid out with ``,``
+between them and ``\r\n`` after the last, and one mask drops the padding.
 """
 
 from __future__ import annotations
@@ -263,18 +264,18 @@ def g_cells(values: np.ndarray, precision: int) -> np.ndarray:
 
 
 def write_rows(
-    path: str | Path, stamp: str | None, header: Sequence[str], rows: np.ndarray,
-    columns: Sequence[np.ndarray | tuple[np.ndarray, int]],
+    path: str | Path, stamp: str | None, header: Sequence[str],
+    columns: Sequence[tuple[np.ndarray | tuple[np.ndarray, int], np.ndarray]],
 ) -> None:
-    """Write the entries ``rows`` of ``columns`` as the artifact's data rows, as
-    ``csv.writer`` would, :data:`ROWS_PER_WRITE` at a time. A column is a matrix
-    of cells or a 2-D float array and its precision, formatted by :func:`g_cells`."""
+    """Write the data rows as ``csv.writer`` would, :data:`ROWS_PER_WRITE` at a time. A
+    column ``(cells, index)`` puts ``cells[index[i]]`` in row i; its cells are a matrix of
+    cells or a 2-D float array and its precision, formatted per chunk by :func:`g_cells`."""
     with write_artifact(path, stamp) as fh:
         fh.write(csv_row(header))
-        for start in range(0, len(rows), ROWS_PER_WRITE):
-            chunk = rows[start:start + ROWS_PER_WRITE]
-            comma = np.full((len(chunk), 1), ord(","), np.uint8)
-            cells = (g_cells(c[0][chunk], c[1]) if isinstance(c, tuple) else c[chunk] for c in columns)
+        for start in range(0, len(columns[0][1]), ROWS_PER_WRITE):
+            chunks = [(c, index[start:start + ROWS_PER_WRITE]) for c, index in columns]
+            comma = np.full((len(chunks[0][1]), 1), ord(","), np.uint8)
+            cells = (g_cells(c[0][i], c[1]) if isinstance(c, tuple) else c[i] for c, i in chunks)
             line = np.concatenate([*(x for cell in cells for x in (cell, comma)), comma], axis=1)
             line[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # in place of the last ","
             fh.write(str(np.compress((line != PAD).ravel(), line), "utf-8"))

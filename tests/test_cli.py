@@ -768,6 +768,20 @@ DEGENERATE_RUNS = {
             ("test", "0.7, 0.3, 0", "(0.7, 0.3, 0.0)"), ("train", "0, 0.5, 0.5", "(0.0, 0.5, 0.5)")
         )
     },
+    "nan_fraction": (
+        "[synth]\nn_flows = 300\n[split]\nmode = stratified\nfractions = 0.5, nan, 0.5\n", 2,
+        ["error: {ini}: split.fractions must be finite, got (0.5, nan, 0.5)"], nothing_written,
+    ),
+    **{
+        f"synth_{key}": (
+            f"[synth]\nn_flows = 300\n{key} = {text}\n", 2, [f"error: {{ini}}: {message}"],
+            nothing_written,
+        )
+        for key, text, message in (
+            ("separation", "nan", "separation must be finite, got nan"),
+            ("attack_flag_sd", "-1", "attack_flag_sd must be >= 0, got -1.0"),
+        )
+    },
     **{
         f"single_class_{share}": (
             f"[synth]\nn_flows = 300\nattack_fraction = {share}\n", 2,

@@ -284,6 +284,22 @@ class TestFlowCsvProperties:
             tracemalloc.stop()
         assert peak <= 9 * 2**20
 
+    def test_writer_memory_follows_rows_written(self, tmp_path):
+        # Writing 1,000 flows of a long dataset holds no copy of any column
+        # as long as the dataset.
+        peaks = []
+        for n in (2_000, 200_000):
+            dataset = FlowDataset(
+                np.ones((n, 2)), ("f1", "f2"), ("DoS Hulk",) * n, ("Wednesday",) * n
+            )
+            tracemalloc.start()
+            try:
+                write_flow_csv(dataset, np.arange(0, n, n // 1000), tmp_path / "flows.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20, peaks
+
     @given(flow_files(), st.sampled_from(["", "\ufeff"]))
     @settings(max_examples=300, deadline=None)
     def test_loader_matches_reference(self, tmp_path_factory, text, bom):
@@ -466,7 +482,8 @@ class TestSplit:
 
     @pytest.mark.parametrize(
         "fractions",
-        [(0.5, 0.2, 0.2), (0.5, -0.1, 0.6), (0.5, 0.5), (0.7, 0.3, 0.0), (0.0, 0.5, 0.5)],
+        [(0.5, 0.2, 0.2), (0.5, -0.1, 0.6), (0.5, 0.5), (0.7, 0.3, 0.0), (0.0, 0.5, 0.5),
+         (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, math.inf, 0.5), (-math.inf, 1.0, 1.0)],
     )
     def test_bad_fractions(self, fractions):
         with pytest.raises(ValidationError):
@@ -496,6 +513,15 @@ class TestSynthConfig:
             {"n_flows": 0},
             {"attack_fraction": 1.5},
             {"separation": -1.0},
+            {"separation": math.nan},
+            {"separation": math.inf},
+            {"attack_flag_sd": -1.0},
+            {"benign_outlier_sd": -0.5},
+            {"attack_flag_sd": math.nan},
+            {"attack_flag_level": math.inf},
+            {"benign_outlier_level": math.nan},
+            {"benign_outlier_sd": math.inf},
+            {"attack_fraction": math.nan},
             {"attack_detectable_rate": 1.2},
             {"benign_outlier_rate": -0.1},
             {"class_weights": {}},

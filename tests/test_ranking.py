@@ -349,6 +349,20 @@ class TestQueueProperties:
             reference_queue_csv(tmp_path / f"ref{n}.csv", queue, header_comment="seed=7")
             assert (tmp_path / f"q{n}.csv").read_bytes() == (tmp_path / f"ref{n}.csv").read_bytes()
 
+    def test_queue_views_match_reference_writer(self, tmp_path):
+        # Views hold fewer rows than the batch: the predicted queue, a
+        # confidence band as band_eval takes it, and an empty view.
+        batch = random_batch(np.random.default_rng(23), 2 * ROWS_PER_WRITE + 1)
+        queue = rank(batch, Method.RISK_AVERSE, RiskProfile(0.5))
+        band = EvaluationConfig().band_objects()[-1]
+        views = [predicted_queue(queue), queue.where(band.contains(batch.p)),
+                 queue.where(np.zeros(len(batch), bool))]
+        assert 0 < len(views[1]) < len(views[0]) < len(batch)
+        write_queue_csvs({tmp_path / f"v{n}.csv": view for n, view in enumerate(views)}, "seed=7")
+        for n, view in enumerate(views):
+            reference_queue_csv(tmp_path / f"ref{n}.csv", view, header_comment="seed=7")
+            assert (tmp_path / f"v{n}.csv").read_bytes() == (tmp_path / f"ref{n}.csv").read_bytes()
+
 
 def reference_queue_csv(path, queue, header_comment=None):
     """The queue writer as one ``csv.writer`` row per alert with

@@ -144,7 +144,7 @@ def written_rows(tmp_path, values, precision):
     """The data rows write_rows writes for one float column, beside the rows
     ``csv.writer`` writes for the ``%`` texts of the same values."""
     path = tmp_path / "rows.csv"
-    write_rows(path, None, ["x"], np.arange(len(values)), [(values, precision)])
+    write_rows(path, None, ["x"], [((values, precision), np.arange(len(values)))])
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows([["%.*g" % (precision, v) for v in row] for row in values.tolist()])
     return path.read_bytes().decode("utf-8").split("\r\n", 1)[1], expected.getvalue()
