@@ -23,6 +23,7 @@ from .calibration import (
     CVSS_DEFAULT,
     NOVEL_CLASS_HEIGHT,
     UF_UNKNOWN_DEFAULT,
+    check_p,
     instance_height,
 )
 from .errors import ValidationError
@@ -116,8 +117,7 @@ def contextual_factors(
         levels = np.array(CATEGORICAL_LEVELS)
         cf = levels[np.argmin(np.abs(levels - cf[:, None]), axis=1)]
     if criticalities is not None:
-        if len(criticalities) != len(cf):
-            raise ValidationError("alert batch columns must all have one entry per id")
+        _check_columns(len(cf), (len(criticalities),))
         marked = [i for i, c in enumerate(criticalities) if c is not None]
         cf[marked] = [CRITICALITY_FACTORS[criticalities[i]] for i in marked]
     return cf
@@ -171,7 +171,7 @@ def _alert_row(fields: list[str]) -> tuple[str, tuple]:
     label = int(label_text) if label_text else None
     criticality = Criticality(crit_text) if crit_text else None
     _check_ids_and_labels([alert_id], [label])
-    instance_height(1.0, p)  # the p rule
+    check_p(p)
     return alert_id, (attack_class, p, label, criticality)
 
 
@@ -203,6 +203,12 @@ def _check_ids_and_labels(ids: Sequence[str], labels: Sequence[int | None]) -> N
     if not set(labels) <= {None, 0, 1}:
         label = next(y for y in labels if y not in (None, 0, 1))
         raise ValidationError(f"label must be 0, 1, or None, got {label!r}")
+
+
+def _check_columns(n: int, *shapes: tuple[int, ...]) -> None:
+    """Reject alert columns whose shapes are not one entry for each of ``n`` ids."""
+    if set(shapes) != {(n,)}:
+        raise ValidationError("alert batch columns must all have one entry per id")
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -238,9 +244,8 @@ class AlertBatch:
         for name in _FLOAT_COLUMNS:
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         object.__setattr__(self, "catalog", MappingProxyType(dict(self.catalog)))
-        shapes = {(len(self.classes),), (len(self.labels),)}
-        if shapes | {getattr(self, f).shape for f in _FLOAT_COLUMNS} != {(n,)}:
-            raise ValidationError("alert batch columns must all have one entry per id")
+        floats = (getattr(self, name).shape for name in _FLOAT_COLUMNS)
+        _check_columns(n, (len(self.classes),), (len(self.labels),), *floats)
         _check_ids_and_labels(self.ids, self.labels)
         if len(set(self.ids)) != n:
             raise ValidationError("alert ids must be unique within a batch")
@@ -290,8 +295,7 @@ class AlertBatch:
             batch.__dict__.pop("log10_height", None)
         for name, column in columns.items():
             column = np.array(column, dtype=float)
-            if column.shape != (len(self),):
-                raise ValidationError("alert batch columns must all have one entry per id")
+            _check_columns(len(self), column.shape)
             batch.__dict__[name] = _read_only(column)
         return batch
 

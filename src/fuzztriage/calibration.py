@@ -59,10 +59,10 @@ class HeightParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        if not (0.0 < self.h_min < self.h_max <= 1.0):
-            raise ValidationError(
-                f"need 0 < h_min < h_max <= 1, got h_min={self.h_min!r} h_max={self.h_max!r}"
-            )
+        if not self.h_max <= 1.0:
+            raise ValidationError(f"h_max must be <= 1, got {self.h_max!r}")
+        if not (0.0 < self.h_min < self.h_max):
+            raise ValidationError(f"h_min must be in (0, h_max={self.h_max!r}), got {self.h_min!r}")
 
 
 def class_metrics(tp: int, fp: int, fn: int) -> ClassMetrics:
@@ -94,6 +94,15 @@ def class_height(f1: float, params: HeightParams = HeightParams()) -> float:
     return min(max(raw, params.h_min), params.h_max)
 
 
+def check_p(p: float | np.ndarray) -> None:
+    """Reject a probability, or an entry of a float array, outside [0, 1]:
+    the one wording of that rule. A row reader's float skips numpy."""
+    ok = (0.0 <= p) & (p <= 1.0)
+    if ok is not True and not np.all(ok):
+        bad = np.ravel(p)[~np.ravel(ok)].tolist()[0]
+        raise ValidationError(f"p must lie in [0, 1], got {bad!r}")
+
+
 def instance_height(
     h_class: float | np.ndarray, p: float | np.ndarray
 ) -> float | np.ndarray:
@@ -103,9 +112,7 @@ def instance_height(
     h_ok = (0.0 < h_class) & (h_class <= 1.0)
     if not h_ok.all():
         raise ValidationError(f"h_class must lie in (0, 1], got {h_class[~h_ok].tolist()[0]!r}")
-    p_ok = (0.0 <= p) & (p <= 1.0)
-    if not p_ok.all():
-        raise ValidationError(f"p must lie in [0, 1], got {p[~p_ok].tolist()[0]!r}")
+    check_p(p)
     return np.maximum(np.minimum(h_class, p), HEIGHT_FLOOR)
 
 

@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from .config import artifact_stamp, load_config, parse_key
-from .errors import ConfigError, FuzztriageError, ParseError, TrainingError, ValidationError
+from .errors import ConfigError, FuzztriageError, ParseError, ValidationError
 from .pipeline import cmd_calibrate, cmd_evaluate, cmd_prepare, cmd_rank, cmd_stress
 
 _COMMANDS = {
@@ -71,7 +71,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config, seed=args.seed, out_dir=args.out, kappas=kappas)
         result = _COMMANDS[args.command](config)
         stamp = artifact_stamp(config)
-    except (ConfigError, ParseError, ValidationError, TrainingError, OSError) as exc:
+    except (ConfigError, ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FuzztriageError as exc:

@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, ge
 from .alerts import CfMode, check_uf_scale
 from .calibration import HeightParams
 from .detector import DetectorConfig, DetectorMode
-from .errors import ConfigError, DomainError, ValidationError
+from .errors import ConfigError, ValidationError
 from .evaluation import Band, ScenarioKind, check_noise_sd
 from .ingestion import DatasetConfig, SplitSpec, SynthConfig
 from .ranking import risk_averse_queue_name
@@ -39,15 +39,12 @@ class RankingConfig:
 
     def __post_init__(self) -> None:
         if not self.kappas:
-            raise ConfigError("ranking.kappa must list at least one value")
-        try:
-            for kappa in self.kappas:
-                check_kappa(kappa)
-            check_uf_scale(self.uf_scale)
-        except (DomainError, ValidationError) as exc:
-            raise ConfigError(f"bad [ranking] value: {exc}") from exc
+            raise ValidationError("kappa must list at least one value")
+        for kappa in self.kappas:
+            check_kappa(kappa)
+        check_uf_scale(self.uf_scale)
         if len(set(map(risk_averse_queue_name, self.kappas))) < len(self.kappas):
-            raise ConfigError(f"ranking.kappa repeats a value: {self.kappas!r}")
+            raise ValidationError(f"kappa repeats a value: {self.kappas!r}")
 
 
 @dataclass(frozen=True)
@@ -63,26 +60,21 @@ class EvaluationConfig:
 
     def __post_init__(self) -> None:
         if not self.cutoffs or any(k < 1 for k in self.cutoffs):
-            raise ConfigError(f"evaluation.cutoffs must be positive integers, got {self.cutoffs!r}")
-        if self.bootstrap_k < 1 or self.bootstrap_resamples < 1:
-            raise ConfigError("bootstrap settings must be >= 1")
-        if self.bootstrap_seed < 0:
-            raise ConfigError(f"evaluation.bootstrap_seed must be >= 0, got {self.bootstrap_seed!r}")
+            raise ValidationError(f"cutoffs must be positive integers, got {self.cutoffs!r}")
+        for key, least in (("bootstrap_k", 1), ("bootstrap_resamples", 1), ("bootstrap_seed", 0)):
+            if getattr(self, key) < least:
+                raise ValidationError(f"{key} must be >= {least}, got {getattr(self, key)!r}")
         for key, values in (  # as the eval CSVs write them: a band by its %.10g bounds
             ("cutoffs", self.cutoffs),
             ("bands", tuple("-".join(f"{bound:.10g}" for bound in band) for band in self.bands)),
             ("scenarios", tuple(kind.value for kind in self.scenarios)),
         ):
             if len(set(values)) < len(values):
-                raise ConfigError(f"evaluation.{key} repeats a value: {values!r}")
-        try:
-            check_noise_sd(self.noise_sd)
-        except ValidationError as exc:
-            raise ConfigError(f"evaluation.{exc}") from exc
-        try:
-            self.band_objects()
-        except ValueError as exc:
-            raise ConfigError(f"bad evaluation.bands {self.bands!r}: {exc}") from exc
+                raise ValidationError(f"{key} repeats a value: {values!r}")
+        check_noise_sd(self.noise_sd)
+        if any(len(band) != 2 for band in self.bands):
+            raise ValidationError(f"bands must be lo-hi pairs, got {self.bands!r}")
+        self.band_objects()
 
     def band_objects(self) -> tuple[Band, ...]:
         return tuple(Band(lo, hi, closed=hi >= 1.0) for lo, hi in self.bands)
@@ -102,7 +94,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.seed < 0:
-            raise ConfigError(f"run.seed must be >= 0, got {self.seed!r}")
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 # --- text form of field values -----------------------------------------------
@@ -262,6 +254,8 @@ def load_config(
 
     Referenced files must be files, and no file may stand where the output
     directory goes; a bad key, value or path raises ConfigError at load time.
+    A section's fault reads ``{source}: {section}.{key} ...``, its source the
+    flag that set the key, else the INI path, else ``<defaults>``.
     """
     parser = configparser.ConfigParser(interpolation=None)
     source = "<defaults>" if path is None else str(path)
@@ -272,17 +266,21 @@ def load_config(
         raise ConfigError(f"{path}: {exc}") from exc
     given = _read(parser, source)
 
-    flags = {
-        "run": {"seed": seed, "out_dir": out_dir},
-        "ranking": {"kappas": None if kappas is None else tuple(kappas)},
-    }
-    for section, values in flags.items():
-        given[section].update((name, v) for name, v in values.items() if v is not None)
-    try:
-        sections = {name: cls(**given[name]) for name, cls in _SECTIONS.items() if name != "run"}
-        config = RunConfig(**given["run"], **sections)
-    except (ConfigError, ValidationError) as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    flags = {("run", "seed"): ("--seed", seed), ("run", "out_dir"): ("--out", out_dir),
+             ("ranking", "kappa"): ("--kappa", None if kappas is None else tuple(kappas))}
+    flagged = {where: flag for where, (flag, value) in flags.items() if value is not None}
+    for section, key in flagged:
+        given[section][KEYS[section][key][0]] = flags[section, key][1]
+
+    def build(section: str, cls: type, **sections: Any) -> Any:
+        try:
+            return cls(**given[section], **sections)
+        except ValidationError as exc:
+            key = str(exc).split(" ", 1)[0]  # a section's message starts with its key
+            raise ConfigError(f"{flagged.get((section, key), source)}: {section}.{exc}") from exc
+
+    sections = {name: build(name, cls) for name, cls in _SECTIONS.items() if name != "run"}
+    config = build("run", RunConfig, **sections)
     _require_paths(config)
     return config
 

@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .calibration import class_metrics
-from .errors import ConfigError, ParseError, TrainingError, ValidationError
+from .calibration import check_p, class_metrics
+from .errors import ParseError, ValidationError
 from .tables import read_keyed, write_artifact
 
 logger = logging.getLogger(__name__)
@@ -63,7 +63,7 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         if self.mode is DetectorMode.EXTERNAL_SCORES and not self.scores_path:
-            raise ConfigError("detector.mode=external_scores requires detector.scores_path")
+            raise ValidationError("mode=external_scores requires scores_path")
         if not self.l2_c > 0.0:
             raise ValidationError(f"l2_c must be positive, got {self.l2_c!r}")
         if self.max_iters < 1:
@@ -108,7 +108,7 @@ def sample_weights(y: np.ndarray) -> np.ndarray:
         mask = y == cls
         count = int(mask.sum())
         if count == 0:
-            raise TrainingError("balanced weighting needs both classes present")
+            raise ValidationError("balanced weighting needs both classes present")
         weights[mask] = n / (2.0 * count)
     return weights
 
@@ -159,7 +159,7 @@ def train_lr(
     apply.
 
     Raises:
-        TrainingError: if only one class is present in ``y``.
+        ValidationError: if only one class is present in ``y``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -168,7 +168,7 @@ def train_lr(
     classes = _distinct(y)
     found = ", ".join(f"{c:g}" for c in classes)
     if len(classes) < 2:
-        raise TrainingError(f"training data contains a single class: {found}")
+        raise ValidationError(f"training data contains a single class: {found}")
     if not set(classes) <= {0.0, 1.0}:
         raise ValidationError(f"labels must be binary 0/1, got {found}")
     if feature_names is not None and len(feature_names) != X.shape[1]:
@@ -326,8 +326,7 @@ def load_external_scores(path: str | Path) -> dict[str, float]:
 def _score_row(fields: list[str]) -> tuple[str, float]:
     alert_id, p_text = fields
     p = float(p_text)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p={p!r} outside [0, 1]")
+    check_p(p)
     return alert_id, p
 
 

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on purpose derives from :class:`FuzztriageError`, so callers
-can catch one base type. The CLI maps configuration and input problems to exit
-code 2 and runtime evaluation problems to exit code 3.
+can catch one base type. A config section's ValidationError starts with the INI
+key it breaks; ``config.load_config`` alone rewords it as a ConfigError naming
+its source and ``section.key``. The CLI maps ValidationError, ParseError and
+ConfigError to exit code 2 and EvaluationError to exit code 3.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ class FuzztriageError(Exception):
 
 
 class ValidationError(FuzztriageError, ValueError):
-    """An input value violates a documented range or shape constraint."""
-
-
-class DomainError(FuzztriageError, ValueError):
-    """A mathematically undefined operation was requested (e.g. a ranking
-    index with a negative or non-finite kappa)."""
+    """A value breaks a documented rule: a range, a shape, one-class training data."""
 
 
 class ParseError(FuzztriageError):
@@ -26,12 +23,8 @@ class ParseError(FuzztriageError):
 
 
 class ConfigError(FuzztriageError):
-    """A run configuration is missing, inconsistent, or points at absent files."""
-
-
-class TrainingError(FuzztriageError):
-    """Detector training cannot proceed on the given data (single-class
-    labels); the CLI reports it as an input error."""
+    """A run configuration is missing, inconsistent, or points at absent files;
+    only ``fuzztriage.config`` raises it."""
 
 
 class EvaluationError(FuzztriageError):

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .alerts import AlertBatch
-from .calibration import HeightParams, heights_from_f1
+from .calibration import HeightParams, check_p, heights_from_f1
 from .detector import ATTACK_THRESHOLD
 from .errors import EvaluationError, ValidationError
 from .ranking import Method, RankedQueue, RiskProfile, rank
@@ -86,7 +86,7 @@ class Band:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.lo < self.hi <= 1.0):
-            raise ValidationError(f"band bounds must satisfy 0 <= lo < hi <= 1, got {self!r}")
+            raise ValidationError(f"bands need 0 <= lo < hi <= 1, got {self.lo!r}-{self.hi!r}")
 
     def contains(self, p: float | np.ndarray) -> bool | np.ndarray:
         """Whether p lies in the band; elementwise for an array."""
@@ -286,8 +286,7 @@ def perturb(p: Sequence[float] | np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     clipped to [0, 1].
     """
     arr = np.asarray(p, dtype=float)
-    if arr.size and not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
-        raise ValidationError("probabilities must lie in [0, 1]")
+    check_p(arr)
     if spec.kind is ScenarioKind.NOISE:
         rng = np.random.default_rng(spec.seed)
         out = arr + rng.normal(0.0, spec.noise_sd, size=arr.shape)

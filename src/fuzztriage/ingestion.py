@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .alerts import UNKNOWN_CLASS
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .tables import quoted_cells, read_keyed, read_table, write_rows
 
 logger = logging.getLogger(__name__)
@@ -290,17 +290,15 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         if len(self.fractions) != 3:
-            raise ValidationError(f"split.fractions needs three values, got {self.fractions!r}")
+            raise ValidationError(f"fractions needs three values, got {self.fractions!r}")
         if not all(map(math.isfinite, self.fractions)):
-            raise ValidationError(f"split.fractions must be finite, got {self.fractions!r}")
+            raise ValidationError(f"fractions must be finite, got {self.fractions!r}")
         if any(f < 0.0 for f in self.fractions):
             raise ValidationError(f"fractions must be non-negative, got {self.fractions!r}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValidationError(f"fractions must sum to 1, got {self.fractions!r}")
         if self.fractions[0] == 0.0 or self.fractions[2] == 0.0:
-            raise ValidationError(
-                f"split.fractions: train and test fractions must be positive, got {self.fractions!r}"
-            )
+            raise ValidationError(f"fractions need train and test > 0, got {self.fractions!r}")
         if not 0.0 <= self.attack_share_threshold <= 1.0:
             raise ValidationError(
                 f"attack_share_threshold must lie in [0,1], got {self.attack_share_threshold!r}"
@@ -463,9 +461,9 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         if self.source not in ("synth", "csv"):
-            raise ConfigError(f"dataset.source must be synth or csv, got {self.source!r}")
+            raise ValidationError(f"source must be synth or csv, got {self.source!r}")
         if self.source == "csv" and not self.path:
-            raise ConfigError("dataset.source=csv requires dataset.path")
+            raise ValidationError("source=csv requires path")
 
 
 @dataclass(frozen=True)
@@ -494,27 +492,28 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
-            raise ConfigError(f"n_flows must be >= 1, got {self.n_flows!r}")
+            raise ValidationError(f"n_flows must be >= 1, got {self.n_flows!r}")
         shares = ("attack_fraction", "attack_detectable_rate", "benign_outlier_rate")
         for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+            for v in value.values() if isinstance(value, Mapping) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValidationError(f"{name} must be finite, got {v!r}")
             if name in ("separation", "attack_flag_sd", "benign_outlier_sd") and value < 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {value!r}")
+                raise ValidationError(f"{name} must be >= 0, got {value!r}")
             if name in shares and not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0,1], got {value!r}")
+                raise ValidationError(f"{name} must lie in [0,1], got {value!r}")
         if not self.class_weights:
-            raise ConfigError("class_weights must not be empty")
+            raise ValidationError("class_weights must not be empty")
         unknown = sorted(set(self.class_weights) - set(_RAW_LABELS))
         if unknown:
-            raise ConfigError(f"unknown attack classes in class_weights: {', '.join(unknown)}")
+            raise ValidationError(f"class_weights has unknown classes: {', '.join(unknown)}")
         if any(w < 0.0 for w in self.class_weights.values()) or sum(self.class_weights.values()) <= 0.0:
-            raise ConfigError("class_weights must be non-negative with positive sum")
+            raise ValidationError("class_weights must be non-negative with positive sum")
         missing = sorted(set(self.class_weights) - set(self.class_flag_factor))
         if missing:
-            raise ConfigError(f"class_flag_factor missing classes: {', '.join(missing)}")
+            raise ValidationError(f"class_flag_factor lacks classes: {', '.join(missing)}")
         if any(f <= 0.0 for f in self.class_flag_factor.values()):
-            raise ConfigError("class_flag_factor values must be > 0")
+            raise ValidationError("class_flag_factor values must be > 0")
 
 
 def class_counts(config: SynthConfig) -> dict[str, int]:

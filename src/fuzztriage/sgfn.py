@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 #: Base of the logarithm in the ranking-index penalty term. The penalty scale
 #: (and therefore the meaning of kappa) depends on it, so it is defined in
@@ -60,7 +60,7 @@ def check_kappa(kappa: float) -> None:
     score infinite or undefined.
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
+        raise ValidationError(f"kappa must be finite and >= 0, got {kappa!r}")
 
 
 def ranking_index(number: GaussianFuzzyNumber, kappa: float = 1.0) -> float:
@@ -68,7 +68,7 @@ def ranking_index(number: GaussianFuzzyNumber, kappa: float = 1.0) -> float:
 
     ``kappa`` is the risk-attitude parameter; zero ignores confidence entirely
     and larger values penalize wide, low-height numbers harder. Values that
-    :func:`check_kappa` rejects raise DomainError. The logarithm is
+    :func:`check_kappa` rejects raise ValidationError. The logarithm is
     ``math.log``: numpy's ``log`` and ``log10`` differ from it in the last bit
     for some heights, which would change scores and order.
     """

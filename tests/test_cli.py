@@ -443,10 +443,25 @@ class TestMain:
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         rc = cli.main(["prepare", "--out", str(tmp_path / "r"), "--seed", "-1"])
         assert rc == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: <defaults>: run.seed must be >= 0, got -1"
-        ]
+        assert capsys.readouterr().err.splitlines() == ["error: --seed: run.seed must be >= 0, got -1"]
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-3"], "--seed: run.seed must be >= 0, got -3"),
+            (["--kappa=-1"], "--kappa: ranking.kappa must be finite and >= 0, got -1.0"),
+            (["--kappa", "1,1"], "--kappa: ranking.kappa repeats a value: (1.0, 1.0)"),
+        ],
+    )
+    def test_flag_fault_names_the_flag(self, tmp_path, capsys, flags, message):
+        # the INI file sets neither key, so the fault is the flag's, not the file's
+        ini = tmp_path / "run.ini"
+        ini.write_text("[synth]\nn_flows = 300\n", encoding="utf-8")
+        rc = cli.main(["prepare", "--config", str(ini), "--out", str(tmp_path / "r"), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_negative_bootstrap_seed_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -760,8 +775,7 @@ DEGENERATE_RUNS = {
         f"zero_{part}_fraction": (
             f"[synth]\nn_flows = 300\n[split]\nmode = stratified\nfractions = {fractions}\n",
             2,
-            ["error: {ini}: split.fractions: train and test fractions must be positive, "
-             f"got {expected}"],
+            [f"error: {{ini}}: split.fractions need train and test > 0, got {expected}"],
             nothing_written,
         )
         for part, fractions, expected in (
@@ -778,8 +792,8 @@ DEGENERATE_RUNS = {
             nothing_written,
         )
         for key, text, message in (
-            ("separation", "nan", "separation must be finite, got nan"),
-            ("attack_flag_sd", "-1", "attack_flag_sd must be >= 0, got -1.0"),
+            ("separation", "nan", "synth.separation must be finite, got nan"),
+            ("attack_flag_sd", "-1", "synth.attack_flag_sd must be >= 0, got -1.0"),
         )
     },
     **{

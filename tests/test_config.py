@@ -22,6 +22,7 @@ from fuzztriage.config import (
     canonical_lines,
     config_hash,
     load_config,
+    parse_key,
 )
 from fuzztriage.errors import ConfigError, ValidationError
 from fuzztriage.evaluation import ScenarioKind
@@ -195,7 +196,7 @@ class TestIniErrors:
             ("[evaluation]\nbands = 0.3:0.5\n", "bad evaluation.bands"),
             ("[evaluation]\nscenarios = meteor\n", "bad evaluation.scenarios"),
             ("[evaluation]\nsweep = maybe\n", "bad boolean for evaluation.sweep"),
-            ("[evaluation]\nbands = 0.7-0.3\n", "bad evaluation.bands"),
+            ("[evaluation]\nbands = 0.7-0.3\n", "bands need 0 <= lo"),
             ("[evaluation]\nbands = -0.1-0.5\n", "bad evaluation.bands"),
             ("[evaluation]\nnoise_sd = inf\n", "evaluation.noise_sd must be finite"),
             ("[evaluation]\nnoise_sd = -1\n", "evaluation.noise_sd must be finite"),
@@ -229,7 +230,7 @@ class TestIniErrors:
 
     def test_csv_source_without_path(self, tmp_path):
         path = write_ini(tmp_path, "[dataset]\nsource = csv\n")
-        with pytest.raises(ConfigError, match="dataset.source=csv requires dataset.path"):
+        with pytest.raises(ConfigError, match="dataset.source=csv requires path"):
             load_config(path)
 
     def test_missing_class_map_file(self, tmp_path):
@@ -258,11 +259,11 @@ class TestIniErrors:
 
 class TestDataclassValidation:
     def test_dataset_source_must_be_known(self):
-        with pytest.raises(ConfigError, match="dataset.source"):
+        with pytest.raises(ValidationError, match="^source must be synth or csv"):
             DatasetConfig(source="parquet")
 
     def test_external_mode_needs_scores_path(self):
-        with pytest.raises(ConfigError, match="requires detector.scores_path"):
+        with pytest.raises(ValidationError, match="^mode=external_scores requires scores_path$"):
             DetectorConfig(mode=DetectorMode.EXTERNAL_SCORES)
 
     @pytest.mark.parametrize(
@@ -288,7 +289,7 @@ class TestDataclassValidation:
         ],
     )
     def test_ranking_config_rejects(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             RankingConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -311,7 +312,7 @@ class TestDataclassValidation:
         ],
     )
     def test_evaluation_config_rejects(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             EvaluationConfig(**kwargs)
 
     def test_band_objects_close_only_the_top_band(self):
@@ -320,6 +321,67 @@ class TestDataclassValidation:
         assert bands[2].contains(1.0)
         assert not bands[1].contains(0.7)
         assert bands[1].contains(0.5)
+
+
+# (section, INI key, text): one row for each rule of a config section
+SECTION_RULES = [
+    ("run", "seed", "-1"),
+    ("dataset", "source", "parquet"),
+    ("dataset", "source", "csv"),  # without a path
+    ("synth", "n_flows", "0"),
+    ("synth", "attack_fraction", "1.5"),
+    ("synth", "attack_detectable_rate", "nan"),
+    ("synth", "separation", "-1"),
+    ("synth", "benign_outlier_level", "inf"),
+    ("split", "fractions", "0.5, 0.5"),
+    ("split", "fractions", "0.5, nan, 0.5"),
+    ("split", "fractions", "1.2, -0.5, 0.3"),
+    ("split", "fractions", "0.5, 0.2, 0.2"),
+    ("split", "fractions", "0.7, 0.3, 0"),
+    ("split", "attack_share_threshold", "1.5"),
+    ("detector", "mode", "external_scores"),  # without a scores_path
+    ("detector", "l2_c", "0"),
+    ("detector", "max_iters", "0"),
+    ("detector", "tol", "nan"),
+    ("heights", "alpha", "0"),
+    ("heights", "h_max", "1.5"),
+    ("heights", "h_min", "0"),
+    ("heights", "h_min", "0.96"),  # above the default h_max
+    ("ranking", "kappa", ","),
+    ("ranking", "kappa", "1, -1"),
+    ("ranking", "kappa", "1, 1.0"),
+    ("ranking", "uf_scale", "0"),
+    ("evaluation", "cutoffs", "0, 10"),
+    ("evaluation", "cutoffs", "10, 10"),
+    ("evaluation", "bootstrap_k", "0"),
+    ("evaluation", "bootstrap_resamples", "0"),
+    ("evaluation", "bootstrap_seed", "-1"),
+    ("evaluation", "bands", "0.3-0.5, 0.3-0.5"),
+    ("evaluation", "bands", "0.3-0.5-0.7"),
+    ("evaluation", "bands", "0.7-0.3"),
+    ("evaluation", "scenarios", "noise, noise"),
+    ("evaluation", "noise_sd", "0"),
+]
+
+
+class TestSectionErrorContract:
+    """A section rule raises ValidationError starting with its INI key, and
+    load_config alone words it as ``{path}: {section}.{message}``."""
+
+    @pytest.mark.parametrize("section, key, text", SECTION_RULES)
+    def test_rule(self, tmp_path, section, key, text):
+        path = write_ini(tmp_path, f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ConfigError) as loaded:
+            load_config(path)
+        assert str(loaded.value).startswith(f"{path}: {section}.{key}")
+        cls = RunConfig if section == "run" else type(getattr(RunConfig(), section))
+        with pytest.raises(ValidationError) as built:
+            cls(**{KEYS[section][key][0]: parse_key(section, key, text, str(path))})
+        assert not isinstance(built.value, ConfigError)
+        assert str(loaded.value) == f"{path}: {section}.{built.value}"
+
+    def test_every_section_has_a_rule(self):
+        assert {section for section, _, _ in SECTION_RULES} == set(KEYS)
 
 
 class TestHashing:

@@ -22,7 +22,7 @@ from fuzztriage.detector import (
     save_model,
     train_lr,
 )
-from fuzztriage.errors import ParseError, TrainingError, ValidationError
+from fuzztriage.errors import ParseError, ValidationError
 from fuzztriage.ingestion import (
     FLAG_FEATURE_NAMES,
     STRONG_FEATURE_NAMES,
@@ -58,7 +58,7 @@ class TestTraining:
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
-        with pytest.raises(TrainingError):
+        with pytest.raises(ValidationError):
             train_lr(X, np.zeros(4))
 
     def test_non_binary_labels_rejected(self):
@@ -69,7 +69,7 @@ class TestTraining:
             train_lr(X, np.array([0.0, 1.0, np.nan]))
 
     def test_single_class_checked_before_binary(self):
-        with pytest.raises(TrainingError, match=r"^training data contains a single class: 2$"):
+        with pytest.raises(ValidationError, match=r"^training data contains a single class: 2$"):
             train_lr(np.zeros((3, 2)), np.array([2, 2, 2]))
 
     def test_shape_mismatch(self):
@@ -127,7 +127,7 @@ class TestBalancedWeights:
         assert w[y == 0].sum() == pytest.approx(w[y == 1].sum())
 
     def test_missing_class_rejected(self):
-        with pytest.raises(TrainingError):
+        with pytest.raises(ValidationError):
             sample_weights(np.zeros(3, dtype=int))
 
     def test_gradient_identity_with_duplication(self):

@@ -521,7 +521,7 @@ class TestPerturb:
         assert not np.array_equal(first, shifted)
 
     def test_out_of_range_input_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^p must lie in \[0, 1\], got 1.2$"):
             perturb([1.2], ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=42))
 
     @pytest.mark.parametrize("noise_sd", [-1.0, 0.0, float("nan"), float("inf")])

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from fuzztriage.alerts import UNKNOWN_CLASS, load_catalog
 from fuzztriage.detector import ATTACK_THRESHOLD, DetectorReport, train_lr
-from fuzztriage.errors import ConfigError, ParseError, ValidationError
+from fuzztriage.errors import ParseError, ValidationError
 from fuzztriage.ingestion import (
+    DEFAULT_CLASS_FLAG_FACTOR,
     DEFAULT_CLASS_MIX,
     FLAG_FEATURE_NAMES,
     STRONG_FEATURE_NAMES,
@@ -532,8 +533,18 @@ class TestSynthConfig:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, defaults",
+        [("class_weights", DEFAULT_CLASS_MIX), ("class_flag_factor", DEFAULT_CLASS_FLAG_FACTOR)],
+    )
+    def test_mapping_values_must_be_finite(self, name, defaults, value):
+        # a NaN weight used to load and then fail inside synth_generate
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite, got {value!r}$"):
+            SynthConfig(**{name: dict(defaults, DoS=value)})
 
 
 class TestSynthGenerate:

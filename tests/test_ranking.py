@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import make_batch, make_record, random_batch
 from fuzztriage.calibration import HEIGHT_FLOOR
 from fuzztriage.config import EvaluationConfig
-from fuzztriage.errors import DomainError, ValidationError
+from fuzztriage.errors import ValidationError
 from fuzztriage.evaluation import band_eval, ndcg_at_k, predicted_queue, relevance
 from fuzztriage.ranking import (
     QUEUE_HEADER,
@@ -65,7 +65,7 @@ class TestRiskProfile:
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
     def test_bad_kappa(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             RiskProfile(bad)
 
 

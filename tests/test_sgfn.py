@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzztriage.errors import DomainError, ValidationError
+from fuzztriage.errors import ValidationError
 from fuzztriage.sgfn import (
     PENALTY_LOG_BASE,
     GaussianFuzzyNumber,
@@ -59,7 +59,7 @@ class TestRankingIndex:
         assert ranking_index(GaussianFuzzyNumber(5.0, 2.0, 1.0), 2.0) == 5.0
 
     def test_negative_kappa_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             ranking_index(GaussianFuzzyNumber(5.0, 2.0, 0.8), -0.5)
 
     def test_penalty_base_is_ten(self):

@@ -95,7 +95,7 @@ KEYED = {
         ("b,DoS,1.5,,", "p must lie in [0, 1], got 1.5"), ["a,DoS,0.5,,", "a,Bot,0.6,,"], "a",
     ),
     "scores": (
-        load_external_scores, "id,p", "score", ("b,1.2", "p=1.2 outside [0, 1]"),
+        load_external_scores, "id,p", "score", ("b,1.2", "p must lie in [0, 1], got 1.2"),
         ["a,0.5", "a ,0.6"], "a",
     ),
     "model": (
