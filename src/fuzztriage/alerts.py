@@ -129,6 +129,15 @@ def check_uf_scale(uf_scale: float) -> None:
         raise ValidationError(f"uf_scale must be positive and finite, got {uf_scale!r}")
 
 
+def check_scaled_uf(ufs: Mapping[str, float], uf_scale: float, key: str = "uf_scale") -> None:
+    """Reject a uf scale, set by ``key``, that puts the uf of a class of ``ufs``
+    outside (0, 0.5]."""
+    for c, uf in ufs.items():
+        if not (0.0 < uf * uf_scale <= 0.5):
+            raise ValidationError(f"{key} {uf_scale!r} puts the uf of class {c!r} at "
+                                  f"{uf * uf_scale!r}, outside (0, 0.5]")
+
+
 # --- severity catalog ------------------------------------------------------
 
 CATALOG_HEADER = ["class", "cvss", "uf"]
@@ -321,9 +330,7 @@ class AlertBatch:
         check_uf_scale(uf_scale)
         classes, of_class = self._class_index
         class_uf = [resolve_profile(c, self.catalog).uf for c in classes]
-        for c, scaled in zip(classes, (uf * uf_scale for uf in class_uf)):
-            if not (0.0 < scaled <= 0.5):
-                raise ValidationError(f"scaled uf {scaled!r} for class {c!r} outside (0, 0.5]")
+        check_scaled_uf(dict(zip(classes, class_uf)), uf_scale)
         uf = (np.array(class_uf) * uf_scale)[of_class]
         spread = np.where(self.core * uf > 0.0, self.core * uf, SPREAD_FLOOR)
         return self._derive(uf=uf, spread=spread)

@@ -8,8 +8,9 @@ One executable, five subcommands covering the pipeline stages:
     fuzztriage evaluate  --config run.ini          # full evaluation report
     fuzztriage stress    --config run.ini          # flags-only end-to-end run
 
-Exit codes: 0 success, 2 configuration or input error (a path that cannot
-be read or written included), 3 runtime error.
+Each runs ``pipeline.run`` and prints the paths it wrote, then the stamp
+that heads each of them. Exit codes: 0 success, 2 configuration or input
+error (a path that cannot be read or written included), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -20,17 +21,9 @@ import logging
 import sys
 from typing import Sequence
 
-from .config import artifact_stamp, load_config, parse_key
+from . import pipeline
+from .config import load_config, parse_key
 from .errors import ConfigError, FuzztriageError, ParseError, ValidationError
-from .pipeline import cmd_calibrate, cmd_evaluate, cmd_prepare, cmd_rank, cmd_stress
-
-_COMMANDS = {
-    "prepare": cmd_prepare,
-    "calibrate": cmd_calibrate,
-    "rank": cmd_rank,
-    "evaluate": cmd_evaluate,
-    "stress": cmd_stress,
-}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI run configuration file")
     common.add_argument("--out", metavar="DIR", help="results directory (overrides config)")
-    common.add_argument("--seed", metavar="N", type=int, help="random seed (overrides config)")
+    common.add_argument("--seed", metavar="N", help="random seed (overrides config)")
     common.add_argument(
         "--kappa",
         metavar="LIST",
@@ -53,11 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fuzzy severity-and-confidence alert triage pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("prepare", parents=[common], help="load or generate the dataset and write splits")
-    sub.add_parser("calibrate", parents=[common], help="train the detector and write the height table")
-    sub.add_parser("rank", parents=[common], help="write one ranked queue CSV per method")
-    sub.add_parser("evaluate", parents=[common], help="write the full evaluation report")
-    sub.add_parser("stress", parents=[common], help="run evaluate with the flags-only detector")
+    for command, help_text in pipeline.COMMANDS.items():
+        sub.add_parser(command, parents=[common], help=help_text)
     return parser
 
 
@@ -67,10 +57,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        seed = None if args.seed is None else parse_key("run", "seed", args.seed, "--seed")
         kappas = None if args.kappa is None else parse_key("ranking", "kappa", args.kappa, "--kappa")
-        config = load_config(args.config, seed=args.seed, out_dir=args.out, kappas=kappas)
-        result = _COMMANDS[args.command](config)
-        stamp = artifact_stamp(config)
+        config = load_config(args.config, seed=seed, out_dir=args.out, kappas=kappas)
+        result = pipeline.run(config, args.command)
     except (ConfigError, ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -79,7 +69,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RUNTIME
     for path in result.written:
         print(path)
-    print(stamp)
+    print(result.stamp)
     return EXIT_OK
 
 

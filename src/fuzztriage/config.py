@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
-from .alerts import CfMode, check_uf_scale
+from .alerts import CfMode, check_scaled_uf, check_uf_scale, load_catalog
 from .calibration import HeightParams
 from .detector import DetectorConfig, DetectorMode
 from .errors import ConfigError, ValidationError
@@ -235,12 +235,12 @@ def _require_paths(config: RunConfig) -> None:
     for what, path in _input_files(config).items():
         if not Path(path).is_file():
             problem = "is not a file" if Path(path).exists() else "does not exist"
-            raise ConfigError(f"{what} {problem}: {path}")
+            raise ValidationError(f"{what} {problem}: {path}")
     out = Path(config.out_dir)
     nearest = next(part for part in (out, *out.parents) if part.exists())
     if not nearest.is_dir():
         blocked = "" if nearest == out else f" ({nearest} is not a directory)"
-        raise ConfigError(f"run.out_dir is not a directory: {config.out_dir}{blocked}")
+        raise ValidationError(f"run.out_dir is not a directory: {config.out_dir}{blocked}")
 
 
 def load_config(
@@ -252,18 +252,24 @@ def load_config(
 ) -> RunConfig:
     """Build a RunConfig from an optional INI file plus CLI overrides.
 
-    Referenced files must be files, and no file may stand where the output
-    directory goes; a bad key, value or path raises ConfigError at load time.
-    A section's fault reads ``{source}: {section}.{key} ...``, its source the
-    flag that set the key, else the INI path, else ``<defaults>``.
+    Referenced files must be files, no file may stand where the output
+    directory goes, and ``ranking.uf_scale`` must keep the uf of every class
+    of the run's catalog in (0, 0.5]; a bad key, value or path raises
+    ConfigError at load time. Every fault reads ``{source}: {section}.{key}
+    ...``, its source the flag that set the key, else the INI path, else
+    ``<defaults>``.
     """
     parser = configparser.ConfigParser(interpolation=None)
     source = "<defaults>" if path is None else str(path)
     try:
         if path is not None and not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file does not exist: {path}")
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: text before the first [section]") from exc
+    except configparser.ParsingError as exc:
+        raise ConfigError(f"{path}: line {exc.errors[0][0]}: not [section] or key = value") from exc
+    except configparser.Error as exc:  # a repeated section or key: "... [line  3]: section ..."
+        raise ConfigError(f"{path}: line {exc.lineno}: {str(exc).split(']: ', 1)[1]}") from exc
     given = _read(parser, source)
 
     flags = {("run", "seed"): ("--seed", seed), ("run", "out_dir"): ("--out", out_dir),
@@ -272,16 +278,25 @@ def load_config(
     for section, key in flagged:
         given[section][KEYS[section][key][0]] = flags[section, key][1]
 
+    def fault(text: str) -> ConfigError:  # text starts with the section.key it blames
+        where = tuple(text.split(" ", 1)[0].split(".", 1))
+        return ConfigError(f"{flagged.get(where, source)}: {text}")
+
     def build(section: str, cls: type, **sections: Any) -> Any:
         try:
             return cls(**given[section], **sections)
         except ValidationError as exc:
-            key = str(exc).split(" ", 1)[0]  # a section's message starts with its key
-            raise ConfigError(f"{flagged.get((section, key), source)}: {section}.{exc}") from exc
+            raise fault(f"{section}.{exc}") from exc
 
     sections = {name: build(name, cls) for name, cls in _SECTIONS.items() if name != "run"}
     config = build("run", RunConfig, **sections)
-    _require_paths(config)
+    try:
+        _require_paths(config)
+        catalog = load_catalog(config.dataset.catalog)
+        check_scaled_uf({c: profile.uf for c, profile in catalog.items()},
+                        config.ranking.uf_scale, "ranking.uf_scale")
+    except ValidationError as exc:
+        raise fault(str(exc)) from exc
     return config
 
 
@@ -303,22 +318,14 @@ def canonical_lines(config: RunConfig) -> list[str]:
     return lines
 
 
-_FILE_SHA256: dict[tuple[Path, int, int], str] = {}
-
-
 def file_sha256(path: str | Path) -> str:
-    """The sha256 of a file's bytes, read in chunks once per process for each
-    resolved path, size and mtime, as every artifact's stamp asks for it."""
-    resolved = Path(path).resolve()
-    status = resolved.stat()
-    key = (resolved, status.st_size, status.st_mtime_ns)
-    if key not in _FILE_SHA256:
-        digest = hashlib.sha256()
-        with resolved.open("rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-        _FILE_SHA256[key] = digest.hexdigest()
-    return _FILE_SHA256[key]
+    """The sha256 of a file's bytes, read in chunks. A run hashes each input
+    once: ``pipeline.run`` stamps its artifacts with one ``artifact_stamp``."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def config_hash(config: RunConfig) -> str:

@@ -2,7 +2,8 @@
 
 Each stage is a pure function of the RunConfig, so any command can rebuild
 its upstream stages deterministically; artifacts exist for the analyst, not
-as hidden pipeline state. Every file written starts with a comment carrying
+as hidden pipeline state. Every command is a prefix of one stage sequence,
+run by :func:`run`, and every file it writes starts with one stamp carrying
 the config hash and seed.
 """
 
@@ -275,24 +276,25 @@ def _skipped(config: RunConfig, article: str = "") -> str:
 
 
 # --- artifact writers --------------------------------------------------------
+# Each writer heads every file with ``stamp``, the run's artifact_stamp.
 
-def write_splits(config: RunConfig, prep: PreparedData) -> list[Path]:
-    stamp, split = artifact_stamp(config), prep.split
+def write_splits(config: RunConfig, prep: PreparedData, stamp: str) -> list[Path]:
+    split = prep.split
     written = [Path(config.out_dir, "splits", f"{name}.csv") for name in ("train", "validation", "test")]
     for path, idx in zip(written, (split.train_idx, split.val_idx, split.test_idx)):
         write_flow_csv(prep.dataset, idx, path, header_comment=stamp)
     return written
 
 
-def write_calibration(config: RunConfig, table: Mapping[str, CalibrationRow]) -> Path:
+def write_calibration(config: RunConfig, table: Mapping[str, CalibrationRow], stamp: str) -> Path:
     path = Path(config.out_dir, "calibration", "heights.csv")
-    write_calibration_csv(path, table, header_comment=artifact_stamp(config))
+    write_calibration_csv(path, table, header_comment=stamp)
     return path
 
 
-def write_queues(config: RunConfig, queues: Mapping[str, RankedQueue]) -> list[Path]:
+def write_queues(config: RunConfig, queues: Mapping[str, RankedQueue], stamp: str) -> list[Path]:
     files = {Path(config.out_dir, "queues", f"queue_{name}.csv"): q for name, q in queues.items()}
-    write_queue_csvs(files, header_comment=artifact_stamp(config))
+    write_queue_csvs(files, header_comment=stamp)
     return list(files)
 
 
@@ -300,54 +302,41 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.10g}"
 
 
-def _write_eval_csv(
-    config: RunConfig, name: str, header: str, rows: Iterable[Sequence[str]]
-) -> Path:
-    path = Path(config.out_dir, "eval", name)
-    with write_artifact(path, artifact_stamp(config)) as fh:
-        fh.write(f"{header}\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
-    return path
+def write_eval(config: RunConfig, tables: EvalTables, stamp: str) -> list[Path]:
+    def write_csv(name: str, header: str, rows: Iterable[Sequence[str]]) -> Path:
+        path = Path(config.out_dir, "eval", name)
+        with write_artifact(path, stamp) as fh:
+            fh.write(f"{header}\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        return path
 
-
-def write_eval(config: RunConfig, tables: EvalTables) -> list[Path]:
-    d = tables.detector
+    d, sweep = tables.detector, tables.sweep
     baseline = risk_averse_queue_name(config.ranking.kappas[0])
     written = [
-        _write_eval_csv(
-            config, "detector.csv", "mode,accuracy,precision,recall,f1",
+        write_csv(
+            "detector.csv", "mode,accuracy,precision,recall,f1",
             [(config.detector.mode.value, *map(_fmt, (d.accuracy, d.precision, d.recall, d.f1)))],
         ),
-        _write_eval_csv(
-            config, "metrics.csv", "method,queue,cutoff,ndcg",
+        write_csv(
+            "metrics.csv", "method,queue,cutoff,ndcg",
             ((r.method, r.queue, str(r.cutoff), _fmt(r.ndcg)) for r in tables.metrics),
         ),
-        _write_eval_csv(
-            config, "bands.csv", "method,band_lo,band_hi,count,ndcg",
-            (
-                (name, _fmt(r.band.lo), _fmt(r.band.hi), str(r.count), _fmt(r.ndcg))
-                for name, results in tables.bands.items()
-                for r in results
-            ),
+        write_csv(
+            "bands.csv", "method,band_lo,band_hi,count,ndcg",
+            ((name, _fmt(r.band.lo), _fmt(r.band.hi), str(r.count), _fmt(r.ndcg))
+             for name, results in tables.bands.items() for r in results),
         ),
-        _write_eval_csv(
-            config, "bootstrap.csv", "method,baseline,k,delta,ci_low,ci_high,p_value,resamples",
-            (
-                (name, baseline, str(r.k), *map(_fmt, (r.delta, r.ci_low, r.ci_high, r.p_value)),
-                 str(r.resamples))
-                for name, r in tables.bootstrap.items()
-            ),
+        write_csv(
+            "bootstrap.csv", "method,baseline,k,delta,ci_low,ci_high,p_value,resamples",
+            ((name, baseline, str(r.k), *map(_fmt, (r.delta, r.ci_low, r.ci_high, r.p_value)),
+              str(r.resamples)) for name, r in tables.bootstrap.items()),
         ),
-        _write_eval_csv(
-            config, "scenarios.csv", "scenario,method,k,ndcg_before,ndcg_after,change_pct",
-            (
-                (r.scenario.value, r.method.value, str(r.k),
-                 *map(_fmt, (r.ndcg_before, r.ndcg_after, r.change_pct)))
-                for r in tables.scenarios
-            ),
+        write_csv(
+            "scenarios.csv", "scenario,method,k,ndcg_before,ndcg_after,change_pct",
+            ((r.scenario.value, r.method.value, str(r.k),
+              *map(_fmt, (r.ndcg_before, r.ndcg_after, r.change_pct))) for r in tables.scenarios),
         ),
     ]
-    sweep = tables.sweep
     if sweep is not None:
         cutoff_cols = (f"ndcg_at{k}_pred" for k in sweep.cutoffs)
         rows = [("point", p.parameter, _fmt(p.value), *map(_fmt, p.ndcg_by_cutoff))
@@ -355,14 +344,13 @@ def write_eval(config: RunConfig, tables: EvalTables) -> list[Path]:
         rows.extend(("parameter_spread", name, "", *map(_fmt, spreads))
                     for name, spreads in sweep.parameter_spread.items())
         rows.append(("overall_spread", "", "", *map(_fmt, sweep.spread_by_cutoff)))
-        written.append(_write_eval_csv(
-            config, "sweep.csv", ",".join(("kind", "parameter", "value", *cutoff_cols)), rows
-        ))
-    written.append(write_summary(config, tables))
+        header = ",".join(("kind", "parameter", "value", *cutoff_cols))
+        written.append(write_csv("sweep.csv", header, rows))
+    written.append(write_summary(config, tables, stamp))
     return written
 
 
-def write_summary(config: RunConfig, tables: EvalTables) -> Path:
+def write_summary(config: RunConfig, tables: EvalTables, stamp: str) -> Path:
     path = Path(config.out_dir, "eval", "summary.txt")
     d = tables.detector
     lines = [
@@ -396,64 +384,65 @@ def write_summary(config: RunConfig, tables: EvalTables) -> Path:
 
         lines += ["", f"sensitivity sweep spread: {at(sweep.spread_by_cutoff)}"]
         lines += (f"  {name:12s} {at(spreads)}" for name, spreads in sweep.parameter_spread.items())
-    with write_artifact(path, artifact_stamp(config)) as fh:
+    with write_artifact(path, stamp) as fh:
         fh.write("\n".join(lines) + "\n")
     return path
 
 
-# --- commands ----------------------------------------------------------------
+# --- the run -----------------------------------------------------------------
+
+#: command -> help text, in stage order: each command runs the stages of the
+#: one before it, then its own; ``stress`` is evaluate with the flags-only detector.
+COMMANDS = {
+    "prepare": "load or generate the dataset and write splits",
+    "calibrate": "train the detector and write the height table",
+    "rank": "write one ranked queue CSV per method",
+    "evaluate": "write the full evaluation report",
+    "stress": "run evaluate with the flags-only detector",
+}
+
 
 @dataclass(frozen=True)
 class RunOutput:
-    """Everything a command produced, for callers and tests."""
+    """Everything a run produced, for callers and tests: the output of each
+    stage its command ran (None for the stages after it), the files it wrote,
+    and the stamp that heads each of them."""
 
     config: RunConfig
+    stamp: str
     prep: PreparedData
-    detector_out: DetectorOutput | None = None
-    table: dict[str, CalibrationRow] | None = None
-    records: AlertBatch | None = None
-    queues: dict[str, RankedQueue] | None = None
-    tables: EvalTables | None = None
-    written: tuple[Path, ...] = ()
+    detector_out: DetectorOutput | None
+    table: dict[str, CalibrationRow] | None
+    records: AlertBatch | None
+    queues: dict[str, RankedQueue] | None
+    tables: EvalTables | None
+    written: tuple[Path, ...]
 
 
-def cmd_prepare(config: RunConfig) -> RunOutput:
+def run(config: RunConfig, command: str) -> RunOutput:
+    """Run the stages of ``command``, a key of :data:`COMMANDS` (else a
+    ValueError), then write their artifacts, so a run whose stage fails
+    writes nothing. The config is hashed once, into the stamp of every
+    artifact, after the stages and before the first writer."""
+    depth = list(COMMANDS).index(command)
+    if command == "stress":
+        flags_only = replace(config.detector, mode=DetectorMode.TRAIN_FLAGS_ONLY)
+        config = replace(config, detector=flags_only)
     prep = prepare_data(config)
-    written = write_splits(config, prep)
-    return RunOutput(config, prep, written=tuple(written))
+    detector_out = run_detector(config, prep) if depth >= 1 else None
+    table = calibrate_heights(config, prep, detector_out) if depth >= 1 else None
+    records = build_alerts(config, prep, detector_out, table)[0] if depth >= 2 else None
+    queues = rank_all(config, records) if depth >= 2 else None
+    tables = evaluate_all(config, table, records, queues) if depth >= 3 else None
 
-
-def cmd_calibrate(config: RunConfig) -> RunOutput:
-    prep = prepare_data(config)
-    detector_out = run_detector(config, prep)
-    table = calibrate_heights(config, prep, detector_out)
-    written = write_splits(config, prep)
-    written.append(write_calibration(config, table))
-    return RunOutput(config, prep, detector_out, table, written=tuple(written))
-
-
-def cmd_rank(config: RunConfig, evaluate: bool = False) -> RunOutput:
-    """Rank every queue and, with ``evaluate``, evaluate them; artifacts are
-    written once every stage has run."""
-    prep = prepare_data(config)
-    detector_out = run_detector(config, prep)
-    table = calibrate_heights(config, prep, detector_out)
-    records, _ = build_alerts(config, prep, detector_out, table)
-    queues = rank_all(config, records)
-    tables = evaluate_all(config, table, records, queues) if evaluate else None
-    written = write_splits(config, prep)
-    written.append(write_calibration(config, table))
-    written.extend(write_queues(config, queues))
-    if tables is not None:
-        written.extend(write_eval(config, tables))
-    return RunOutput(config, prep, detector_out, table, records, queues, tables, tuple(written))
-
-
-def cmd_evaluate(config: RunConfig) -> RunOutput:
-    return cmd_rank(config, evaluate=True)
-
-
-def cmd_stress(config: RunConfig) -> RunOutput:
-    """Flags-only end-to-end run through the identical evaluate path."""
-    flags_only = replace(config.detector, mode=DetectorMode.TRAIN_FLAGS_ONLY)
-    return cmd_evaluate(replace(config, detector=flags_only))
+    stamp = artifact_stamp(config)
+    written = write_splits(config, prep, stamp)
+    if depth >= 1:
+        written.append(write_calibration(config, table, stamp))
+    if depth >= 2:
+        written.extend(write_queues(config, queues, stamp))
+    if depth >= 3:
+        written.extend(write_eval(config, tables, stamp))
+    return RunOutput(
+        config, stamp, prep, detector_out, table, records, queues, tables, tuple(written)
+    )

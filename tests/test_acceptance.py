@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_batch, make_record, random_batch
+from fuzztriage import pipeline
 from fuzztriage.alerts import AttackClassProfile, Criticality, assemble
 from fuzztriage.calibration import HeightParams, build_height_table
 from fuzztriage.config import load_config
@@ -25,7 +26,6 @@ from fuzztriage.evaluation import (
     predicted_queue,
     relevance,
 )
-from fuzztriage.pipeline import cmd_evaluate, cmd_stress
 from fuzztriage.ranking import Method, RiskProfile, rank
 
 METHODS = ("severity_only", "confidence_only", "weighted_sum", "risk_averse_k1")
@@ -41,14 +41,14 @@ def benchmark_config(out_dir, sweep=False):
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
-    return cmd_evaluate(benchmark_config(tmp_path_factory.mktemp("acc_full")))
+    return pipeline.run(benchmark_config(tmp_path_factory.mktemp("acc_full")), "evaluate")
 
 
 @pytest.fixture(scope="module")
 def stress_run(tmp_path_factory):
     config = benchmark_config(tmp_path_factory.mktemp("acc_stress"), sweep=True)
     start = time.perf_counter()
-    run = cmd_stress(config)
+    run = pipeline.run(config, "stress")
     return run, time.perf_counter() - start
 
 
@@ -236,14 +236,14 @@ def test_criterion_10_cicids2017_extended_run(tmp_path_factory):
     dataset = dataclasses.replace(config.dataset, source="csv", path=path)
     config = dataclasses.replace(config, dataset=dataset)
 
-    full = cmd_evaluate(config)
+    full = pipeline.run(config, "evaluate")
     d = full.tables.detector
     assert d.accuracy == pytest.approx(0.9268, abs=0.03)
     assert d.precision == pytest.approx(0.8382, abs=0.03)
     assert d.recall == pytest.approx(0.7789, abs=0.03)
     assert d.f1 == pytest.approx(0.8075, abs=0.03)
 
-    stress = cmd_stress(dataclasses.replace(config, out_dir=str(out / "stress")))
+    stress = pipeline.run(dataclasses.replace(config, out_dir=str(out / "stress")), "stress")
     s = stress.tables.detector
     assert s.accuracy == pytest.approx(0.8089, abs=0.03)
     assert s.precision == pytest.approx(0.5822, abs=0.03)

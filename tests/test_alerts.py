@@ -172,7 +172,7 @@ class TestCoreAndSpread:
             assembled(-1.0, 0.2)
         with pytest.raises(ValidationError):
             assembled(5.0, 0.6)
-        with pytest.raises(ValidationError, match="scaled uf"):
+        with pytest.raises(ValidationError, match="uf_scale 2.0 puts the uf of class"):
             assembled(5.0, 0.3, uf_scale=2.0)
 
 

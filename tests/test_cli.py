@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fuzztriage import cli, pipeline
+from fuzztriage import config as config_module
 from fuzztriage.alerts import UNKNOWN_CLASS
 from fuzztriage.calibration import (
     CALIBRATION_HEADER,
@@ -54,11 +55,6 @@ from fuzztriage.ingestion import (
 from fuzztriage.pipeline import (
     EvalTables,
     MetricRow,
-    cmd_calibrate,
-    cmd_evaluate,
-    cmd_prepare,
-    cmd_rank,
-    cmd_stress,
     evaluate_all,
     flow_ids,
     rank_all,
@@ -89,26 +85,26 @@ def data_rows(path):
 def prepare_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("prep")
     config = small_config(out)
-    return cmd_prepare(config)
+    return pipeline.run(config, "prepare")
 
 
 @pytest.fixture(scope="module")
 def rank_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("rank")
-    return cmd_rank(small_config(out, kappas=[0.0, 1.5]))
+    return pipeline.run(small_config(out, kappas=[0.0, 1.5]), "rank")
 
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("full")
-    return cmd_evaluate(small_config(out))
+    return pipeline.run(small_config(out), "evaluate")
 
 
 @pytest.fixture(scope="module")
 def stress_run(tmp_path_factory, full_run):
     out = tmp_path_factory.mktemp("stress")
     config = dataclasses.replace(full_run.config, out_dir=str(out))
-    return cmd_stress(config)
+    return pipeline.run(config, "stress")
 
 
 class TestPrepare:
@@ -127,12 +123,13 @@ class TestPrepare:
         assert total == prepare_run.config.synth.n_flows
 
     def test_rerun_is_byte_identical(self, prepare_run, tmp_path):
-        again = cmd_prepare(dataclasses.replace(prepare_run.config, out_dir=str(tmp_path)))
+        config = dataclasses.replace(prepare_run.config, out_dir=str(tmp_path))
+        again = pipeline.run(config, "prepare")
         for old, new in zip(prepare_run.written, again.written):
             assert new.read_bytes() == old.read_bytes()
 
     def test_different_seed_changes_data(self, prepare_run, tmp_path):
-        other = cmd_prepare(small_config(tmp_path, seed=43))
+        other = pipeline.run(small_config(tmp_path, seed=43), "prepare")
         old_rows = data_rows(prepare_run.written[0])
         new_rows = data_rows(other.written[0])
         assert new_rows != old_rows
@@ -141,7 +138,7 @@ class TestPrepare:
 @pytest.fixture(scope="module")
 def calibrate_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("calib")
-    return cmd_calibrate(small_config(out, n_flows=400))
+    return pipeline.run(small_config(out, n_flows=400), "calibrate")
 
 
 class TestCalibrate:
@@ -170,7 +167,7 @@ class TestCalibrate:
             config.split, mode=SplitMode.STRATIFIED, fractions=(0.7, 0.0, 0.3)
         )
         with pytest.raises(ValidationError, match="validation split is empty"):
-            cmd_calibrate(dataclasses.replace(config, split=split))
+            pipeline.run(dataclasses.replace(config, split=split), "calibrate")
 
 
 class TestRank:
@@ -273,7 +270,7 @@ class TestEvaluate:
 @pytest.fixture(scope="module")
 def sweep_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    return cmd_evaluate(small_config(out, n_flows=400, sweep=True))
+    return pipeline.run(small_config(out, n_flows=400, sweep=True), "evaluate")
 
 
 class TestSweepRun:
@@ -314,7 +311,7 @@ def external_run(tmp_path_factory):
     detector = dataclasses.replace(
         config.detector, mode=DetectorMode.EXTERNAL_SCORES, scores_path=str(scores)
     )
-    return cmd_evaluate(dataclasses.replace(config, detector=detector))
+    return pipeline.run(dataclasses.replace(config, detector=detector), "evaluate")
 
 
 class TestEvaluateAll:
@@ -384,6 +381,36 @@ class TestMain:
         assert len(lines) == 4
         assert all(str(out) in line for line in lines[:3])
 
+    def test_stress_prints_the_stamp_its_artifacts_carry(self, tmp_path, capsys):
+        # stress runs evaluate with another detector mode, so its stamp is
+        # not the stamp of the config it loaded
+        ini = tmp_path / "run.ini"
+        ini.write_text("[synth]\nn_flows = 300\n", encoding="utf-8")
+        rc = cli.main(["stress", "--config", str(ini), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        *paths, stamp = capsys.readouterr().out.splitlines()
+        assert stamp != artifact_stamp(load_config(ini))
+        written = sorted(f for f in (tmp_path / "out").rglob("*") if f.is_file())
+        assert sorted(map(Path, paths)) == written
+        for path in written:
+            assert read_lines(path)[0] == f"# {stamp}"
+
+    def test_run_hashes_the_config_once(self, tmp_path, monkeypatch):
+        calls = []
+        canonical_lines = config_module.canonical_lines
+        monkeypatch.setattr(
+            config_module, "canonical_lines", lambda c: calls.append(c) or canonical_lines(c)
+        )
+        result = pipeline.run(small_config(tmp_path, n_flows=400, sweep=True), "evaluate")
+        assert len(result.written) == 15
+        assert calls == [result.config]
+        assert result.stamp == artifact_stamp(result.config)
+
+    def test_unknown_command_is_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            pipeline.run(small_config(tmp_path), "publish")
+        assert not any(tmp_path.iterdir())
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = cli.main(["prepare", "--config", str(tmp_path / "nope.ini")])
         assert rc == 2
@@ -426,7 +453,8 @@ class TestMain:
         rc = cli.main(["prepare", "--out", str(blocker / "run")])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: run.out_dir is not a directory: {blocker / 'run'} ({blocker} is not a directory)"
+            f"error: --out: run.out_dir is not a directory: {blocker / 'run'}"
+            f" ({blocker} is not a directory)"
         ]
         assert [p.name for p in tmp_path.iterdir()] == ["results"]
 
@@ -436,7 +464,7 @@ class TestMain:
         rc = cli.main(["evaluate", "--out", str(blocker)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: run.out_dir is not a directory: {blocker}"
+            f"error: --out: run.out_dir is not a directory: {blocker}"
         ]
         assert blocker.read_text(encoding="utf-8") == ""
 
@@ -452,6 +480,8 @@ class TestMain:
             (["--seed", "-3"], "--seed: run.seed must be >= 0, got -3"),
             (["--kappa=-1"], "--kappa: ranking.kappa must be finite and >= 0, got -1.0"),
             (["--kappa", "1,1"], "--kappa: ranking.kappa repeats a value: (1.0, 1.0)"),
+            (["--seed", "abc"], "--seed: bad value for run.seed: 'abc'"),
+            (["--seed", "1.5"], "--seed: bad value for run.seed: '1.5'"),
         ],
     )
     def test_flag_fault_names_the_flag(self, tmp_path, capsys, flags, message):
@@ -512,6 +542,35 @@ class TestMain:
         assert written["c"] == written["utf8"]
         assert "Déni".encode("utf-8") in written["c"][Path("calibration", "heights.csv")]
 
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("[run]\ngarbage\nmore garbage\n", "line 2: not [section] or key = value"),
+            ("seed = 1\n[run]\n", "line 1: text before the first [section]"),
+            ("[run]\n[synth]\n[run]\n", "line 3: section 'run' already exists"),
+            ("[run]\nseed = 1\nseed = 2\n", "line 3: option 'seed' in section 'run' already exists"),
+        ],
+    )
+    def test_unparsable_ini_is_one_line(self, tmp_path, capsys, text, fault):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text, encoding="utf-8")
+        rc = cli.main(["prepare", "--config", str(ini), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {ini}: {fault}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    def test_malformed_catalog_fails_prepare_at_load(self, tmp_path, capsys, no_stage_runs):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("class,cvss,uf\nDoS,7.8\n", encoding="utf-8")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[dataset]\ncatalog = {catalog}\n", encoding="utf-8")
+        rc = cli.main(["prepare", "--config", str(ini), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {catalog}: row 2 has 2 fields, expected 3"
+        ]
+        assert not (tmp_path / "r").exists()
+
     def test_bad_ini_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("[rankings]\nkappa = 1\n", encoding="utf-8")
@@ -555,7 +614,7 @@ class TestMain:
         def boom(config):
             raise EvaluationError("queues do not cover the same alerts")
 
-        monkeypatch.setitem(cli._COMMANDS, "prepare", boom)
+        monkeypatch.setattr(pipeline, "prepare_data", boom)
         rc = cli.main(["prepare", "--out", str(tmp_path)])
         assert rc == 3
         assert "error: queues do not cover" in capsys.readouterr().err
@@ -742,6 +801,7 @@ DEGENERATE_INPUTS = {
     "empty_train_split": {"flows.csv": flows_text("DoS Hulk", ("Wednesday", "Thursday", "Friday"))},
     "empty_test_split": {"flows.csv": flows_text("DoS Hulk", ("Monday", "Tuesday", "Wednesday"))},
     "external_scores_dropped_rows": dropped_rows_inputs(),
+    "catalog_malformed": {"catalog.csv": "class,cvss,uf\nDoS,high,0.2\n"},
 }
 DAY_BASED_CSV_INI = "[dataset]\nsource = csv\npath = {dir}/flows.csv\n[split]\nmode = day_based\n"
 
@@ -832,11 +892,28 @@ DEGENERATE_RUNS = {
     ),
     "dataset_path_is_directory": (
         "[dataset]\nsource = csv\npath = {dir}\n", 2,
-        ["error: dataset.path is not a file: {dir}"], nothing_written,
+        ["error: {ini}: dataset.path is not a file: {dir}"], nothing_written,
     ),
     "catalog_is_directory": (
         "[dataset]\ncatalog = {dir}\n", 2,
-        ["error: dataset.catalog is not a file: {dir}"], nothing_written,
+        ["error: {ini}: dataset.catalog is not a file: {dir}"], nothing_written,
+    ),
+    "dataset_path_missing": (
+        "[dataset]\nsource = csv\npath = {dir}/missing.csv\n", 2,
+        ["error: {ini}: dataset.path does not exist: {dir}/missing.csv"], nothing_written,
+    ),
+    # checked against the bundled catalog at load, before any stage runs
+    "uf_scale_past_catalog": (
+        "[synth]\nn_flows = 300\n[ranking]\nuf_scale = 2\n", 2,
+        ["error: {ini}: ranking.uf_scale 2.0 puts the uf of class 'Infiltration' at 0.7, "
+         "outside (0, 0.5]"],
+        nothing_written,
+    ),
+    "catalog_malformed": (
+        "[dataset]\ncatalog = {dir}/catalog.csv\n", 2,
+        ["error: {dir}/catalog.csv: bad catalog class row 2: "
+         "could not convert string to float: 'high'"],
+        nothing_written,
     ),
 }
 
@@ -905,7 +982,7 @@ class TestWriteEvalBytes:
                 parameter_spread={"alpha": (0.125, 0.125)},
             ),
         )
-        paths = write_eval(config, tables)
+        paths = write_eval(config, tables, artifact_stamp(config))
         return {p.name: p.read_bytes() for p in paths}
 
     STAMP = b"# config_hash=18ff86c125bb seed=42\n"

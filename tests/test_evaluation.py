@@ -736,7 +736,8 @@ class TestSensitivitySweep:
         grid = {"kappa": (0.5,), "uf_scale": (1.2, 1.5)}
         expected = outcome(lambda: reference_sweep(alerts, load_catalog(), f1, grid))
         assert expected == (
-            ValidationError, f"scaled uf {0.35 * 1.5!r} for class 'Infiltration' outside (0, 0.5]"
+            ValidationError,
+            f"uf_scale 1.5 puts the uf of class 'Infiltration' at {0.35 * 1.5!r}, outside (0, 0.5]",
         )
         assert outcome(lambda: sensitivity_sweep(*sweep_fixture(alerts, f1), grid)) == expected
 
