@@ -28,7 +28,7 @@ from .calibration import (
 )
 from .errors import ValidationError
 from .sgfn import PENALTY_LOG_BASE
-from .tables import read_keyed
+from .tables import Coded, read_keyed
 
 #: Class name given to alerts whose raw label cannot be mapped.
 UNKNOWN_CLASS = "unknown_novel"
@@ -290,9 +290,8 @@ class AlertBatch:
     def _class_index(self) -> tuple[tuple[str, ...], np.ndarray]:
         """The distinct classes in order of first appearance, and the
         position of each alert's class among them."""
-        index = {c: k for k, c in enumerate(dict.fromkeys(self.classes))}
-        of_class = np.fromiter(map(index.__getitem__, self.classes), dtype=np.intp, count=len(self))
-        return tuple(index), of_class
+        coded = Coded.of(self.classes)
+        return coded.names, coded.codes
 
     def _derive(self, **columns: np.ndarray) -> AlertBatch:
         """The same alerts with ``columns`` replaced. The ids are not checked

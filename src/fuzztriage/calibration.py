@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tables import write_artifact
+from .tables import Coded, write_artifact
 
 #: Lower bound applied to instance heights so the log penalty stays finite
 #: even for probability-zero alerts.
@@ -134,20 +134,19 @@ def per_class_counts(
 
     Each alert claims a class; label says whether it was a real attack and
     prediction whether the detector flagged it. False positives therefore
-    count against the class the alert claimed.
+    count against the class the alert claimed. The classes are keyed in the
+    order of their codes (:class:`~fuzztriage.tables.Coded`): for a sequence
+    of class names, the order in which they first appear.
     """
     if not (len(attack_classes) == len(labels) == len(predictions)):
         raise ValidationError("attack_classes, labels, predictions must have equal length")
-    counts: dict[str, list[int]] = {}
-    for cls, y, yhat in zip(attack_classes, labels, predictions):
-        tally = counts.setdefault(cls, [0, 0, 0])
-        if y == 1 and yhat == 1:
-            tally[0] += 1
-        elif y == 0 and yhat == 1:
-            tally[1] += 1
-        elif y == 1 and yhat == 0:
-            tally[2] += 1
-    return {cls: (t[0], t[1], t[2]) for cls, t in counts.items()}
+    classes = Coded.of(attack_classes)
+    y, yhat = np.asarray(labels), np.asarray(predictions)
+    tallies = [
+        np.bincount(classes.codes[mask], minlength=len(classes.names))
+        for mask in ((y == 1) & (yhat == 1), (y == 0) & (yhat == 1), (y == 1) & (yhat == 0))
+    ]
+    return {classes.names[c]: tuple(int(t[c]) for t in tallies) for c in classes.present().tolist()}
 
 
 def build_height_table(

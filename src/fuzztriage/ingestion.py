@@ -15,7 +15,7 @@ import operator
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .alerts import UNKNOWN_CLASS
 from .errors import ParseError, ValidationError
-from .tables import quoted_cells, read_keyed, read_table, write_rows
+from .tables import Coded, quoted_cells, read_keyed, read_table, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -44,19 +44,23 @@ class FlowDataset:
 
     ``labels`` holds raw attack-type strings as they appear in the source
     file; class mapping is a separate step. ``days`` is optional weekday
-    tagging used by the day-based split.
+    tagging used by the day-based split. Both are held as :class:`Coded`
+    columns; a sequence of strings given for either is coded.
     """
 
     features: np.ndarray
     feature_names: tuple[str, ...]
-    labels: tuple[str, ...]
-    days: tuple[str, ...] | None = None
+    labels: Coded
+    days: Coded | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 2:
             raise ValidationError(f"features must be 2-dimensional, got shape {feats.shape}")
         object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", Coded.of(self.labels))
+        if self.days is not None:
+            object.__setattr__(self, "days", Coded.of(self.days))
         if len(self.feature_names) != feats.shape[1]:
             raise ValidationError(
                 f"{len(self.feature_names)} feature names for {feats.shape[1]} columns"
@@ -117,7 +121,7 @@ def load_csv(
         raise ParseError(f"{path}: no data rows")
     values = array("d")  # one row per data row; NaN where a feature does not parse
     unparsed = [float("nan")] * len(feature_idx)
-    labels: list[str] = []
+    labels: list[str] = []  # as read: each distinct text is stripped once, when coded
     days: list[str] = []
     for _, row in chain((first,), rows):
         try:
@@ -125,9 +129,9 @@ def load_csv(
         except ValueError:
             del values[len(labels) * len(feature_idx):]
             values.extend(unparsed)
-        labels.append(row[label_idx].strip())
+        labels.append(row[label_idx])
         if day_idx is not None:
-            days.append(row[day_idx].strip())
+            days.append(row[day_idx])
     matrix = np.frombuffer(values, dtype=float).reshape(len(labels), len(feature_idx))
     finite = np.isfinite(matrix).all(axis=1)
     kept = np.flatnonzero(finite)
@@ -142,8 +146,8 @@ def load_csv(
     dataset = FlowDataset(
         matrix[finite],
         tuple(header[i] for i in feature_idx),
-        tuple(compress(labels, finite)),
-        tuple(compress(days, finite)) if day_idx is not None else None,
+        Coded.of(labels).map(str.strip).take(kept),
+        Coded.of(days).map(str.strip).take(kept) if day_idx is not None else None,
     )
     return dataset, LoadReport(kept, dropped)
 
@@ -165,7 +169,7 @@ def write_flow_csv(
     tags = {LABEL_COLUMN_DEFAULT: dataset.labels, DAY_COLUMN_DEFAULT: dataset.days}
     tags = {name: tag for name, tag in tags.items() if tag is not None}
     rows = np.asarray(rows, dtype=np.intp)
-    tails = quoted_cells(zip(*(map(tag.__getitem__, rows.tolist()) for tag in tags.values())))
+    tails = quoted_cells([tag.take(rows) for tag in tags.values()])
     header = [*dataset.feature_names, *tags]
     write_rows(path, header_comment, header, [((dataset.features, 6), rows), tails])
 
@@ -214,8 +218,8 @@ def _class_map_row(fields: list[str]) -> tuple[str, str]:
 
 def map_attack_types(
     labels: Sequence[str], override: Mapping[str, str] | None = None
-) -> tuple[str, ...]:
-    """Map raw attack-type labels to class labels.
+) -> Coded:
+    """Map raw attack-type labels to class labels, each distinct label once.
 
     Matching is case- and dash-insensitive. Labels not covered by the
     built-in table or the override map to the flagged unknown class.
@@ -223,13 +227,14 @@ def map_attack_types(
     table = dict(DEFAULT_CLASS_MAP)
     if override:
         table.update(override)
-    mapped = {raw: table.get(_canon(raw), UNKNOWN_CLASS) for raw in set(labels)}
-    return tuple(map(mapped.__getitem__, labels))
+    return Coded.of(labels).map(lambda raw: table.get(_canon(raw), UNKNOWN_CLASS))
 
 
 def binary_labels(classes: Sequence[str]) -> np.ndarray:
     """Ground-truth attack indicator: 1 for any non-benign class."""
-    return np.asarray([0 if cls == BENIGN_CLASS else 1 for cls in classes], dtype=int)
+    classes = Coded.of(classes)
+    attack = np.array([name != BENIGN_CLASS for name in classes.names], dtype=int)
+    return attack[classes.codes]
 
 
 # --- normalization -----------------------------------------------------------
@@ -255,9 +260,12 @@ def fit_normalization(features: np.ndarray) -> NormStats:
     return NormStats(feats.min(axis=0), feats.max(axis=0))
 
 
-def apply_normalization(features: np.ndarray, stats: NormStats) -> np.ndarray:
+def apply_normalization(
+    features: np.ndarray, stats: NormStats, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Min-max scale into [0,1] with train statistics; out-of-range values
-    clip and constant features collapse to 0.0."""
+    clip and constant features collapse to 0.0. The result goes to ``out``
+    when given, which may be ``features`` itself."""
     feats = np.asarray(features, dtype=float)
     if feats.shape[1] != stats.mins.shape[0]:
         raise ValidationError(
@@ -266,9 +274,10 @@ def apply_normalization(features: np.ndarray, stats: NormStats) -> np.ndarray:
     span = stats.maxs - stats.mins
     constant = span == 0.0
     safe_span = np.where(constant, 1.0, span)
-    scaled = (feats - stats.mins) / safe_span
-    scaled = np.where(constant, 0.0, scaled)
-    return np.clip(scaled, 0.0, 1.0)
+    scaled = np.subtract(feats, stats.mins, out=out)
+    scaled /= safe_span
+    scaled[:, constant] = 0.0
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 # --- splitting ---------------------------------------------------------------
@@ -313,29 +322,27 @@ class SplitResult:
     mode_used: SplitMode
 
 
-def _day_indices(days: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    unknown = sorted({d for d in days} - set(WEEKDAYS))
+def _day_indices(days: Coded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    unknown = sorted({days.names[code] for code in days.present()} - set(WEEKDAYS))
     if unknown:
-        raise ValidationError(f"unknown day tags: {', '.join(unknown)}")
-    tags = np.asarray(days)
-    return (
-        np.flatnonzero(np.isin(tags, TRAIN_DAYS)),
-        np.flatnonzero(np.isin(tags, VALIDATION_DAYS)),
-        np.flatnonzero(np.isin(tags, TEST_DAYS)),
-    )
+        raise ValidationError(f"unknown day tags: {', '.join(map(repr, unknown))}")
+    groups = (TRAIN_DAYS, VALIDATION_DAYS, TEST_DAYS)
+    part = [next((k for k, days_of in enumerate(groups) if name in days_of), -1) for name in days.names]
+    part = np.array(part, dtype=np.intp)[days.codes]
+    return tuple(np.flatnonzero(part == k) for k in range(len(groups)))
 
 
 def _stratified_indices(
-    classes: Sequence[str], spec: SplitSpec, seed: int
+    classes: Coded, spec: SplitSpec, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     parts: tuple[list[np.ndarray], ...] = ([], [], [])  # train, validation, test
-    arr = np.asarray(classes)
-    for cls in sorted(set(classes)):
-        idx = np.flatnonzero(arr == cls)
+    for code in sorted(classes.present(), key=classes.names.__getitem__):
+        idx = np.flatnonzero(classes.codes == code)
         if idx.size < 3:
             logger.warning(
-                "class %s has %d rows, fewer than 3; placing all in train", cls, idx.size
+                "class %s has %d rows, fewer than 3; placing all in train",
+                classes.names[code], idx.size,
             )
             parts[0].append(idx)
             continue
@@ -357,19 +364,21 @@ def split(dataset: FlowDataset, classes: Sequence[str], spec: SplitSpec, seed: i
     """
     if len(classes) != len(dataset):
         raise ValidationError(f"{len(classes)} class labels for {len(dataset)} rows")
+    classes = Coded.of(classes)
     mode = spec.mode
     if mode is SplitMode.DAY_BASED and dataset.days is None:
         raise ValidationError("day-based split requested but dataset has no day tags")
+    by_day = None
+    if mode is not SplitMode.STRATIFIED and dataset.days is not None:
+        by_day = _day_indices(dataset.days)
     if mode is None:
         mode = SplitMode.STRATIFIED
-        if dataset.days is not None:
-            train_idx, _, _ = _day_indices(dataset.days)
-            if train_idx.size:
-                share = float(np.mean(binary_labels([classes[i] for i in train_idx])))
-                if share >= spec.attack_share_threshold:
-                    mode = SplitMode.DAY_BASED
+        if by_day is not None and by_day[0].size:
+            share = float(np.mean(binary_labels(classes)[by_day[0]]))
+            if share >= spec.attack_share_threshold:
+                mode = SplitMode.DAY_BASED
     if mode is SplitMode.DAY_BASED:
-        train_idx, val_idx, test_idx = _day_indices(dataset.days)
+        train_idx, val_idx, test_idx = by_day
     else:
         train_idx, val_idx, test_idx = _stratified_indices(classes, spec, seed)
     return SplitResult(train_idx, val_idx, test_idx, mode)
@@ -537,15 +546,17 @@ def synth_generate(config: SynthConfig, seed: int) -> FlowDataset:
     n_attacks = sum(counts.values())
     n_benign = config.n_flows - n_attacks
 
-    labels: list[str] = []
-    attack_class_seq: list[str] = []
+    # Raw label codes in class order, each class cycling through its labels;
+    # benign flows last.
+    names: list[str] = []
+    codes: list[np.ndarray] = []
     for cls in sorted(counts):
         raw = _RAW_LABELS[cls]
-        for i in range(counts[cls]):
-            labels.append(raw[i % len(raw)])
-            attack_class_seq.append(cls)
-    labels.extend("BENIGN" for _ in range(n_benign))
-    attack_mask = np.asarray([True] * n_attacks + [False] * n_benign)
+        codes.append(len(names) + np.arange(counts[cls]) % len(raw))
+        names.extend(raw)
+    codes.append(np.full(n_benign, len(names)))
+    names.append("BENIGN")
+    attack_mask = np.arange(config.n_flows) < n_attacks
 
     n, d_strong = config.n_flows, len(STRONG_FEATURE_NAMES)
     strong = rng.normal(0.0, 1.0, size=(n, d_strong))
@@ -557,11 +568,9 @@ def synth_generate(config: SynthConfig, seed: int) -> FlowDataset:
     attack_rows = np.flatnonzero(attack_mask)
     benign_rows = np.flatnonzero(~attack_mask)
     detectable = rng.random(attack_rows.size) < config.attack_detectable_rate
-    level_mean = np.asarray(
-        [
-            config.attack_flag_level * config.class_flag_factor[cls]
-            for cls in attack_class_seq
-        ]
+    level_mean = np.repeat(
+        [config.attack_flag_level * config.class_flag_factor[cls] for cls in sorted(counts)],
+        [counts[cls] for cls in sorted(counts)],
     )
     level[attack_rows] = np.where(
         detectable,
@@ -580,11 +589,9 @@ def synth_generate(config: SynthConfig, seed: int) -> FlowDataset:
 
     order = rng.permutation(n)
     features = np.hstack([strong, flags])[order]
-    labels_out = tuple(labels[i] for i in order)
-    days = tuple(WEEKDAYS[i % len(WEEKDAYS)] for i in range(n))
     return FlowDataset(
         features,
         STRONG_FEATURE_NAMES + FLAG_FEATURE_NAMES,
-        labels_out,
-        days,
+        Coded(names, np.concatenate(codes)[order]),
+        Coded(WEEKDAYS, np.arange(n) % len(WEEKDAYS)),
     )

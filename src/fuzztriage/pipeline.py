@@ -65,7 +65,7 @@ from .ranking import (
     risk_averse_queue_name,
     write_queue_csvs,
 )
-from .tables import write_artifact
+from .tables import Coded, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,7 @@ def flow_ids(rows: Sequence[int] | np.ndarray) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class PreparedData:
     dataset: FlowDataset
-    classes: tuple[str, ...]
+    classes: Coded  # each flow's attack class
     rows: np.ndarray  # each flow's data-row index, which names it (flow_ids)
     split: SplitResult
 
@@ -135,10 +135,14 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
         names = prep.dataset.feature_names
         flags_only = mode is DetectorMode.TRAIN_FLAGS_ONLY
         keep = flags_only_subset(names) if flags_only else list(range(len(names)))
-        stats = fit_normalization(prep.dataset.features[tr][:, keep])
-        X_tr, X_va, X_te = (
-            apply_normalization(prep.dataset.features[rows][:, keep], stats) for rows in (tr, va, te)
-        )
+        # Each split's rows and kept columns in one gather, in Fortran order:
+        # the layout the BLAS sums of train_lr (and so their bits) were fixed
+        # with. Then scaled in place with the statistics of the raw train rows.
+        feats = prep.dataset.features
+        X_tr, X_va, X_te = (feats.T[np.ix_(keep, rows)].T for rows in (tr, va, te))
+        stats = fit_normalization(X_tr)
+        for X in (X_tr, X_va, X_te):
+            apply_normalization(X, stats, out=X)
 
         model = train_lr(X_tr, prep.y[tr], config.detector, feature_names=[names[i] for i in keep])
         model = platt_calibrate(model, X_va, prep.y[va])
@@ -153,7 +157,7 @@ def calibrate_heights(
     """Per-class calibration table from validation-split predictions."""
     va = prep.split.val_idx
     yhat_val = (detector_out.p_val >= ATTACK_THRESHOLD).astype(int)
-    counts = per_class_counts([prep.classes[i] for i in va], prep.y[va], yhat_val)
+    counts = per_class_counts(prep.classes.take(va), prep.y[va], yhat_val)
     return build_height_table(counts, config.heights)
 
 
@@ -169,7 +173,7 @@ def build_alerts(
     te = prep.split.test_idx
     if te.size == 0:
         raise ValidationError("test split is empty; there are no alerts to rank")
-    classes = tuple(map(prep.classes.__getitem__, te.tolist()))
+    classes = tuple(prep.classes.take(te))
     catalog = load_catalog(config.dataset.catalog)
     heights = {cls: row.h_class for cls, row in table.items()}
     records = assemble(

@@ -16,7 +16,7 @@ import numpy as np
 from .alerts import AlertBatch
 from .errors import ValidationError
 from .sgfn import check_kappa
-from .tables import csv_row, g_cells, quoted_cells, text_cells, write_rows
+from .tables import Coded, csv_row, g_cells, quoted_cells, text_cells, write_rows
 
 
 class Method(str, Enum):
@@ -152,7 +152,7 @@ def write_queue_csvs(
         ids = [csv_row((alert_id, ""))[:-3] for alert_id in ids]  # drop ",\r\n"
     ids = text_cells(ids)
     floats = g_cells(np.stack([batch.core, batch.spread, batch.height, batch.p], axis=1), 10)
-    tails, which = quoted_cells(zip(batch.classes, batch.labels))
+    tails, which = quoted_cells([Coded.of(batch.classes), Coded.of(batch.labels)])
     positions = text_cells(list(map(str, range(1, len(batch) + 1))))
     for path, queue in files.items():
         order, method = queue.order, (text_cells([queue.method.value]), np.zeros(len(queue), np.intp))

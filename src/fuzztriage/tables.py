@@ -6,19 +6,26 @@ skipped; the first remaining row is the header and every later row must have
 as many fields as the header. Rows are numbered with the header as row 1 and
 skipped rows not counted, and every reader names rows by that number.
 
+A text column read from a table, or built for one, is held as a :class:`Coded`
+column: its distinct texts once, and one integer code per row. Per-row work
+(mapping, grouping, counting, quoting) then runs on the codes, and each
+distinct text is handled once.
+
 Writers that hold their rows as arrays write them with :func:`write_rows`:
 each column brings its cells and its own row index, and row i of the artifact
 holds ``cells[index[i]]`` of each column. A cell is the UTF-8 bytes of one or
 more fields padded with :data:`PAD`; a row's cells are laid out with ``,``
-between them and ``\r\n`` after the last, and one mask drops the padding.
+between them and ``\r\n`` after the last, one mask drops the padding, and
+the bytes that are left go to the file as they are.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import operator
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Hashable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -82,16 +89,76 @@ def read_keyed(
     return values
 
 
+class Coded(Sequence):
+    """A column of texts (or other hashable values) held as its distinct
+    ``names`` and one ``intp`` code per row: row i is ``names[codes[i]]``.
+
+    It reads as the sequence of its rows and equals any sequence of the same
+    values. The names are distinct and may include some that no row holds.
+    """
+
+    __slots__ = ("names", "codes")
+    __hash__ = None
+
+    def __init__(self, names: Sequence, codes: Sequence[int] | np.ndarray) -> None:
+        self.names = tuple(names)
+        self.codes = np.asarray(codes, dtype=np.intp)
+
+    @classmethod
+    def of(cls, values: Sequence | Coded) -> Coded:
+        """The values coded by first appearance; a Coded column as it is."""
+        if isinstance(values, Coded):
+            return values
+        values = values if isinstance(values, Sequence) else list(values)
+        index = {value: n for n, value in enumerate(dict.fromkeys(values))}
+        return cls(index, np.fromiter(map(index.__getitem__, values), np.intp, len(values)))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return self.take(i)
+        return self.names[self.codes[i]]
+
+    def __iter__(self) -> Iterator:
+        return map(self.names.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> Coded:
+        """The rows ``rows``, in that order."""
+        return Coded(self.names, self.codes[rows])
+
+    def map(self, fn: Callable) -> Coded:
+        """``fn`` of each row, called once per name; names it makes equal merge."""
+        mapped = Coded.of([fn(name) for name in self.names])
+        return Coded(mapped.names, mapped.codes[self.codes])
+
+    def present(self) -> np.ndarray:
+        """The codes that some row holds, ascending."""
+        return np.flatnonzero(np.bincount(self.codes, minlength=len(self.names)))
+
+
+def _open_artifact(path: str | Path, stamp: str | None) -> BinaryIO:
+    """Open an artifact for writing bytes, creating its directory, and write
+    the ``# stamp`` line."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = path.open("wb")
+    if stamp is not None:
+        fh.write(f"# {stamp}\n".encode())
+    return fh
+
+
 def write_artifact(path: str | Path, stamp: str | None) -> TextIO:
     """Open an artifact for writing as UTF-8, creating its directory, and
     write the ``# stamp`` line. Lines are written as given (``newline=""``):
     ``csv.writer`` rows end in ``\\r\\n``, text written by hand in ``\\n``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fh = path.open("w", newline="", encoding="utf-8")
-    if stamp is not None:
-        fh.write(f"# {stamp}\n")
-    return fh
+    return io.TextIOWrapper(_open_artifact(path, stamp), encoding="utf-8", newline="")
 
 
 def csv_row(fields: Sequence[object]) -> str:
@@ -111,12 +178,13 @@ PAD = 0xFF  # pads every cell; never a byte of UTF-8 text
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 10**22 is the last exact double
 _SPLITTER = 2.0**27 + 1  # splits a double into two halves whose products are exact
 _LEAD = 6  # character rows before the first digit, room for "-0.000"
-# The text before the digits, right-aligned after PADs: column
-# 5 * negative + z holds the sign and, for z > 0, "0." and z - 1 zeros.
+# The text before the digits, right-aligned after PADs in the first _LEAD
+# bytes of one 8-byte word: word 5 * negative + z holds the sign and, for
+# z > 0, "0." and z - 1 zeros.
 _PREFIXES = np.array(
-    [(sign + (b"0." + b"0" * (z - 1) if z else b"")).rjust(_LEAD, bytes([PAD]))
-     for sign in (b"", b"-") for z in range(5)]
-).view(np.uint8).reshape(10, _LEAD).T.copy()
+    [(sign + (b"0." + b"0" * (z - 1) if z else b"")).rjust(_LEAD, pad).ljust(8, pad)
+     for pad in [bytes([PAD])] for sign in (b"", b"-") for z in range(5)]
+).view(np.uint64)
 
 
 def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndarray:
@@ -203,7 +271,8 @@ def _format_block(x: np.ndarray, precision: int, out: np.ndarray) -> None:
     # Rows: the prefix right-aligned before _LEAD, then the digits with the
     # point after the first `point` of them, then "e+dd". A text from `%`
     # starts at _LEAD and is at most precision + 7 long ("-2.22507e-308").
-    out[:_LEAD] = _PREFIXES.take(5 * negative + np.maximum(1 - point, 0), axis=1)
+    prefixes = _PREFIXES.take(5 * negative + np.maximum(1 - point, 0))
+    out[:_LEAD] = prefixes.view(np.uint8).reshape(n, 8)[:, :_LEAD].T
     at_point = np.where(point > 0, point, precision + 1).astype(np.uint8)
     # Row _LEAD + c holds digits[c] before the point, the point, and
     # digits[c - 1] after it: picked by uint8 arithmetic (which wraps), as
@@ -227,10 +296,8 @@ def _format_block(x: np.ndarray, precision: int, out: np.ndarray) -> None:
     slow = np.flatnonzero(~fast)
     if slow.size:
         bits = x[slow].view(np.uint64)  # -0.0 and nan payloads stay apart
-        distinct = np.sort(bits)
-        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+        distinct, which = _distinct(bits)
         texts = text_cells(["%.*g" % (precision, v) for v in distinct.view(np.float64).tolist()])
-        which = np.searchsorted(distinct, bits)
         out[:, slow] = PAD  # the fast path's bytes for these columns are not their text
         out[_LEAD:_LEAD + texts.shape[1], slow] = texts[which].T
 
@@ -245,13 +312,28 @@ def text_cells(texts: Sequence[str]) -> np.ndarray:
     return cells
 
 
-def quoted_cells(keys: Iterable[tuple[object, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`text_cells` of each distinct tuple of ``keys`` (its fields as
-    ``csv.writer`` writes them after a row's first field) and each key's index."""
-    keys = list(keys)
-    index = {key: n for n, key in enumerate(dict.fromkeys(keys))}
-    which = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
-    return text_cells([csv_row(("", *key))[1:-2] for key in index]), which  # drop "," and "\r\n"
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct integers of ``values``, ascending, and each value's index
+    among them; by sort and search, which page in less of numpy than
+    ``np.unique`` with its index outputs."""
+    ascending = np.sort(values)
+    first = np.ones(ascending.size, bool)
+    first[1:] = ascending[1:] != ascending[:-1]
+    distinct = ascending[first]
+    return distinct, np.searchsorted(distinct, values)
+
+
+def quoted_cells(columns: Sequence[Coded]) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`text_cells` of each distinct row of the equally long coded
+    ``columns`` (its fields as ``csv.writer`` writes them after a row's first
+    field) and each row's index among them. Rows are told apart by code."""
+    sizes = [len(column.names) for column in columns]
+    key = np.ravel_multi_index([column.codes for column in columns], sizes)
+    distinct, which = _distinct(key)
+    parts = np.unravel_index(distinct, sizes)
+    rows = zip(*(map(c.names.__getitem__, part.tolist()) for c, part in zip(columns, parts)))
+    cells = text_cells([csv_row(("", *row))[1:-2] for row in rows])  # drop "," and "\r\n"
+    return cells, which
 
 
 def g_cells(values: np.ndarray, precision: int) -> np.ndarray:
@@ -270,13 +352,13 @@ def write_rows(
     """Write the data rows as ``csv.writer`` would, :data:`ROWS_PER_WRITE` at a time. A
     column ``(cells, index)`` puts ``cells[index[i]]`` in row i; its cells are a matrix of
     cells or a 2-D float array and its precision, formatted per chunk by :func:`g_cells`."""
-    with write_artifact(path, stamp) as fh:
-        fh.write(csv_row(header))
+    with _open_artifact(path, stamp) as fh:
+        fh.write(csv_row(header).encode())
         for start in range(0, len(columns[0][1]), ROWS_PER_WRITE):
             chunks = [(c, index[start:start + ROWS_PER_WRITE]) for c, index in columns]
             comma = np.full((len(chunks[0][1]), 1), ord(","), np.uint8)
             cells = (g_cells(c[0][i], c[1]) if isinstance(c, tuple) else c[i] for c, i in chunks)
             line = np.concatenate([*(x for cell in cells for x in (cell, comma)), comma], axis=1)
             line[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # in place of the last ","
-            fh.write(str(np.compress((line != PAD).ravel(), line), "utf-8"))
+            fh.write(np.compress((line != PAD).ravel(), line))
             del line  # freed before the next chunk's floats are formatted

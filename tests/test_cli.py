@@ -801,6 +801,12 @@ DEGENERATE_INPUTS = {
     "empty_train_split": {"flows.csv": flows_text("DoS Hulk", ("Wednesday", "Thursday", "Friday"))},
     "empty_test_split": {"flows.csv": flows_text("DoS Hulk", ("Monday", "Tuesday", "Wednesday"))},
     "external_scores_dropped_rows": dropped_rows_inputs(),
+    # one row's Day cell is empty
+    "empty_day_cell": {
+        "flows.csv": flows_text(
+            "DoS Hulk", ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday"), n_rows=300
+        ).replace(",Thursday\n", ",\n", 1),
+    },
     "catalog_malformed": {"catalog.csv": "class,cvss,uf\nDoS,high,0.2\n"},
 }
 DAY_BASED_CSV_INI = "[dataset]\nsource = csv\npath = {dir}/flows.csv\n[split]\nmode = day_based\n"
@@ -888,6 +894,10 @@ DEGENERATE_RUNS = {
     ),
     "empty_test_split": (
         DAY_BASED_CSV_INI, 2, ["error: test split is empty; there are no alerts to rank"],
+        nothing_written,
+    ),
+    "empty_day_cell": (
+        "[dataset]\nsource = csv\npath = {dir}/flows.csv\n", 2, ["error: unknown day tags: ''"],
         nothing_written,
     ),
     "dataset_path_is_directory": (

@@ -44,6 +44,14 @@ RUNS = {
     "prepare_quoted_flows": (
         "prepare", f"[dataset]\nsource = csv\npath = {TESTS / 'quoted-flows.csv'}\n", [],
     ),
+    # Labels that differ by case, dash or whitespace, one no class maps to,
+    # and rows dropped for n/a, Infinity, NaN and -inf cells.
+    "calibrate_dropped_rows": (
+        "calibrate",
+        f"[dataset]\nsource = csv\npath = {TESTS / 'dropped-rows-flows.csv'}\n"
+        "[detector]\nmode = external_scores\nscores_path = {dir}/scores.csv\n",
+        [],
+    ),
 }
 
 
