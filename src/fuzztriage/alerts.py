@@ -100,7 +100,7 @@ def fnv1a64_batch(keys: Sequence[bytes]) -> np.ndarray:
 
 
 def contextual_factors(
-    ids: Sequence[str], classes: Sequence[str],
+    ids: Sequence[str], classes: Coded,
     criticalities: Sequence[Criticality | None] | None, mode: CfMode,
 ) -> np.ndarray:
     """The contextual factor of each alert, a number in [0.2, 1.0].
@@ -111,7 +111,8 @@ def contextual_factors(
     kept continuous or snapped to the nearest categorical level (the lower
     one on a tie). ``criticalities`` is ``None`` when no alert has one.
     """
-    keys = [f"{i}|{c}".encode() for i, c in zip(ids, classes)]
+    tails = [f"|{c}".encode() for c in classes.names]
+    keys = [i.encode() + tails[c] for i, c in zip(ids, classes.codes.tolist())]
     cf = 0.2 + 0.8 * (fnv1a64_batch(keys).astype(np.float64) / 2.0**64)
     if mode is CfMode.CATEGORICAL:
         levels = np.array(CATEGORICAL_LEVELS)
@@ -205,13 +206,16 @@ class PreparedAlert(NamedTuple):
 _FLOAT_COLUMNS = ("p", "cf", "uf", "h_class", "core", "spread", "height")
 
 
-def _check_ids_and_labels(ids: Sequence[str], labels: Sequence[int | None]) -> None:
-    """Reject an empty alert id, and a label other than 0, 1 or ``None``."""
+def _check_ids_and_labels(ids: Sequence[str], labels: Sequence[int | None] | Coded) -> Coded:
+    """Reject an empty alert id, and a held label other than 0, 1 or ``None``;
+    return the labels coded, each name as the int it equals or ``None``."""
     if "" in ids:
         raise ValidationError("alert_id must be non-empty")
-    if not set(labels) <= {None, 0, 1}:
-        label = next(y for y in labels if y not in (None, 0, 1))
-        raise ValidationError(f"label must be 0, 1, or None, got {label!r}")
+    labels = Coded.of(labels)
+    for y in map(labels.names.__getitem__, labels.present().tolist()):
+        if not (y is None or y in (0, 1)):
+            raise ValidationError(f"label must be 0, 1, or None, got {y!r}")
+    return labels.map(lambda y: int(y) if y in (0, 1) else None)
 
 
 def _check_columns(n: int, *shapes: tuple[int, ...]) -> None:
@@ -228,17 +232,18 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class AlertBatch:
     """Prepared alerts as aligned columns, one entry per alert; ids are
-    unique and non-empty, and each label is 0, 1 or ``None``.
-
-    ``p`` to ``height`` are read-only float64 arrays, and ``catalog`` is a
-    read-only copy of the catalog the batch was assembled from. Indexing and
-    iteration build :class:`PreparedAlert` rows on demand. ``log10_height``
-    and ``id_rank`` are derived once per batch, when ranking first needs them.
+    unique and non-empty. ``classes`` and ``labels`` (the int 0 or 1, or
+    ``None``) are :class:`~fuzztriage.tables.Coded` over read-only copies of
+    their codes, ``p`` to ``height`` read-only float64 arrays, and ``catalog``
+    a read-only copy of the catalog the batch was assembled from. Indexing
+    and iteration build :class:`PreparedAlert` rows on demand; per-class
+    values are looked up once per name. ``log10_height`` and ``id_rank`` are
+    derived once per batch, when ranking first needs them.
     """
 
     ids: tuple[str, ...]
-    classes: tuple[str, ...]
-    labels: tuple[int | None, ...]
+    classes: Coded
+    labels: Coded
     p: np.ndarray
     cf: np.ndarray
     uf: np.ndarray
@@ -253,9 +258,11 @@ class AlertBatch:
         for name in _FLOAT_COLUMNS:
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         object.__setattr__(self, "catalog", MappingProxyType(dict(self.catalog)))
+        labels = _check_ids_and_labels(self.ids, self.labels)
+        for name, column in (("classes", Coded.of(self.classes)), ("labels", labels)):
+            object.__setattr__(self, name, Coded(column.names, _read_only(column.codes.copy())))
         floats = (getattr(self, name).shape for name in _FLOAT_COLUMNS)
-        _check_columns(n, (len(self.classes),), (len(self.labels),), *floats)
-        _check_ids_and_labels(self.ids, self.labels)
+        _check_columns(n, self.classes.codes.shape, self.labels.codes.shape, *floats)
         if len(set(self.ids)) != n:
             raise ValidationError("alert ids must be unique within a batch")
 
@@ -286,13 +293,6 @@ class AlertBatch:
         rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
         return _read_only(rank)
 
-    @cached_property
-    def _class_index(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The distinct classes in order of first appearance, and the
-        position of each alert's class among them."""
-        coded = Coded.of(self.classes)
-        return coded.names, coded.codes
-
     def _derive(self, **columns: np.ndarray) -> AlertBatch:
         """The same alerts with ``columns`` replaced. The ids are not checked
         again and what is derived from them is kept, as is ``log10_height``
@@ -317,28 +317,27 @@ class AlertBatch:
         """The same alerts under the class heights ``heights``, where a class
         absent from it gets :data:`~fuzztriage.calibration.NOVEL_CLASS_HEIGHT`:
         ``h_class`` and the capped ``height`` are recomputed."""
-        classes, of_class = self._class_index
-        class_heights = [heights.get(c, NOVEL_CLASS_HEIGHT) for c in classes]
-        h_class = np.array(class_heights, dtype=float)[of_class]
+        class_heights = [heights.get(c, NOVEL_CLASS_HEIGHT) for c in self.classes.names]
+        h_class = np.array(class_heights, dtype=float)[self.classes.codes]
         return self._derive(h_class=h_class, height=instance_height(h_class, self.p))
 
     def with_uf_scale(self, uf_scale: float) -> AlertBatch:
         """The same alerts under the uf scale ``uf_scale``: ``uf`` is the
         class's uf in the batch's catalog times the scale, which must lie in
-        (0, 0.5], and ``spread`` follows."""
+        (0, 0.5] for each class that some alert holds, and ``spread`` follows."""
         check_uf_scale(uf_scale)
-        classes, of_class = self._class_index
-        class_uf = [resolve_profile(c, self.catalog).uf for c in classes]
-        check_scaled_uf(dict(zip(classes, class_uf)), uf_scale)
-        uf = (np.array(class_uf) * uf_scale)[of_class]
+        names = self.classes.names
+        class_uf = [resolve_profile(c, self.catalog).uf for c in names]
+        check_scaled_uf({names[c]: class_uf[c] for c in self.classes.present().tolist()}, uf_scale)
+        uf = (np.array(class_uf) * uf_scale)[self.classes.codes]
         spread = np.where(self.core * uf > 0.0, self.core * uf, SPREAD_FLOOR)
         return self._derive(uf=uf, spread=spread)
 
 
 def assemble(
-    ids: Sequence[str], classes: Sequence[str], p: Sequence[float] | np.ndarray,
+    ids: Sequence[str], classes: Sequence[str] | Coded, p: Sequence[float] | np.ndarray,
     catalog: Mapping[str, AttackClassProfile], heights: Mapping[str, float], *,
-    labels: Sequence[int | None] | None = None,
+    labels: Sequence[int | None] | Coded | None = None,
     criticalities: Sequence[Criticality | None] | None = None,
     cf_mode: CfMode = CfMode.CONTINUOUS, uf_scale: float = 1.0,
 ) -> AlertBatch:
@@ -357,11 +356,11 @@ def assemble(
     by the contextual factor and the spread is the core scaled by the
     uncertainty factor; a zero core gets the spread :data:`SPREAD_FLOOR`.
     """
-    ids, classes = tuple(ids), tuple(classes)
-    labels = (None,) * len(ids) if labels is None else tuple(labels)
+    ids, classes = tuple(ids), Coded.of(classes)
+    labels = Coded((None,), np.zeros(len(ids), np.intp)) if labels is None else labels
     cf = contextual_factors(ids, classes, criticalities, cf_mode)
-    cvss = {c: resolve_profile(c, catalog).cvss for c in dict.fromkeys(classes)}
-    core = np.array(list(map(cvss.__getitem__, classes)), dtype=float) * cf
+    cvss = np.array([resolve_profile(c, catalog).cvss for c in classes.names], dtype=float)
+    core = cvss[classes.codes] * cf
     unset = np.zeros(len(ids))  # columns the two transforms fill in
     batch = AlertBatch(ids, classes, labels, p, cf, unset, unset, core, unset, unset, catalog)
     return batch.with_uf_scale(uf_scale).with_class_heights(heights)

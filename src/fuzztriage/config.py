@@ -25,7 +25,7 @@ from .alerts import CfMode, check_scaled_uf, check_uf_scale, load_catalog
 from .calibration import HeightParams
 from .detector import DetectorConfig, DetectorMode
 from .errors import ConfigError, ValidationError
-from .evaluation import Band, ScenarioKind, check_noise_sd
+from .evaluation import DEFAULT_SWEEP_GRID, Band, ScenarioKind, check_noise_sd
 from .ingestion import DatasetConfig, SplitSpec, SynthConfig
 from .ranking import risk_averse_queue_name
 from .sgfn import check_kappa
@@ -254,7 +254,8 @@ def load_config(
 
     Referenced files must be files, no file may stand where the output
     directory goes, and ``ranking.uf_scale`` must keep the uf of every class
-    of the run's catalog in (0, 0.5]; a bad key, value or path raises
+    of the run's catalog in (0, 0.5], as must each ``uf_scale`` point of the
+    sweep when ``evaluation.sweep`` is on; a bad key, value or path raises
     ConfigError at load time. Every fault reads ``{source}: {section}.{key}
     ...``, its source the flag that set the key, else the INI path, else
     ``<defaults>``.
@@ -292,9 +293,10 @@ def load_config(
     config = build("run", RunConfig, **sections)
     try:
         _require_paths(config)
-        catalog = load_catalog(config.dataset.catalog)
-        check_scaled_uf({c: profile.uf for c, profile in catalog.items()},
-                        config.ranking.uf_scale, "ranking.uf_scale")
+        ufs = {c: profile.uf for c, profile in load_catalog(config.dataset.catalog).items()}
+        check_scaled_uf(ufs, config.ranking.uf_scale, "ranking.uf_scale")
+        for scale in DEFAULT_SWEEP_GRID["uf_scale"] if config.evaluation.sweep else ():
+            check_scaled_uf(ufs, scale, "evaluation.sweep point uf_scale")
     except ValidationError as exc:
         raise fault(str(exc)) from exc
     return config

@@ -26,11 +26,11 @@ from .ranking import Method, RankedQueue, RiskProfile, rank
 
 def relevance(batch: AlertBatch) -> np.ndarray:
     """Graded relevance, aligned with the batch: ``core * (1 - uf)`` for
-    true attacks, else 0."""
-    if None in batch.labels:
-        alert_id = batch.ids[batch.labels.index(None)]
-        raise EvaluationError(f"alert {alert_id!r} has no ground-truth label")
-    return np.where(np.array(batch.labels) == 1, batch.core * (1.0 - batch.uf), 0.0)
+    true attacks, else 0. Labels are read by code."""
+    y = np.array([-1 if y is None else y for y in batch.labels.names], np.intp)[batch.labels.codes]
+    if (y < 0).any():
+        raise EvaluationError(f"alert {batch.ids[np.argmax(y < 0)]!r} has no ground-truth label")
+    return np.where(y == 1, batch.core * (1.0 - batch.uf), 0.0)
 
 
 def dcg_at_k(rels: Sequence[float], k: int) -> float:

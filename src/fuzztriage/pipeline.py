@@ -173,12 +173,11 @@ def build_alerts(
     te = prep.split.test_idx
     if te.size == 0:
         raise ValidationError("test split is empty; there are no alerts to rank")
-    classes = tuple(prep.classes.take(te))
     catalog = load_catalog(config.dataset.catalog)
     heights = {cls: row.h_class for cls, row in table.items()}
     records = assemble(
-        flow_ids(prep.rows[te]), classes, detector_out.p_test, catalog, heights,
-        labels=prep.y[te].tolist(),
+        flow_ids(prep.rows[te]), prep.classes.take(te), detector_out.p_test, catalog, heights,
+        labels=Coded((0, 1), prep.y[te]),
         cf_mode=config.ranking.cf_mode, uf_scale=config.ranking.uf_scale,
     )
     return records, catalog
@@ -267,7 +266,8 @@ def evaluate_all(
             defaults=config.heights,
             kappa=first_kappa,
         )
-    detector = DetectorReport.from_predictions(np.array(records.labels), attack)
+    labels = records.labels  # each held label is 0 or 1: relevance checked them
+    detector = DetectorReport.from_predictions(np.array(labels.names)[labels.codes], attack)
     return EvalTables(detector, predicted, metrics, bands, bootstrap, scenarios, sweep)
 
 

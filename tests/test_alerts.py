@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -29,8 +30,9 @@ from fuzztriage.alerts import (
 from fuzztriage.calibration import HEIGHT_FLOOR
 from fuzztriage.errors import ParseError, ValidationError
 from fuzztriage.evaluation import ScenarioKind, ScenarioSpec, apply_scenario, perturb
-from fuzztriage.ranking import Method, RiskProfile, method_scores, rank
+from fuzztriage.ranking import Method, RiskProfile, method_scores, rank, write_queue_csvs
 from fuzztriage.sgfn import GaussianFuzzyNumber, ranking_index
+from fuzztriage.tables import Coded
 
 id_strings = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=24
@@ -102,7 +104,7 @@ class TestFnv1a64:
 
 def cf_of(alert_id, cls, mode=CfMode.CONTINUOUS, criticality=None):
     """The contextual factor the batch kernel gives one alert."""
-    return contextual_factors([alert_id], [cls], [criticality], mode)[0]
+    return contextual_factors([alert_id], Coded.of([cls]), [criticality], mode)[0]
 
 
 class TestContextualFactor:
@@ -194,6 +196,20 @@ class TestAlertValidation:
         with pytest.raises(ValidationError) as err:
             assemble(["a", "b"], ["DoS", "DoS"], [0.5, 0.5], load_catalog(), {}, labels=[0, 2])
         assert str(err.value) == "label must be 0, 1, or None, got 2"
+
+    @pytest.mark.parametrize("labels", [
+        np.array([True, False, True]), [1.0, 0, None], [True, 0.0, 1], Coded((True, 0.0), [0, 1, 0])
+    ])
+    def test_labels_read_and_write_as_ints(self, tmp_path, labels):
+        batch = assemble(["a", "b", "c"], ["DoS"] * 3, [0.9, 0.5, 0.1], load_catalog(), {},
+                         labels=labels)
+        expected = [1, 0, 1] if labels[2] is not None else [1, 0, None]
+        assert list(batch.labels) == expected
+        assert [type(y) for y in batch.labels] == [type(y) for y in expected]
+        write_queue_csvs({tmp_path / "q.csv": rank(batch, Method.CONFIDENCE_ONLY)})
+        with open(tmp_path / "q.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[-1] for row in rows] == ["" if y is None else str(y) for y in expected]
 
 
 class TestCatalog:
@@ -355,6 +371,15 @@ class TestAlertBatch:
         assert batch.p.dtype == np.float64
         with pytest.raises(ValueError):
             batch.p[0] = 0.1
+
+    def test_codes_are_read_only_copies(self):
+        classes, labels = Coded(("DoS", "Bot"), [1, 0]), Coded((0, 1), [1, 1])
+        batch = assemble(["a", "b"], classes, [0.5, 0.5], load_catalog(), {}, labels=labels)
+        classes.codes[:], labels.codes[:] = 0, 0
+        assert (batch.classes, batch.labels) == (("Bot", "DoS"), (1, 1))
+        for column in (batch.classes, batch.labels):
+            with pytest.raises(ValueError):
+                column.codes[0] = 0
 
     def test_catalog_is_a_read_only_copy(self):
         catalog = load_catalog()
@@ -628,3 +653,53 @@ class TestBatchTransforms:
         alerts, heights = FALLBACK_ALERTS
         with pytest.raises(ValidationError, match="one entry per id"):
             assemble(**alerts, catalog=load_catalog(), heights=heights).with_p(0.5)
+
+
+# Class names that CSV must quote or that hold the "|" separator, non-ASCII
+# text, and the sample classes.
+quoted_classes = st.one_of(
+    st.sampled_from(SAMPLE_CLASSES),
+    st.text(st.sampled_from(',"|é€😀 a'), min_size=1, max_size=6),
+    free_text,
+)
+# Names that no row holds: the first is in the catalog below at a uf that
+# the scale 1.2 puts past 0.5.
+UNHELD_CLASSES = ("Overreach", "never,held")
+
+
+def coded(draw, values, unheld):
+    """``values`` as a Coded column whose shuffled names include ``unheld``."""
+    names = draw(st.permutations([*dict.fromkeys(values), *unheld]))
+    index = {name: n for n, name in enumerate(names)}
+    return Coded(names, [index[value] for value in values])
+
+
+class TestCodedInput:
+    """Coded class and label columns assemble as their decoded tuples do."""
+
+    @given(
+        assembly_inputs(), st.data(), st.sampled_from(list(CfMode)),
+        st.sampled_from([0.8, 1.0, 1.2]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_coded_columns_match_tuples(self, tmp_path_factory, inputs, data, cf_mode, uf_scale):
+        alerts, heights = inputs
+        n = len(alerts["ids"])
+        classes = data.draw(st.lists(quoted_classes.filter(lambda c: c not in UNHELD_CLASSES),
+                                     min_size=n, max_size=n))
+        catalog = {**load_catalog(), "Overreach": AttackClassProfile("Overreach", 6.0, 0.5)}
+        common = dict(ids=alerts["ids"], p=alerts["p"], criticalities=alerts["criticalities"],
+                      catalog=catalog, heights=heights, cf_mode=cf_mode, uf_scale=uf_scale)
+        plain = assemble(classes=tuple(classes), labels=tuple(alerts["labels"]), **common)
+        batch = assemble(classes=coded(data.draw, classes, UNHELD_CLASSES),
+                         labels=coded(data.draw, alerts["labels"], (2,)), **common)
+        assert_same_batch(batch, plain)
+        assert_bits(batch.with_uf_scale(1.2).uf, plain.with_uf_scale(1.2).uf)
+
+        folder = tmp_path_factory.mktemp("coded")
+        for name, records in (("coded", batch), ("plain", plain)):
+            queues = {folder / name / f"{m.value}.csv": rank(records, m) for m in Method}
+            write_queue_csvs(queues, "seed=7")
+        for m in Method:
+            coded_bytes = (folder / "coded" / f"{m.value}.csv").read_bytes()
+            assert coded_bytes == (folder / "plain" / f"{m.value}.csv").read_bytes()

@@ -808,6 +808,8 @@ DEGENERATE_INPUTS = {
         ).replace(",Thursday\n", ",\n", 1),
     },
     "catalog_malformed": {"catalog.csv": "class,cvss,uf\nDoS,high,0.2\n"},
+    # a valid uf of 0.45 that the sweep's uf_scale point 1.2 lifts past 0.5
+    "sweep_uf_scale_past_catalog": {"catalog.csv": "class,cvss,uf\nInfiltration,9.0,0.45\n"},
 }
 DAY_BASED_CSV_INI = "[dataset]\nsource = csv\npath = {dir}/flows.csv\n[split]\nmode = day_based\n"
 
@@ -917,6 +919,14 @@ DEGENERATE_RUNS = {
         "[synth]\nn_flows = 300\n[ranking]\nuf_scale = 2\n", 2,
         ["error: {ini}: ranking.uf_scale 2.0 puts the uf of class 'Infiltration' at 0.7, "
          "outside (0, 0.5]"],
+        nothing_written,
+    ),
+    # checked at load too, before the detector is trained, and blamed on the sweep
+    "sweep_uf_scale_past_catalog": (
+        "[synth]\nn_flows = 3000\n[dataset]\ncatalog = {dir}/catalog.csv\n"
+        "[evaluation]\nsweep = true\n", 2,
+        ["error: {ini}: evaluation.sweep point uf_scale 1.2 puts the uf of class 'Infiltration' "
+         "at 0.54, outside (0, 0.5]"],
         nothing_written,
     ),
     "catalog_malformed": (
