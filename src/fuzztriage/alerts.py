@@ -258,8 +258,15 @@ class AlertBatch:
         for name in _FLOAT_COLUMNS:
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         object.__setattr__(self, "catalog", MappingProxyType(dict(self.catalog)))
-        labels = _check_ids_and_labels(self.ids, self.labels)
-        for name, column in (("classes", Coded.of(self.classes)), ("labels", labels)):
+        classes, labels = Coded.of(self.classes), Coded.of(self.labels)
+        for name, column in (("classes", classes), ("labels", labels)):
+            outside = column.codes[(column.codes < 0) | (column.codes >= len(column.names))]
+            if outside.size:
+                raise ValidationError(
+                    f"{name} codes must lie in range({len(column.names)}), got {outside[0]}"
+                )
+        labels = _check_ids_and_labels(self.ids, labels)
+        for name, column in (("classes", classes), ("labels", labels)):
             object.__setattr__(self, name, Coded(column.names, _read_only(column.codes.copy())))
         floats = (getattr(self, name).shape for name in _FLOAT_COLUMNS)
         _check_columns(n, self.classes.codes.shape, self.labels.codes.shape, *floats)
@@ -356,11 +363,11 @@ def assemble(
     by the contextual factor and the spread is the core scaled by the
     uncertainty factor; a zero core gets the spread :data:`SPREAD_FLOOR`.
     """
-    ids, classes = tuple(ids), Coded.of(classes)
+    ids = tuple(ids)
     labels = Coded((None,), np.zeros(len(ids), np.intp)) if labels is None else labels
-    cf = contextual_factors(ids, classes, criticalities, cf_mode)
-    cvss = np.array([resolve_profile(c, catalog).cvss for c in classes.names], dtype=float)
-    core = cvss[classes.codes] * cf
-    unset = np.zeros(len(ids))  # columns the two transforms fill in
-    batch = AlertBatch(ids, classes, labels, p, cf, unset, unset, core, unset, unset, catalog)
+    unset = np.zeros(len(ids))  # columns filled in below, once the batch has checked its columns
+    batch = AlertBatch(ids, classes, labels, p, unset, unset, unset, unset, unset, unset, catalog)
+    cf = contextual_factors(ids, batch.classes, criticalities, cf_mode)
+    cvss = np.array([resolve_profile(c, catalog).cvss for c in batch.classes.names], dtype=float)
+    batch = batch._derive(cf=cf, core=cvss[batch.classes.codes] * cf)
     return batch.with_uf_scale(uf_scale).with_class_heights(heights)

@@ -60,7 +60,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed = None if args.seed is None else parse_key("run", "seed", args.seed, "--seed")
         kappas = None if args.kappa is None else parse_key("ranking", "kappa", args.kappa, "--kappa")
         config = load_config(args.config, seed=seed, out_dir=args.out, kappas=kappas)
-        result = pipeline.run(config, args.command)
+        try:
+            result = pipeline.run(config, args.command)
+        except ConfigError as exc:  # a key only the data shows to be bad; no flag sets it
+            raise ConfigError(f"{args.config or '<defaults>'}: {exc}") from exc
     except (ConfigError, ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,9 +19,11 @@ from collections import abc
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import (
+    Any, Callable, Iterable, NamedTuple, Sequence, get_args, get_origin, get_type_hints,
+)
 
-from .alerts import CfMode, check_scaled_uf, check_uf_scale, load_catalog
+from .alerts import CfMode, check_scaled_uf, check_uf_scale, load_catalog, resolve_profile
 from .calibration import HeightParams
 from .detector import DetectorConfig, DetectorMode
 from .errors import ConfigError, ValidationError
@@ -293,13 +295,23 @@ def load_config(
     config = build("run", RunConfig, **sections)
     try:
         _require_paths(config)
-        ufs = {c: profile.uf for c, profile in load_catalog(config.dataset.catalog).items()}
-        check_scaled_uf(ufs, config.ranking.uf_scale, "ranking.uf_scale")
-        for scale in DEFAULT_SWEEP_GRID["uf_scale"] if config.evaluation.sweep else ():
-            check_scaled_uf(ufs, scale, "evaluation.sweep point uf_scale")
+        check_class_ufs(config)
     except ValidationError as exc:
         raise fault(str(exc)) from exc
     return config
+
+
+def check_class_ufs(config: RunConfig, classes: Iterable[str] | None = None) -> None:
+    """Reject a ``ranking.uf_scale``, or with the sweep on a sweep
+    ``uf_scale`` point, that puts the uf of a class of ``classes`` (by
+    default the catalog's; a class it lacks has the default uf) outside
+    (0, 0.5], as a ValidationError naming the key. ``pipeline.run`` checks
+    the test split's classes once it has read the data."""
+    catalog = load_catalog(config.dataset.catalog)
+    ufs = {c: resolve_profile(c, catalog).uf for c in (catalog if classes is None else classes)}
+    check_scaled_uf(ufs, config.ranking.uf_scale, "ranking.uf_scale")
+    for scale in DEFAULT_SWEEP_GRID["uf_scale"] if config.evaluation.sweep else ():
+        check_scaled_uf(ufs, scale, "evaluation.sweep point uf_scale")
 
 
 # --- canonical form and hashing ------------------------------------------------

@@ -2,9 +2,11 @@
 
 Everything raised on purpose derives from :class:`FuzztriageError`, so callers
 can catch one base type. A config section's ValidationError starts with the INI
-key it breaks; ``config.load_config`` alone rewords it as a ConfigError naming
-its source and ``section.key``. The CLI maps ValidationError, ParseError and
-ConfigError to exit code 2 and EvaluationError to exit code 3.
+key it breaks; ``config.load_config`` rewords it as a ConfigError naming its
+source and ``section.key``. A uf scale that only the data's classes rule out is
+a ConfigError from ``pipeline.run``, to which ``cli.main`` adds the source. The
+CLI maps ValidationError, ParseError and ConfigError to exit code 2 and
+EvaluationError to exit code 3.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class ParseError(FuzztriageError):
 
 class ConfigError(FuzztriageError):
     """A run configuration is missing, inconsistent, or points at absent files;
-    only ``fuzztriage.config`` raises it."""
+    ``fuzztriage.config`` raises it, and ``pipeline.run`` for a uf scale the
+    data's classes rule out."""
 
 
 class EvaluationError(FuzztriageError):

@@ -9,21 +9,24 @@ onto eight attack classes plus benign; unmapped labels become a flagged
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 import operator
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .alerts import UNKNOWN_CLASS
 from .errors import ParseError, ValidationError
-from .tables import Coded, quoted_cells, read_keyed, read_table, write_rows
+from .tables import (
+    Coded, quoted_cells, read_keyed, read_table, table_lines, table_rows, write_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -97,57 +100,46 @@ def load_csv(
     The day column is optional even when named: if the header lacks it the
     dataset simply carries no day tags. A missing label column, a repeated
     column name or a file with no data rows is an error. The file follows
-    the table rules of :mod:`fuzztriage.tables`.
+    the table rules of :mod:`fuzztriage.tables`, and a file that breaks them
+    is reread by :func:`~fuzztriage.tables.read_table`, which words the error.
     """
-    header, rows = read_table(path)
-    if not header:
-        raise ParseError(f"{path}: empty file")
-    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
-    if repeated is not None:
-        raise ParseError(f"{path}: duplicate column {repeated!r}")
-    if label_column not in header:
-        raise ParseError(f"{path}: missing label column {label_column!r}")
-    label_idx = header.index(label_column)
-    day_idx = header.index(day_column) if day_column and day_column in header else None
-    feature_idx = [i for i in range(len(header)) if i != label_idx and i != day_idx]
-    if not feature_idx:
-        raise ParseError(f"{path}: no feature columns")
-    getter = operator.itemgetter(*feature_idx)
-    # itemgetter returns a bare field, not a 1-tuple, for one column.
-    fields = getter if len(feature_idx) > 1 else lambda row: (getter(row),)
-
-    first = next(rows, None)
-    if first is None:
+    try:
+        header, lines = table_lines(path)
+        if not header:
+            raise ParseError(f"{path}: empty file")
+        repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+        if repeated is not None:
+            raise ParseError(f"{path}: duplicate column {repeated!r}")
+        if label_column not in header:
+            raise ParseError(f"{path}: missing label column {label_column!r}")
+        label = header.index(label_column)
+        day = header.index(day_column) if day_column and day_column in header else None
+        features = [i for i in range(len(header)) if i != label and i != day]
+        if not features:
+            raise ParseError(f"{path}: no feature columns")
+        flows = _FlowRows(features, label, day)
+        for block in iter(lambda: list(islice(lines, LINES_PER_BLOCK)), []):
+            flows.read(block, lines)
+    except (_RaggedRow, UnicodeDecodeError, csv.Error):
+        for _ in read_table(path)[1]:  # raises the file's error, worded as every table's
+            pass
+        raise
+    if not flows.rows:
         raise ParseError(f"{path}: no data rows")
-    values = array("d")  # one row per data row; NaN where a feature does not parse
-    unparsed = [float("nan")] * len(feature_idx)
-    labels: list[str] = []  # as read: each distinct text is stripped once, when coded
-    days: list[str] = []
-    for _, row in chain((first,), rows):
-        try:
-            values.extend(map(float, fields(row)))
-        except ValueError:
-            del values[len(labels) * len(feature_idx):]
-            values.extend(unparsed)
-        labels.append(row[label_idx])
-        if day_idx is not None:
-            days.append(row[day_idx])
-    matrix = np.frombuffer(values, dtype=float).reshape(len(labels), len(feature_idx))
-    finite = np.isfinite(matrix).all(axis=1)
-    kept = np.flatnonzero(finite)
-    dropped = len(labels) - len(kept)
+    kept = np.concatenate(flows.kept)
+    dropped = flows.rows - len(kept)
     if not len(kept):
-        n, row = first
-        name, text = next((header[i], row[i]) for i in feature_idx if not _is_finite(row[i]))
+        n, row = next(read_table(path)[1])
+        name, text = next((header[i], row[i]) for i in features if not _is_finite(row[i]))
         raise ParseError(
             f"{path}: all {dropped} data rows were dropped "
             f"(row {n}: {name!r} is {text!r}, not a finite number)"
         )
     dataset = FlowDataset(
-        matrix[finite],
-        tuple(header[i] for i in feature_idx),
-        Coded.of(labels).map(str.strip).take(kept),
-        Coded.of(days).map(str.strip).take(kept) if day_idx is not None else None,
+        np.frombuffer(flows.values, dtype=float).reshape(len(kept), len(features)),
+        tuple(header[i] for i in features),
+        flows.labels.coded().map(str.strip).take(kept),
+        flows.days.coded().map(str.strip).take(kept) if day is not None else None,
     )
     return dataset, LoadReport(kept, dropped)
 
@@ -157,6 +149,152 @@ def _is_finite(text: str) -> bool:
         return math.isfinite(float(text))
     except ValueError:
         return False
+
+
+LINES_PER_BLOCK = 256  # file lines read, checked and parsed at a time
+# A block holding one of these, or a line that ends in a bare CR (numpy is
+# given LF and CRLF lines only), is read by csv.reader and float() instead of
+# np.loadtxt: a quote (a quoted field may span lines), a NUL (csv before
+# Python 3.11 refuses it), and the ASCII separators 0x1c-0x1f, which numpy's
+# float parser skips around a number and float() does not.
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
+_LAST_CHAR = operator.itemgetter(-1)
+# np.loadtxt stops at the first row it cannot read. That row is read per cell
+# and the rows on either side go back to np.loadtxt, but a refused call costs
+# about what a whole call does. So once two of a block's refusals each come
+# fewer than SPARSE_REFUSALS rows after the block's start or the row refused
+# before, its refusals are dense: the rest of the block, and then the lines
+# of DENSE_BLOCKS blocks in one pass, go through csv.reader and float() before
+# np.loadtxt is tried again. A file with many refused rows then costs about
+# what reading every row per cell does.
+SPARSE_REFUSALS = 32
+DENSE_BLOCKS = 8
+
+
+class _RaggedRow(Exception):
+    """A data row whose width is not the header's; read_table words it."""
+
+
+class _Codes:
+    """A text column coded as its rows are read, each distinct text by its
+    first appearance, as :meth:`Coded.of` codes a whole column; only the
+    distinct texts are kept."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+        self.codes = array("q")
+
+    def extend(self, texts: list[str]) -> None:
+        index = self.index
+        for text in dict.fromkeys(texts):
+            index.setdefault(text, len(index))
+        self.codes.extend(map(index.__getitem__, texts))
+
+    def coded(self) -> Coded:
+        return Coded(self.index, self.codes)
+
+
+class _FlowRows:
+    """The data rows of a flow CSV as they are read, a block of lines at a
+    time: the features of the rows whose features are all finite, each
+    kept row's index among the data rows, and every row's label and day."""
+
+    def __init__(self, features: list[int], label: int, day: int | None) -> None:
+        self.features, self.label, self.day = features, label, day
+        self.width = len(features) + 1 + (day is not None)
+        # np.loadtxt's fields, one per column in header order: features as
+        # float64, the label and day as the str objects of their fields.
+        self.dtype = np.dtype([(f"c{i}", "f8" if i in features else "O") for i in range(self.width)])
+        getter = operator.itemgetter(*self.features)
+        # itemgetter returns a bare field, not a 1-tuple, for one column.
+        self.feature_cells = getter if len(self.features) > 1 else lambda row: (getter(row),)
+        self.unparsed = [float("nan")] * len(self.features)
+        self.values = array("d")
+        self.kept: list[np.ndarray] = []
+        self.labels = _Codes()  # as read: each distinct text is stripped once, at the end
+        self.days = _Codes()
+        self.rows = 0
+        self.near_refusals = 0  # in this block, of fewer than SPARSE_REFUSALS rows
+        self.dense = False  # in the last block, two near refusals
+
+    def read(self, block: list[str], lines: Iterator[str]) -> None:
+        """Read the lines ``block``; a row left open by a quoted field at
+        its end reads on from ``lines``, the file's later lines."""
+        if self.dense:
+            self.dense = False
+            self._read_cells(table_rows(chain(block, lines), DENSE_BLOCKS * LINES_PER_BLOCK))
+            return
+        text = "".join(block)
+        if any(c in text for c in _CSV_ONLY) or "\r" in map(_LAST_CHAR, block):
+            self._read_cells(table_rows(chain(block, lines), len(block)))
+            return
+        # Blank and comment rows, as tables.table_rows skips them: with no
+        # quote in the block, each line is one row and its first field
+        # starts the line.
+        rows = [line for line in block if line[0] not in "#\r\n"]
+        self.near_refusals = 0
+        self._parse(rows)
+
+    def _parse(self, rows: list[str]) -> None:
+        """Read one-line rows with np.loadtxt. A row it refuses (a field
+        float() may still read, or one it may not: "n/a", "1_0", "١٢"; a
+        ragged or whitespace-only row) goes through csv.reader and float(),
+        and the rows on either side through np.loadtxt again, unless the
+        block's refusals are dense (see SPARSE_REFUSALS): then those rows go
+        through csv.reader and float() too."""
+        if not rows:
+            return
+        try:
+            table = np.loadtxt(rows, self.dtype, delimiter=",", comments=None, ndmin=1)
+            refused = None if len(table) == len(rows) else len(rows) // 2
+        except ValueError as exc:
+            # The row a conversion error names ("... at row 12, column 3.",
+            # counted from 0), or the middle one: a wrong guess costs time,
+            # not correctness.
+            row = str(exc).rpartition(" at row ")[2].partition(",")[0]
+            refused = min(int(row), len(rows) - 1) if row.isdigit() else len(rows) // 2
+        if refused is None:
+            fields = self.dtype.names
+            self._add(
+                np.stack([table[fields[i]] for i in self.features], axis=1),
+                table[fields[self.label]].tolist(),
+                [] if self.day is None else table[fields[self.day]].tolist(),
+            )
+            return
+        self.near_refusals += refused < SPARSE_REFUSALS
+        if self.near_refusals >= 2:
+            self.dense = True
+            self._read_cells(table_rows(rows))
+        else:
+            self._parse(rows[:refused])
+            self._read_cells(table_rows(rows[refused:refused + 1]))
+            self._parse(rows[refused + 1:])
+
+    def _read_cells(self, rows: Iterator[list[str]]) -> None:
+        """Read csv rows a cell at a time; NaN where a feature does not parse."""
+        values, labels, days = array("d"), [], []
+        width, label, day = self.width, self.label, self.day
+        cells, unparsed, n = self.feature_cells, self.unparsed, len(self.features)
+        for row in rows:
+            if len(row) != width:
+                raise _RaggedRow
+            try:
+                values.extend(map(float, cells(row)))
+            except ValueError:
+                del values[len(labels) * n:]
+                values.extend(unparsed)
+            labels.append(row[label])
+            if day is not None:
+                days.append(row[day])
+        self._add(np.frombuffer(values).reshape(len(labels), n), labels, days)
+
+    def _add(self, features: np.ndarray, labels: list[str], days: list[str]) -> None:
+        finite = np.isfinite(features).all(axis=1)
+        self.values.frombytes((features if finite.all() else features[finite]).view(np.uint8))
+        self.kept.append(self.rows + np.flatnonzero(finite))
+        self.rows += len(labels)
+        self.labels.extend(labels)
+        self.days.extend(days)
 
 
 def write_flow_csv(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .alerts import AlertBatch, AttackClassProfile, assemble, load_catalog
 from .calibration import CalibrationRow, build_height_table, per_class_counts, write_calibration_csv
-from .config import DetectorMode, RunConfig, artifact_stamp
+from .config import DetectorMode, RunConfig, artifact_stamp, check_class_ufs
 from .detector import (
     ATTACK_THRESHOLD,
     DetectorReport,
@@ -29,7 +29,7 @@ from .detector import (
     platt_calibrate,
     train_lr,
 )
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .evaluation import (
     BandResult,
     BootstrapResult,
@@ -433,6 +433,12 @@ def run(config: RunConfig, command: str) -> RunOutput:
         flags_only = replace(config.detector, mode=DetectorMode.TRAIN_FLAGS_ONLY)
         config = replace(config, detector=flags_only)
     prep = prepare_data(config)
+    if depth >= 2:  # the uf scale against the classes the alerts will hold
+        test_classes = prep.classes.take(prep.split.test_idx)
+        try:
+            check_class_ufs(config, map(test_classes.names.__getitem__, test_classes.present()))
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc  # cli.main names the INI file
     detector_out = run_detector(config, prep) if depth >= 1 else None
     table = calibrate_heights(config, prep, detector_out) if depth >= 1 else None
     records = build_alerts(config, prep, detector_out, table)[0] if depth >= 2 else None

@@ -25,7 +25,7 @@ import csv
 import io
 import operator
 from pathlib import Path
-from typing import BinaryIO, Callable, Hashable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -46,28 +46,54 @@ def read_table(
     return next(rows), rows
 
 
-def _table(path: Path, header: Sequence[str] | None) -> Iterator:
+def table_lines(path: str | Path) -> tuple[list[str], Iterator[str]]:
+    """Open a table and read its header as :func:`read_table` does; return
+    the stripped header names and the file's later lines as they are, line
+    endings kept (a line ends at LF, CRLF or a bare CR, so a quoted field
+    may span lines). Text that is not UTF-8 raises ``UnicodeDecodeError``."""
+    lines = _lines(Path(path))
+    return next(lines), lines
+
+
+def _lines(path: Path) -> Iterator:
     try:
         fh = path.open(newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None
     with fh:
-        try:
-            rows = (row for row in csv.reader(fh) if row and not row[0].startswith("#"))
-            names = [name.strip() for name in next(rows, ())]
-            if header is not None and names and (
-                [n.lower() for n in names] != [h.lower() for h in header]
-            ):
-                expected, got = ",".join(header), ",".join(names)
-                raise ParseError(f"{path}: expected header {expected}, got {got}")
-            yield names
-            width = len(names)
-            for n, row in enumerate(rows, start=2):
-                if len(row) != width:
-                    raise ParseError(f"{path}: row {n} has {len(row)} fields, expected {width}")
-                yield n, row
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text") from exc
+        yield [name.strip() for name in next(table_rows(fh), ())]
+        yield from fh
+
+
+def table_rows(lines: Iterable[str], stop: int | None = None) -> Iterator[list[str]]:
+    """The rows of the table lines ``lines``, blank and comment rows skipped:
+    all of them, or those that start in the first ``stop`` lines. csv.reader
+    takes only the lines a row needs, so an iterator ``lines`` goes on at the
+    line after the last row read."""
+    reader = csv.reader(lines)
+    for row in reader:
+        if row and not row[0].startswith("#"):
+            yield row
+        if stop is not None and reader.line_num >= stop:
+            return
+
+
+def _table(path: Path, header: Sequence[str] | None) -> Iterator:
+    try:
+        names, lines = table_lines(path)
+        if header is not None and names and (
+            [n.lower() for n in names] != [h.lower() for h in header]
+        ):
+            expected, got = ",".join(header), ",".join(names)
+            raise ParseError(f"{path}: expected header {expected}, got {got}")
+        yield names
+        width = len(names)
+        for n, row in enumerate(table_rows(lines), start=2):
+            if len(row) != width:
+                raise ParseError(f"{path}: row {n} has {len(row)} fields, expected {width}")
+            yield n, row
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
 
 
 def read_keyed(

@@ -381,6 +381,15 @@ class TestAlertBatch:
             with pytest.raises(ValueError):
                 column.codes[0] = 0
 
+    @pytest.mark.parametrize("column", ["classes", "labels"])
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_codes_outside_the_names_rejected(self, column, code):
+        # before, numpy's ValueError (a negative code) or an IndexError
+        columns = {"classes": Coded(("DoS", "Bot"), [0]), "labels": Coded((0, 1), [1])}
+        columns[column] = Coded(columns[column].names, [code])
+        with pytest.raises(ValidationError, match=rf"^{column} codes must lie in range\(2\), got {code}$"):
+            assemble(["a"], columns["classes"], [0.5], load_catalog(), {}, labels=columns["labels"])
+
     def test_catalog_is_a_read_only_copy(self):
         catalog = load_catalog()
         batch = assemble(["a1"], ["DoS"], [0.9], catalog, {"DoS": 0.8})

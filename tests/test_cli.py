@@ -810,6 +810,8 @@ DEGENERATE_INPUTS = {
     "catalog_malformed": {"catalog.csv": "class,cvss,uf\nDoS,high,0.2\n"},
     # a valid uf of 0.45 that the sweep's uf_scale point 1.2 lifts past 0.5
     "sweep_uf_scale_past_catalog": {"catalog.csv": "class,cvss,uf\nInfiltration,9.0,0.45\n"},
+    # a catalog without most of the data's classes, which get the default uf 0.35
+    "uf_scale_past_default_uf": {"catalog.csv": "class,cvss,uf\nDoS,7.8,0.2\nbenign,0.0,0.1\n"},
 }
 DAY_BASED_CSV_INI = "[dataset]\nsource = csv\npath = {dir}/flows.csv\n[split]\nmode = day_based\n"
 
@@ -929,6 +931,15 @@ DEGENERATE_RUNS = {
          "at 0.54, outside (0, 0.5]"],
         nothing_written,
     ),
+    # checked once the data's classes are known, before the detector is
+    # trained; before, the alert stage rejected it with no source or key
+    "uf_scale_past_default_uf": (
+        "[synth]\nn_flows = 300\n[dataset]\ncatalog = {dir}/catalog.csv\n"
+        "[ranking]\nuf_scale = 1.5\n", 2,
+        ["error: {ini}: ranking.uf_scale 1.5 puts the uf of class 'Bot' at "
+         "0.5249999999999999, outside (0, 0.5]"],
+        nothing_written,
+    ),
     "catalog_malformed": (
         "[dataset]\ncatalog = {dir}/catalog.csv\n", 2,
         ["error: {dir}/catalog.csv: bad catalog class row 2: "
@@ -963,6 +974,23 @@ class TestDegenerateInputs:
         ]
         assert proc.stderr.splitlines() == expected
         check(out)
+
+    @pytest.mark.parametrize("command", ["prepare", "calibrate"])
+    def test_uf_scale_past_default_uf_leaves_commands_without_alerts(self, tmp_path, command):
+        # prepare and calibrate build no alerts, so no uf is ever scaled
+        for file_name, text in DEGENERATE_INPUTS["uf_scale_past_default_uf"].items():
+            (tmp_path / file_name).write_text(text, encoding="utf-8")
+        ini = tmp_path / "run.ini"
+        ini_text = DEGENERATE_RUNS["uf_scale_past_default_uf"][0]
+        ini.write_text(ini_text.replace("{dir}", str(tmp_path)), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzztriage.cli", command, "--config", str(ini),
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, encoding="utf-8",
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "out" / "splits").is_dir()
 
 
 class TestWriteEvalBytes:

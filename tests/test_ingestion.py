@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from fuzztriage.alerts import UNKNOWN_CLASS, load_catalog
 from fuzztriage.detector import ATTACK_THRESHOLD, DetectorReport, train_lr
+from fuzztriage import ingestion
 from fuzztriage.errors import ParseError, ValidationError
 from fuzztriage.ingestion import (
+    DENSE_BLOCKS,
+    LINES_PER_BLOCK,
+    SPARSE_REFUSALS,
     DEFAULT_CLASS_FLAG_FACTOR,
     DEFAULT_CLASS_MIX,
     FLAG_FEATURE_NAMES,
@@ -210,9 +216,9 @@ def reference_load(text):
     return features, names, tuple(label for _, label, _ in kept), days, dropped, kept_rows
 
 
-def csv_line(fields) -> str:
+def csv_line(fields, newline="\r\n") -> str:
     out = io.StringIO(newline="")
-    csv.writer(out).writerow(fields)
+    csv.writer(out, lineterminator=newline).writerow(fields)
     return out.getvalue()
 
 
@@ -221,9 +227,17 @@ tag_text = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\t#é–')), max_size
 feature_values = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300]
 )
+# Feature cells: numbers as repr writes them, and texts that np.loadtxt
+# refuses ("1_0", "١٢") or reads unlike float() ("\x1c1"), that float()
+# strips (" 1", "\xa01") or that underflow ("1e-400").
 cells = st.floats().map(repr) | st.sampled_from(
-    ["1", "-2.5", "1e-300", "1e400", "Infinity", "-inf", "NaN", "n/a", "", " 1.5 ", "1_0", "+3."]
+    ["1", "-2.5", "1e-300", "1e400", "1e-400", "Infinity", "-inf", "NaN", "n/a", "", " 1.5 ",
+     " 1", "1_0", "+3.", "١٢", "\x1c1", "2\x1f", "\xa01"]
 )
+# Labels and days of a flow file: a NUL, a quoted line break, or any tag text.
+file_tags = tag_text | st.sampled_from(["a\0b", "\0", "a\nb", "a\r\nb"])
+# Tags csv.writer never quotes, so that whole files reach np.loadtxt.
+plain_tags = st.text(alphabet=st.sampled_from(list("ab \t#é–")), max_size=6)
 
 
 @st.composite
@@ -239,23 +253,56 @@ def flow_datasets(draw):
 @st.composite
 def flow_files(draw):
     """CSV text with a shuffled header, 1 to 3 feature columns, an optional
-    Day column, and data rows mixed with comment, blank and ragged lines."""
+    Day column, and up to 12 data rows mixed with comment, blank,
+    whitespace-only and ragged lines. Lines end in CRLF or LF, and some rows
+    in a bare CR."""
+    newline = draw(st.sampled_from(["\r\n", "\n"]))
+    tags = draw(st.sampled_from([file_tags, plain_tags]))
     d = draw(st.integers(1, 3))
     names = [f"f{i}" for i in range(d)] + ["Label"] + (["Day"] if draw(st.booleans()) else [])
     header = draw(st.permutations(names))
-    lines = [csv_line([draw(st.sampled_from([name, f" {name} "])) for name in header])]
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank", "ragged"]))
+    lines = [csv_line([draw(st.sampled_from([name, f" {name} "])) for name in header], newline)]
+    # Half the files hold no line that ends the load or sends its block to
+    # csv.reader, so that rows refused by np.loadtxt meet in one block.
+    kinds = ["row"] * 3 + ["comment", "blank"]
+    kinds += draw(st.sampled_from([[], ["space", "bare CR", "ragged"]]))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
         if kind == "comment":
-            lines.append("# " + csv_line(["note", "x"]))
+            lines.append("# " + csv_line(["note", "x"], newline))
         elif kind == "blank":
-            lines.append("\r\n")
+            lines.append(newline)
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \x0c"])) + newline)
         else:
-            row = [draw(cells) if name.startswith("f") else draw(tag_text) for name in header]
+            row = [draw(cells) if name.startswith("f") else draw(tags) for name in header]
             if kind == "ragged":
                 row = row[:-1] if draw(st.booleans()) else row + ["1"]
-            lines.append(csv_line(row))
+            lines.append(csv_line(row, "\r" if kind == "bare CR" else newline))
     return "".join(lines)
+
+
+def assert_loads_as_reference(path, text):
+    """load_csv of the file ``path``, which holds ``text``, gives what
+    reference_load gives: the same flows, or the same error."""
+    try:
+        expected = reference_load(text)
+    except csv.Error as exc:  # a NUL, before Python 3.11
+        with pytest.raises(csv.Error, match=re.escape(str(exc))):
+            load_csv(path)
+        return
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: {expected}"
+        return
+    features, names, labels, days, dropped, kept_rows = expected
+    ds, report = load_csv(path)
+    assert ds.features.shape == features.shape
+    assert ds.features.tobytes() == features.tobytes()
+    assert (ds.feature_names, ds.labels, ds.days) == (names, labels, days)
+    assert (report.rows_kept, report.rows_dropped) == (len(labels), dropped)
+    assert report.rows.tolist() == kept_rows
 
 
 class TestFlowCsvProperties:
@@ -301,24 +348,41 @@ class TestFlowCsvProperties:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2**20, peaks
 
-    @given(flow_files(), st.sampled_from(["", "\ufeff"]))
+    @given(flow_files(), st.sampled_from(["", "\ufeff"]), st.sampled_from([1, 2, 3, LINES_PER_BLOCK]),
+           st.sampled_from([0, 1, SPARSE_REFUSALS]), st.sampled_from([1, DENSE_BLOCKS]))
     @settings(max_examples=300, deadline=None)
-    def test_loader_matches_reference(self, tmp_path_factory, text, bom):
+    def test_loader_matches_reference(self, tmp_path_factory, text, bom, block, sparse, dense):
+        # Short blocks put each kind of line at the first and last line of
+        # a block, and a quoted line break across two; a short sparse run
+        # sends refused rows' neighbours back to np.loadtxt.
         path = tmp_path_factory.getbasetemp() / "loaded.csv"
         path.write_bytes((bom + text).encode("utf-8"))
-        expected = reference_load(text)
-        if isinstance(expected, str):
-            with pytest.raises(ParseError) as err:
-                load_csv(path)
-            assert str(err.value) == f"{path}: {expected}"
-            return
-        features, names, labels, days, dropped, kept_rows = expected
-        ds, report = load_csv(path)
-        assert ds.features.shape == features.shape
-        assert ds.features.tobytes() == features.tobytes()
-        assert (ds.feature_names, ds.labels, ds.days) == (names, labels, days)
-        assert (report.rows_kept, report.rows_dropped) == (len(labels), dropped)
-        assert report.rows.tolist() == kept_rows
+        with mock.patch.multiple(
+            ingestion, LINES_PER_BLOCK=block, SPARSE_REFUSALS=sparse, DENSE_BLOCKS=dense
+        ):
+            assert_loads_as_reference(path, text)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("ragged", [None, 0, -1])
+    def test_loader_matches_reference_across_blocks(self, tmp_path, ragged, dense):
+        # Four blocks and three rows, with "n/a" and "Infinity" on the first
+        # and last line of a block, and a row that is one field short on the
+        # first or last line of the fourth block. Dense: "n/a" on every third
+        # row of the first block, so the blocks after it are read per cell.
+        n = LINES_PER_BLOCK
+        rows = [[f"{i}.25", str(i % 7), ("BENIGN", "DoS Hulk")[i % 2], WEEKDAYS[i % 5]]
+                for i in range(4 * n + 3)]
+        for i, cell in ((0, "n/a"), (n - 1, "n/a"), (n, "Infinity"), (2 * n - 1, "n/a"),
+                        (2 * n, "-Infinity"), (3 * n - 1, "Infinity")):
+            rows[i][i % 2] = cell
+        for i in range(1, n - 1, 3) if dense else ():
+            rows[i][0] = "n/a"
+        if ragged is not None:
+            rows[3 * n + ragged % n].pop()
+        text = "".join(csv_line(row) for row in [["f1", "f2", "Label", "Day"], *rows])
+        path = tmp_path / "flows.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_loads_as_reference(path, text)
 
 
 class TestClassMapping:
