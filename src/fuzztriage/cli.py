@@ -10,7 +10,8 @@ One executable, five subcommands covering the pipeline stages:
 
 Each runs ``pipeline.run`` and prints the paths it wrote, then the stamp
 that heads each of them. Exit codes: 0 success, 2 configuration or input
-error (a path that cannot be read or written included), 3 runtime error.
+error (a path that cannot be read or written included), 3 runtime error
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except FuzztriageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # a size the config asks for that this machine cannot hold
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_RUNTIME
     for path in result.written:
         print(path)

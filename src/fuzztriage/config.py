@@ -154,12 +154,21 @@ def _codec(tp: Any, sep: str = ",") -> _Codec:
     if tp is int:
         return _Codec(int, str)
     if tp is float:
-        return _Codec(float, lambda v: format(float(v), ".12g"))
+        return _Codec(float, _render_float)
     if tp is str:
         return _Codec(str, str)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return _Codec(tp, lambda v: v.value, _BAD_CHOICE)
     raise TypeError(f"no INI form for field type {tp!r}")
+
+
+def _render_float(value: float) -> str:
+    """A float's canonical text: 12 significant digits where they read back
+    as the same double (so every stamp of such values stays as it was), and
+    the shortest text that does otherwise, so unequal values never share it."""
+    value = float(value)
+    text = format(value, ".12g")
+    return text if float(text) == value else repr(value)
 
 
 # --- the field walk ------------------------------------------------------------

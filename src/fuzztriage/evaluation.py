@@ -295,15 +295,6 @@ def perturb(p: Sequence[float] | np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def apply_scenario(batch: AlertBatch, spec: ScenarioSpec) -> AlertBatch:
-    """The batch under perturbed probabilities.
-
-    The alert set is held fixed: cores, spreads, and class heights do not
-    move; only p and the probability-capped instance height are recomputed.
-    """
-    return batch.with_p(perturb(batch.p, spec))
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     scenario: ScenarioKind
@@ -320,23 +311,26 @@ class ScenarioResult:
 
 
 def scenario_eval(
-    records: AlertBatch,
+    queues: Sequence[RankedQueue],
+    rel: np.ndarray,
     scenarios: Sequence[ScenarioSpec],
     *,
-    methods: Sequence[Method] = tuple(Method),
-    kappa: float = 1.0,
     k: int = 100,
 ) -> list[ScenarioResult]:
-    """NDCG@k before/after each scenario, per ranking method, on the full queue."""
-    rel = relevance(records)
-    profile = RiskProfile(kappa)
-    before = {m: ndcg_of_queue(rank(records, m, profile), rel, k) for m in methods}
+    """NDCG@k of each full queue of one batch before and after each scenario;
+    "after" ranks ``batch.with_p(perturb(batch.p, spec))`` with the queue's
+    method and κ. No queue, a view or a queue of another batch is an EvaluationError."""
+    batch = queues[0].records if queues else None
+    if batch is None or any(q.records is not batch or len(q) != len(batch) for q in queues):
+        raise EvaluationError("scenario_eval requires full queues ranked from one alert batch")
+    before = [ndcg_of_queue(q, rel, k) for q in queues]
     results = []
     for spec in scenarios:
-        shifted = apply_scenario(records, spec)
-        for m in methods:
-            after = ndcg_of_queue(rank(shifted, m, profile), rel, k)
-            results.append(ScenarioResult(spec.kind, m, k, before[m], after))
+        shifted = batch.with_p(perturb(batch.p, spec))
+        for queue, ndcg in zip(queues, before):
+            profile = RiskProfile() if queue.kappa is None else RiskProfile(queue.kappa)
+            after = ndcg_of_queue(rank(shifted, queue.method, profile), rel, k)
+            results.append(ScenarioResult(spec.kind, queue.method, k, ndcg, after))
     return results
 
 

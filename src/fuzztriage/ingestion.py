@@ -159,14 +159,22 @@ LINES_PER_BLOCK = 256  # file lines read, checked and parsed at a time
 # float parser skips around a number and float() does not.
 _CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 _LAST_CHAR = operator.itemgetter(-1)
-# np.loadtxt stops at the first row it cannot read. That row is read per cell
-# and the rows on either side go back to np.loadtxt, but a refused call costs
-# about what a whole call does. So once two of a block's refusals each come
-# fewer than SPARSE_REFUSALS rows after the block's start or the row refused
-# before, its refusals are dense: the rest of the block, and then the lines
-# of DENSE_BLOCKS blocks in one pass, go through csv.reader and float() before
-# np.loadtxt is tried again. A file with many refused rows then costs about
-# what reading every row per cell does.
+# So is a block holding a line longer than csv.field_size_limit(), which
+# np.loadtxt would read and csv.reader may refuse: both paths then refuse
+# the file alike. Only a block whose text is that long is measured by line.
+
+# np.loadtxt stops at the first row it cannot read, having parsed the rows
+# before it. That row is read per cell and the rows on either side go back to
+# np.loadtxt, so a refusal costs the rows before it once more plus two call
+# overheads. (numpy 2.4.6, 256 benchmark-CSV lines, min of 200: refused at
+# row 9 a call took 25 us, the 9-row head 20 us; at row 128, 201 and 191 us;
+# the whole block 380 us, a one-row call 10 us, and the rows per cell 1.3 ms.)
+# Refusals close together pay that for few rows. So once two of a block's
+# refusals each come fewer than SPARSE_REFUSALS rows after the block's start
+# or the row refused before, its refusals are dense: the rest of the block,
+# and then the lines of DENSE_BLOCKS blocks in one pass, go through csv.reader
+# and float() before np.loadtxt is tried again. A file with many refused rows
+# then costs about what reading every row per cell does.
 SPARSE_REFUSALS = 32
 DENSE_BLOCKS = 8
 
@@ -224,8 +232,11 @@ class _FlowRows:
             self.dense = False
             self._read_cells(table_rows(chain(block, lines), DENSE_BLOCKS * LINES_PER_BLOCK))
             return
-        text = "".join(block)
-        if any(c in text for c in _CSV_ONLY) or "\r" in map(_LAST_CHAR, block):
+        text, limit = "".join(block), csv.field_size_limit()
+        if (
+            any(c in text for c in _CSV_ONLY) or "\r" in map(_LAST_CHAR, block)
+            or len(text) > limit and max(map(len, block)) > limit
+        ):
             self._read_cells(table_rows(chain(block, lines), len(block)))
             return
         # Blank and comment rows, as tables.table_rows skips them: with no

@@ -239,7 +239,8 @@ def evaluate_all(
         for kind, view in (("full", queue), ("pred", preds[name]))
         if predicted or kind == "full"
     )
-    bands = {name: tuple(band_eval(q, rel, ev.band_objects())) for name, q in queues.items()}
+    band_objects = ev.band_objects()
+    bands = {name: tuple(band_eval(q, rel, band_objects)) for name, q in queues.items()}
 
     bootstrap: dict[str, BootstrapResult] = {}
     ra_name = risk_averse_queue_name(first_kappa)
@@ -256,7 +257,8 @@ def evaluate_all(
         logger.warning("no alert is a predicted attack; %s are skipped", _skipped(config, "the "))
 
     specs = tuple(ScenarioSpec(kind, ev.noise_sd, config.seed) for kind in ev.scenarios)
-    scenarios = tuple(scenario_eval(records, specs, kappa=first_kappa))
+    first = [queues[m.value] for m in Method if m is not Method.RISK_AVERSE] + [queues[ra_name]]
+    scenarios = tuple(scenario_eval(first, rel, specs))
 
     sweep = None
     if ev.sweep and predicted:

@@ -79,8 +79,10 @@ def table_rows(lines: Iterable[str], stop: int | None = None) -> Iterator[list[s
 
 
 def _table(path: Path, header: Sequence[str] | None) -> Iterator:
+    n = 0  # the row read last
     try:
         names, lines = table_lines(path)
+        n = 1
         if header is not None and names and (
             [n.lower() for n in names] != [h.lower() for h in header]
         ):
@@ -94,6 +96,8 @@ def _table(path: Path, header: Sequence[str] | None) -> Iterator:
             yield n, row
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text") from exc
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise ParseError(f"{path}: row {n + 1}: {exc}") from exc
 
 
 def read_keyed(

@@ -29,7 +29,7 @@ from fuzztriage.alerts import (
 )
 from fuzztriage.calibration import HEIGHT_FLOOR
 from fuzztriage.errors import ParseError, ValidationError
-from fuzztriage.evaluation import ScenarioKind, ScenarioSpec, apply_scenario, perturb
+from fuzztriage.evaluation import ScenarioKind, ScenarioSpec, perturb
 from fuzztriage.ranking import Method, RiskProfile, method_scores, rank, write_queue_csvs
 from fuzztriage.sgfn import GaussianFuzzyNumber, ranking_index
 from fuzztriage.tables import Coded
@@ -541,7 +541,7 @@ class TestAssembleMatchesScalarReference:
 
         for kind in ScenarioKind:
             spec = ScenarioSpec(kind, noise_sd=0.2, seed=3)
-            shifted = apply_scenario(batch, spec)
+            shifted = batch.with_p(perturb(batch.p, spec))
             p_new = perturb(p, spec).tolist()
             assert_bits(shifted.p, p_new)
             assert_bits(shifted.height, [max(min(h, q), HEIGHT_FLOOR) for h, q in zip(h_class, p_new)])

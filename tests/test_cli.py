@@ -619,6 +619,24 @@ class TestMain:
         assert rc == 3
         assert "error: queues do not cover" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raised, message", [
+        (MemoryError("Unable to allocate 1.60 TiB for an array with shape (1000, 2) and data "
+                     "type float64"),
+         "error: out of memory: Unable to allocate 1.60 TiB for an array with shape (1000, 2) "
+         "and data type float64"),
+        (MemoryError(), "error: out of memory: an allocation failed"),
+    ])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, raised, message):
+        # the stage raises as numpy does when a size cannot be allocated; nothing is allocated
+        def too_big(config, prep):
+            raise raised
+
+        monkeypatch.setattr(pipeline, "run_detector", too_big)
+        rc = cli.main(["calibrate", "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "r").exists()
+
     def test_parser_lists_all_subcommands(self):
         parser = cli.build_parser()
         assert parser.prog == "fuzztriage"
@@ -784,6 +802,8 @@ def unmapped_class_calibrated(out):
         assert row[6] == f"{max(min(h_class, float(row[7])), HEIGHT_FLOOR):.10g}"
 
 
+LONG = "x" * 140_000
+
 EXTERNAL_SCORES_INI = (
     "[synth]\nn_flows = 300\n[detector]\nmode = external_scores\n"
     "scores_path = {dir}/scores.csv\n"
@@ -812,6 +832,10 @@ DEGENERATE_INPUTS = {
     "sweep_uf_scale_past_catalog": {"catalog.csv": "class,cvss,uf\nInfiltration,9.0,0.45\n"},
     # a catalog without most of the data's classes, which get the default uf 0.35
     "uf_scale_past_default_uf": {"catalog.csv": "class,cvss,uf\nDoS,7.8,0.2\nbenign,0.0,0.1\n"},
+    # cells past csv's field size limit (131,072 characters) on row 3 or 402
+    "catalog_field_past_limit": {"catalog.csv": f'class,cvss,uf\nDoS,7.8,0.2\n"{LONG}",7.5,0.2\n'},
+    "flow_label_past_limit_quoted": {"flows.csv": flows_text("DoS Hulk") + f'1,2,3,"{LONG}"\n'},
+    "flow_label_past_limit": {"flows.csv": flows_text("DoS Hulk") + f"1,2,3,{LONG}\n"},
 }
 DAY_BASED_CSV_INI = "[dataset]\nsource = csv\npath = {dir}/flows.csv\n[split]\nmode = day_based\n"
 
@@ -946,6 +970,20 @@ DEGENERATE_RUNS = {
          "could not convert string to float: 'high'"],
         nothing_written,
     ),
+    "catalog_field_past_limit": (
+        "[dataset]\ncatalog = {dir}/catalog.csv\n", 2,
+        ["error: {dir}/catalog.csv: row 3: field larger than field limit (131072)"],
+        nothing_written,
+    ),
+    # np.loadtxt would read the unquoted label, csv.reader reads neither
+    **{
+        name: (
+            "[dataset]\nsource = csv\npath = {dir}/flows.csv\n", 2,
+            ["error: {dir}/flows.csv: row 402: field larger than field limit (131072)"],
+            nothing_written,
+        )
+        for name in ("flow_label_past_limit_quoted", "flow_label_past_limit")
+    },
 }
 
 

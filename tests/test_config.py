@@ -2,11 +2,13 @@
 
 import configparser
 import dataclasses
+import math
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzztriage import pipeline
 from fuzztriage.alerts import CfMode
@@ -468,6 +470,143 @@ class TestHashing:
     def test_stamp_format(self):
         config = load_config(None, seed=5)
         assert artifact_stamp(config) == f"config_hash={config_hash(config)} seed=5"
+
+    def test_floats_equal_to_12_digits_hash_apart(self, tmp_path):
+        # the runs differ in every queue file, so their stamps must differ
+        hashes = [
+            config_hash(load_config(write_ini(tmp_path, f"[synth]\nseparation = {text}\n")))
+            for text in ("3.2", "3.2000000000004")
+        ]
+        assert hashes[0] == config_hash(load_config(None))
+        assert hashes[0] != hashes[1]
+
+    def test_next_float_changes_the_hash(self):
+        base = load_config(None)
+        moved = {}
+        for name, config in _next_float_changes(base):
+            moved[name] = config_hash(config) != config_hash(base)
+        assert {"synth.separation", "ranking.kappas[0]", "evaluation.bands[2][1]",
+                "synth.class_weights[DoS]", "split.fractions[1]"} <= moved.keys()
+        assert all(moved.values()), [name for name, changed in moved.items() if not changed]
+
+
+def _float_paths(value, path=()):
+    """The paths to the floats in a field value: scalar, tuple items, mapping values."""
+    if isinstance(value, float):
+        yield path
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _float_paths(item, (*path, i))
+    elif isinstance(value, Mapping):
+        for key in sorted(value):
+            yield from _float_paths(value[key], (*path, key))
+
+
+def _replace_at(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, tuple):
+        return (*value[:head], _replace_at(value[head], rest, new), *value[head + 1:])
+    return {**value, head: _replace_at(value[head], rest, new)}
+
+
+def _next_float_changes(base):
+    """(name, config) for each float of each section of ``base``, moved to
+    its next double up, or down where up is not a valid value."""
+    for outer in dataclasses.fields(RunConfig):
+        section = getattr(base, outer.name)
+        if not dataclasses.is_dataclass(section):
+            continue
+        for inner in dataclasses.fields(section):
+            value = getattr(section, inner.name)
+            for path in _float_paths(value):
+                name = f"{outer.name}.{inner.name}" + "".join(f"[{step}]" for step in path)
+                old = value
+                for step in path:
+                    old = old[step]
+                for toward in (math.inf, -math.inf):
+                    new = _replace_at(value, path, math.nextafter(old, toward))
+                    try:
+                        moved = dataclasses.replace(section, **{inner.name: new})
+                    except ValidationError:
+                        continue
+                    yield name, dataclasses.replace(base, **{outer.name: moved})
+                    break
+                else:
+                    raise AssertionError(f"no valid next float for {name}")
+
+
+# Valid settings away from the defaults, which the stamp property draws from.
+_SETTINGS = (
+    ("run", "seed", "7"),
+    ("synth", "n_flows", "700"),
+    ("synth", "separation", "3.2000000000004"),
+    ("split", "fractions", "0.6, 0.1, 0.3"),
+    ("detector", "l2_c", "0.5"),
+    ("heights", "alpha", "0.8"),
+    ("ranking", "kappa", "0, 0.5, 2"),
+    ("ranking", "cf_mode", "categorical"),
+    ("evaluation", "cutoffs", "10, 100"),
+    ("evaluation", "noise_sd", "0.1"),
+    ("evaluation", "sweep", "true"),
+)
+
+
+def _default_text(section, key):
+    name, codec = KEYS[section][key]
+    owner = RunConfig() if section == "run" else getattr(RunConfig(), section)
+    return codec.render(getattr(owner, name))
+
+
+# Every key an INI file may set, with its default written out.
+_DEFAULTS = tuple(
+    (section, key, _default_text(section, key))
+    for section, keys in KEYS.items() for key, (_, codec) in keys.items() if codec.parse
+)
+
+
+class TestHashProperty:
+    """Two INI files that differ only in key order, whitespace, comments or
+    defaults written out give the same stamp."""
+
+    @given(
+        chosen=st.lists(st.sampled_from(_SETTINGS), unique_by=lambda s: s[:2]),
+        written=st.lists(st.sampled_from(_DEFAULTS), unique_by=lambda s: s[:2]),
+        shuffle=st.randoms(use_true_random=False),
+        pads=st.lists(st.sampled_from(["", " ", "\t", "  "]), min_size=3, max_size=3),
+        comments=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_settings_same_stamp(self, tmp_path, chosen, written, shuffle, pads, comments):
+        set_keys = {s[:2] for s in chosen}
+        plain = _ini_text(chosen)
+        lines = [*chosen, *(d for d in written if d[:2] not in set_keys)]
+        shuffle.shuffle(lines)
+        before, after, end = pads  # around "=" and at the end of a line
+        comment = "# a comment\n" if comments else ""
+        sections = {}
+        for section, key, text in lines:
+            sections.setdefault(section, []).append(f"{key}{before}={after}{text}{end}")
+            if comments:
+                sections[section].append(f"# {key} = not this\n; {key} = nor this")
+        dressed = "".join(
+            f"{comment}[{section}]{end}\n" + "\n".join(body) + "\n\n"
+            for section, body in sections.items()
+        )
+        stamps = [
+            artifact_stamp(load_config(write_ini(tmp_path, text, name)))
+            for text, name in ((plain, "plain.ini"), (dressed, "dressed.ini"))
+        ]
+        assert stamps[0] == stamps[1], dressed
+
+
+def _ini_text(settings_):
+    sections = {}
+    for section, key, text in settings_:
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "".join(f"[{s}]\n" + "\n".join(body) + "\n" for s, body in sections.items())
 
 
 # Fields where the generic change in _other_value would be invalid.

@@ -26,7 +26,6 @@ from fuzztriage.evaluation import (
     SweepPoint,
     SweepReport,
     _percentiles,
-    apply_scenario,
     band_eval,
     dcg_at_k,
     ndcg_at_k,
@@ -549,7 +548,8 @@ class TestApplyScenario:
 
     def test_core_and_spread_held_fixed(self):
         records = self.consistent_batch(5, 10)
-        shifted = apply_scenario(records, ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=9))
+        spec = ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=9)
+        shifted = records.with_p(perturb(records.p, spec))
         for before, after in zip(records, shifted):
             assert after.core == before.core
             assert after.spread == before.spread
@@ -558,7 +558,8 @@ class TestApplyScenario:
     def test_height_tracks_perturbed_p(self):
         record = make_record("a", 6.0, 0.9, 0.6, 0.6, h_class=0.9)
         spec = ScenarioSpec(ScenarioKind.OVERCONFIDENT, noise_sd=0.2, seed=42)
-        shifted = apply_scenario(make_batch([record]), spec)[0]
+        batch = make_batch([record])
+        shifted = batch.with_p(perturb(batch.p, spec))[0]
         assert shifted.p == pytest.approx(0.69)
         assert shifted.height == pytest.approx(0.69)
 
@@ -570,18 +571,24 @@ class TestApplyScenario:
 
         records = self.consistent_batch(7, 50)
         spec = ScenarioSpec(ScenarioKind.OVERCONFIDENT, noise_sd=0.2, seed=42)
-        shifted = apply_scenario(records, spec)
+        shifted = records.with_p(perturb(records.p, spec))
         for before, after in zip(records, shifted):
             assert after.height >= before.height - 1e-15
             change = index(after) - index(before)
             assert -1e-12 <= change <= before.spread * np.log10(1.15) + 1e-12
 
 
+def method_queues(records, kappa=1.0):
+    """One full queue per method, in Method order, risk-averse at ``kappa``."""
+    return [rank(records, m, RiskProfile(kappa)) for m in Method]
+
+
 class TestScenarioEval:
     def test_underconfident_confidence_only_unchanged(self, rng):
         records = random_batch(rng, 40)
         results = scenario_eval(
-            records, [ScenarioSpec(ScenarioKind.UNDERCONFIDENT, noise_sd=0.2, seed=42)], k=25
+            method_queues(records), relevance(records),
+            [ScenarioSpec(ScenarioKind.UNDERCONFIDENT, noise_sd=0.2, seed=42)], k=25,
         )
         co = [r for r in results if r.method is Method.CONFIDENCE_ONLY][0]
         assert co.ndcg_after == co.ndcg_before
@@ -592,10 +599,45 @@ class TestScenarioEval:
             ScenarioSpec(ScenarioKind.OVERCONFIDENT, noise_sd=0.2, seed=42),
             ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=1),
         ]
-        results = scenario_eval(records, scenarios, k=10)
+        results = scenario_eval(method_queues(records), relevance(records), scenarios, k=10)
         assert len(results) == len(scenarios) * len(Method)
-        kinds = {(r.scenario, r.method) for r in results}
-        assert len(kinds) == len(results)
+        assert [(r.scenario, r.method) for r in results] == [
+            (spec.kind, m) for spec in scenarios for m in Method
+        ]
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 2.0])
+    def test_before_scores_the_queue_and_after_ranks_at_its_kappa(self, rng, kappa):
+        records = random_batch(rng, 60)
+        rel = relevance(records)
+        spec = ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.3, seed=4)
+        queues = method_queues(records, kappa)
+        shifted = records.with_p(perturb(records.p, spec))
+        for queue, result in zip(queues, scenario_eval(queues, rel, [spec], k=20)):
+            assert (result.method, result.k) == (queue.method, 20)
+            assert result.ndcg_before == ndcg_of_queue(queue, rel, 20)
+            again = rank(shifted, queue.method, RiskProfile(kappa))
+            assert result.ndcg_after == ndcg_of_queue(again, rel, 20)
+
+    def test_no_queues_rejected(self, rng):
+        records = random_batch(rng, 5)
+        spec = ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=1)
+        with pytest.raises(EvaluationError, match="requires full queues"):
+            scenario_eval([], relevance(records), [spec])
+
+    def test_queues_of_two_batches_rejected(self, rng):
+        records, other = random_batch(rng, 10), random_batch(rng, 10)
+        queues = [rank(records, Method.SEVERITY_ONLY), rank(other, Method.CONFIDENCE_ONLY)]
+        spec = ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=1)
+        with pytest.raises(EvaluationError, match="ranked from one alert batch"):
+            scenario_eval(queues, relevance(records), [spec])
+
+    def test_queue_view_rejected(self, rng):
+        records = random_batch(rng, 10)
+        view = predicted_queue(rank(records, Method.SEVERITY_ONLY))
+        assert 0 < len(view) < len(records)
+        spec = ScenarioSpec(ScenarioKind.NOISE, noise_sd=0.2, seed=1)
+        with pytest.raises(EvaluationError, match="requires full queues"):
+            scenario_eval([view], relevance(records), [spec])
 
     def test_change_pct(self):
         result = ScenarioResult(ScenarioKind.NOISE, Method.RISK_AVERSE, 100, 0.8, 0.6)

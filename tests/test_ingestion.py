@@ -287,8 +287,8 @@ def assert_loads_as_reference(path, text):
     reference_load gives: the same flows, or the same error."""
     try:
         expected = reference_load(text)
-    except csv.Error as exc:  # a NUL, before Python 3.11
-        with pytest.raises(csv.Error, match=re.escape(str(exc))):
+    except csv.Error as exc:  # a field past csv.field_size_limit(), or a NUL before Python 3.11
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: row \d+: {re.escape(str(exc))}$"):
             load_csv(path)
         return
     if isinstance(expected, str):
@@ -380,6 +380,24 @@ class TestFlowCsvProperties:
         if ragged is not None:
             rows[3 * n + ragged % n].pop()
         text = "".join(csv_line(row) for row in [["f1", "f2", "Label", "Day"], *rows])
+        path = tmp_path / "flows.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_loads_as_reference(path, text)
+
+    @pytest.mark.parametrize("at", [0, LINES_PER_BLOCK - 1, LINES_PER_BLOCK + 3])
+    @pytest.mark.parametrize("label", ["long", "long quoted", "line past the limit"])
+    def test_line_past_the_field_limit_matches_reference(self, tmp_path, label, at):
+        # csv.reader refuses a field longer than its limit. np.loadtxt has
+        # none, so a block with a line that long is read by csv.reader: a
+        # label past the limit fails the file on either path, and a line past
+        # the limit whose fields are not loads on either.
+        limit = csv.field_size_limit()
+        rows = [[f"{i}.5", ("BENIGN", "DoS Hulk")[i % 2]] for i in range(2 * LINES_PER_BLOCK)]
+        long = "x" * (limit + 1 if label.startswith("long") else limit - 1)
+        rows[at][1] = long
+        text = "".join(csv_line(row) for row in [["f1", "Label"], *rows])
+        if label == "long quoted":
+            text = text.replace(long, f'"{long}"')
         path = tmp_path / "flows.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert_loads_as_reference(path, text)

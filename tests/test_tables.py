@@ -72,6 +72,20 @@ class TestSharedRules:
         with pytest.raises(ParseError, match=expected):
             reader(path)
 
+    @pytest.mark.parametrize("quote", ['"', ""])
+    def test_field_past_the_size_limit_names_the_row(self, tmp_path, name, quote):
+        # csv.reader refuses the field; the process-wide limit is left as it is
+        reader, header, rows, _ = READERS[name]
+        limit = csv.field_size_limit()
+        long = quote + "x" * (limit + 10) + quote
+        rows = rows + [rows[0].rsplit(",", 1)[0] + "," + long]
+        path = write_table(tmp_path / "t.csv", header, rows)
+        expected = f"{path}: row {len(rows) + 1}: field larger than field limit ({limit})"
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert str(err.value) == expected
+        assert csv.field_size_limit() == limit
+
     def test_missing_file(self, tmp_path, name):
         reader = READERS[name][0]
         with pytest.raises(ParseError, match="not found"):
