@@ -21,7 +21,7 @@ from .alerts import AlertBatch
 from .calibration import HeightParams, check_p, heights_from_f1
 from .detector import ATTACK_THRESHOLD
 from .errors import EvaluationError, ValidationError
-from .ranking import Method, RankedQueue, RiskProfile, rank
+from .ranking import Method, RankedQueue, RiskProfile, method_scores, rank
 
 
 def relevance(batch: AlertBatch) -> np.ndarray:
@@ -155,8 +155,11 @@ def paired_bootstrap(
     comes from the shifted (null-centered) distribution, floored at
     1/resamples. One draw and the baseline's replicates serve every queue,
     so each result equals that of a separate draw with the same seed. The
-    replicates are scored :data:`BOOTSTRAP_BLOCK` values at a time; every
-    step works on one replicate's row, so the blocks change no bit.
+    draw is made, sorted and scored :data:`BOOTSTRAP_BLOCK` values at a
+    time, every queue on one block before the next is drawn; every step
+    works on one replicate's row, so the blocks change no bit, and the
+    memory a call holds beyond its ``(1 + len(queues), resamples)``
+    replicate scores is one block's.
     ``k`` or ``resamples`` below 1 is a :class:`ValidationError`. Every
     queue must rank a batch with the baseline's ids in the same row order
     (``rel`` is aligned with those rows) and hold the baseline's rows, or
@@ -182,23 +185,26 @@ def paired_bootstrap(
         raise EvaluationError("paired bootstrap requires non-empty queues")
     discounts = np.log2(np.arange(2, k_eff + 2, dtype=float))
 
-    rng = np.random.default_rng(seed)
-    # Sorting each draw keeps the queue's own rank order within the resample.
-    idx = rng.integers(0, k_eff, size=(resamples, k_eff))
-    idx.sort(axis=1)
+    # One row of replicate NDCGs per queue, the baseline's first, allocated
+    # before the first draw, so a size no memory can hold fails at once.
+    scores = np.zeros((1 + len(queues), resamples))
+    gains = [np.exp2(queue_relevances(q, rel)[:k_eff]) - 1.0
+             for q in (baseline, *queues.values())]
     # One pair of buffers serves every block of replicates of every queue:
     # the drawn gains and their discounted values.
     rows = max(1, BOOTSTRAP_BLOCK // k_eff)
     drawn = np.empty((min(rows, resamples), k_eff))
     scaled = np.empty_like(drawn)
-
-    def replicate_ndcg(queue: RankedQueue) -> np.ndarray:
-        gains = np.exp2(queue_relevances(queue, rel)[:k_eff]) - 1.0
-        out = np.zeros(resamples)
-        for start in range(0, resamples, rows):
-            block = idx[start:start + rows]
-            d, s = drawn[:len(block)], scaled[:len(block)]
-            np.take(gains, block, out=d, mode="clip")
+    rng = np.random.default_rng(seed)
+    for start in range(0, resamples, rows):
+        # PCG64 hands out the bounded draws from one stream whatever the call
+        # sizes, so the blocks hold the rows of one (resamples, k_eff) draw.
+        # Sorting each draw keeps the queue's own rank order within the resample.
+        idx = rng.integers(0, k_eff, size=(min(rows, resamples - start), k_eff))
+        idx.sort(axis=1)
+        d, s = drawn[:len(idx)], scaled[:len(idx)]
+        for gain, out in zip(gains, scores[:, start:start + len(idx)]):
+            np.take(gain, idx, out=d, mode="clip")
             dcg = np.divide(d, discounts, out=s).sum(axis=1)
             # The ideal orders each resample descending. Sorting the negated gains
             # ascending does that, and as negation commutes exactly with division
@@ -207,13 +213,11 @@ def paired_bootstrap(
             d.sort(axis=1)
             ideal = -np.divide(d, discounts, out=s).sum(axis=1)
             nonzero = ideal > 0.0
-            out[start:start + len(block)][nonzero] = dcg[nonzero] / ideal[nonzero]
-        return out
+            out[nonzero] = dcg[nonzero] / ideal[nonzero]
 
-    base = replicate_ndcg(baseline)
     results = {}
-    for name, queue in queues.items():
-        deltas = replicate_ndcg(queue) - base
+    for name, replicates in zip(queues, scores[1:]):
+        deltas = replicates - scores[0]
         delta = float(deltas.mean())
         ci_low, ci_high = _percentiles(deltas, (2.5, 97.5))
         p_value = float(np.mean(np.abs(deltas - delta) >= abs(delta)))
@@ -319,7 +323,10 @@ def scenario_eval(
 ) -> list[ScenarioResult]:
     """NDCG@k of each full queue of one batch before and after each scenario;
     "after" ranks ``batch.with_p(perturb(batch.p, spec))`` with the queue's
-    method and κ. No queue, a view or a queue of another batch is an EvaluationError."""
+    method and κ. A queue whose scores are the very array the shifted batch
+    scores it by (``severity_only``'s ``core``, which the shift keeps) would
+    rank as it did, so its "after" is its "before" and it is not ranked
+    again. No queue, a view or a queue of another batch is an EvaluationError."""
     batch = queues[0].records if queues else None
     if batch is None or any(q.records is not batch or len(q) != len(batch) for q in queues):
         raise EvaluationError("scenario_eval requires full queues ranked from one alert batch")
@@ -329,7 +336,9 @@ def scenario_eval(
         shifted = batch.with_p(perturb(batch.p, spec))
         for queue, ndcg in zip(queues, before):
             profile = RiskProfile() if queue.kappa is None else RiskProfile(queue.kappa)
-            after = ndcg_of_queue(rank(shifted, queue.method, profile), rel, k)
+            after = ndcg
+            if method_scores(shifted, queue.method, profile) is not queue.scores:
+                after = ndcg_of_queue(rank(shifted, queue.method, profile), rel, k)
             results.append(ScenarioResult(spec.kind, queue.method, k, ndcg, after))
     return results
 

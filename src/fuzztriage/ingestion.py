@@ -688,12 +688,39 @@ def class_counts(config: SynthConfig) -> dict[str, int]:
     return counts
 
 
+SYNTH_ROWS = 1024  # rows of the feature matrix shuffled into place at a time
+
+
 def synth_generate(config: SynthConfig, seed: int) -> FlowDataset:
-    """Generate the synthetic benchmark; byte-identical output per config and seed."""
+    """Generate the synthetic benchmark; byte-identical output per config and
+    seed. Flows are drawn attacks first, in class order, then shuffled.
+    Beside the feature matrix it returns, it holds the strong and the flag
+    features drawn and a few per-flow vectors, never a second copy."""
     rng = np.random.default_rng(seed)
     counts = class_counts(config)
-    n_attacks = sum(counts.values())
-    n_benign = config.n_flows - n_attacks
+    n, n_attacks, d_strong = config.n_flows, sum(counts.values()), len(STRONG_FEATURE_NAMES)
+    strong = rng.normal(0.0, 1.0, size=(n, d_strong))
+    direction = np.ones(d_strong) / np.sqrt(d_strong)
+    strong[:n_attacks] += config.separation * direction
+
+    # The flag features: the projection of each flow's activity level, added
+    # to the noise in place, a column at a time (a sum has the bits of its
+    # terms' sum in either order).
+    level = _flag_level(config, counts, rng)
+    flags = rng.normal(0.0, 0.06, size=(n, len(FLAG_FEATURE_NAMES)))
+    for column, loading in zip(flags.T, _FLAG_LOADINGS):
+        column += level * loading
+    del level
+
+    # Both blocks of columns gathered in shuffled row order, a block of rows
+    # at a time, into the one feature matrix.
+    order = rng.permutation(n)
+    features = np.empty((n, d_strong + flags.shape[1]))
+    for start in range(0, n, SYNTH_ROWS):
+        rows = order[start:start + SYNTH_ROWS]
+        features[start:start + len(rows), :d_strong] = strong[rows]
+        features[start:start + len(rows), d_strong:] = flags[rows]
+    del strong, flags
 
     # Raw label codes in class order, each class cycling through its labels;
     # benign flows last.
@@ -703,44 +730,39 @@ def synth_generate(config: SynthConfig, seed: int) -> FlowDataset:
         raw = _RAW_LABELS[cls]
         codes.append(len(names) + np.arange(counts[cls]) % len(raw))
         names.extend(raw)
-    codes.append(np.full(n_benign, len(names)))
+    codes.append(np.full(n - n_attacks, len(names)))
     names.append("BENIGN")
-    attack_mask = np.arange(config.n_flows) < n_attacks
-
-    n, d_strong = config.n_flows, len(STRONG_FEATURE_NAMES)
-    strong = rng.normal(0.0, 1.0, size=(n, d_strong))
-    direction = np.ones(d_strong) / np.sqrt(d_strong)
-    strong[attack_mask] += config.separation * direction
-
-    # Scalar flag activity level per flow, then projection plus noise.
-    level = np.empty(n)
-    attack_rows = np.flatnonzero(attack_mask)
-    benign_rows = np.flatnonzero(~attack_mask)
-    detectable = rng.random(attack_rows.size) < config.attack_detectable_rate
-    level_mean = np.repeat(
-        [config.attack_flag_level * config.class_flag_factor[cls] for cls in sorted(counts)],
-        [counts[cls] for cls in sorted(counts)],
-    )
-    level[attack_rows] = np.where(
-        detectable,
-        rng.normal(level_mean, config.attack_flag_sd),
-        rng.normal(0.02, 0.05, size=attack_rows.size),
-    )
-    outlier = rng.random(benign_rows.size) < config.benign_outlier_rate
-    level[benign_rows] = np.where(
-        outlier,
-        rng.normal(config.benign_outlier_level, config.benign_outlier_sd, size=benign_rows.size),
-        rng.normal(0.0, 0.05, size=benign_rows.size),
-    )
-    flags = np.outer(level, _FLAG_LOADINGS) + rng.normal(
-        0.0, 0.06, size=(n, len(FLAG_FEATURE_NAMES))
-    )
-
-    order = rng.permutation(n)
-    features = np.hstack([strong, flags])[order]
     return FlowDataset(
         features,
         STRONG_FEATURE_NAMES + FLAG_FEATURE_NAMES,
         Coded(names, np.concatenate(codes)[order]),
         Coded(WEEKDAYS, np.arange(n) % len(WEEKDAYS)),
     )
+
+
+def _flag_level(
+    config: SynthConfig, counts: Mapping[str, int], rng: np.random.Generator
+) -> np.ndarray:
+    """Each flow's scalar flag activity level, attack flows (in class order)
+    first: detectable attacks around their class's level, most benign flows
+    near zero and a few benign outliers high."""
+    n_attacks = sum(counts.values())
+    n_benign = config.n_flows - n_attacks
+    level = np.empty(config.n_flows)
+    detectable = rng.random(n_attacks) < config.attack_detectable_rate
+    level_mean = np.repeat(
+        [config.attack_flag_level * config.class_flag_factor[cls] for cls in sorted(counts)],
+        [counts[cls] for cls in sorted(counts)],
+    )
+    level[:n_attacks] = np.where(
+        detectable,
+        rng.normal(level_mean, config.attack_flag_sd),
+        rng.normal(0.02, 0.05, size=n_attacks),
+    )
+    outlier = rng.random(n_benign) < config.benign_outlier_rate
+    level[n_attacks:] = np.where(
+        outlier,
+        rng.normal(config.benign_outlier_level, config.benign_outlier_sd, size=n_benign),
+        rng.normal(0.0, 0.05, size=n_benign),
+    )
+    return level

@@ -135,19 +135,27 @@ def run_detector(config: RunConfig, prep: PreparedData) -> DetectorOutput:
         names = prep.dataset.feature_names
         flags_only = mode is DetectorMode.TRAIN_FLAGS_ONLY
         keep = flags_only_subset(names) if flags_only else list(range(len(names)))
-        # Each split's rows and kept columns in one gather, in Fortran order:
-        # the layout the BLAS sums of train_lr (and so their bits) were fixed
-        # with. Then scaled in place with the statistics of the raw train rows.
         feats = prep.dataset.features
-        X_tr, X_va, X_te = (feats.T[np.ix_(keep, rows)].T for rows in (tr, va, te))
-        stats = fit_normalization(X_tr)
-        for X in (X_tr, X_va, X_te):
-            apply_normalization(X, stats, out=X)
 
-        model = train_lr(X_tr, prep.y[tr], config.detector, feature_names=[names[i] for i in keep])
-        model = platt_calibrate(model, X_va, prep.y[va])
-        p_val = model.predict_proba(X_va)
-        p_test = model.predict_proba(X_te)
+        def gather(rows: np.ndarray) -> np.ndarray:
+            # A split's rows and kept columns in one gather, in Fortran order:
+            # the layout the BLAS sums of train_lr (and so their bits) were fixed with.
+            return feats.T[np.ix_(keep, rows)].T
+
+        # One split's matrix at a time, each scaled in place with the
+        # statistics of the raw train rows and dropped before the next.
+        X = gather(tr)
+        stats = fit_normalization(X)
+        apply_normalization(X, stats, out=X)
+        model = train_lr(X, prep.y[tr], config.detector, feature_names=[names[i] for i in keep])
+        del X
+        X = gather(va)
+        apply_normalization(X, stats, out=X)
+        model = platt_calibrate(model, X, prep.y[va])
+        p_val = model.predict_proba(X)
+        del X
+        X = gather(te)
+        p_test = model.predict_proba(apply_normalization(X, stats, out=X))
     return DetectorOutput(p_val, p_test)
 
 

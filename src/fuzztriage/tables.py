@@ -200,7 +200,8 @@ def csv_row(fields: Sequence[object]) -> str:
 
 # --- the text of many rows at once ---------------------------------------------
 
-ROWS_PER_WRITE = 1024  # rows gathered, joined and written at a time
+ROWS_PER_WRITE = 1024  # rows laid out in the line buffer at a time
+ROWS_PER_MASK = 256  # rows unpadded at a time: np.compress takes an 8-byte index a byte kept
 FORMAT_BLOCK = 16384  # values formatted at a time: a block's temporaries fit in L2
 PAD = 0xFF  # pads every cell; never a byte of UTF-8 text
 
@@ -229,10 +230,18 @@ def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndar
     return ((ah * bh - product) + ah * bl + al * bh) + al * bl
 
 
+def g_width(precision: int) -> int:
+    """The bytes :func:`format_g` gives each value's text at ``precision``:
+    the text before the digits, the digits and point, and ``e+dd``, or a
+    ``%`` text of at most ``precision + 7`` bytes after the first ``_LEAD``."""
+    return _LEAD + precision + 7
+
+
 def format_g(values: np.ndarray, precision: int) -> np.ndarray:
     """The bytes of ``"%.*g" % (precision, v)`` for each float64 ``v`` of
     ``values`` in C order, for precision 1 to 15: a ``uint8`` matrix of
-    shape ``(width, n)`` whose column i holds value i's text between PADs.
+    shape ``(n, g_width(precision))`` whose row i holds value i's text
+    between PADs.
 
     A finite nonzero ``|v|`` is scaled by an exact power of ten, at most
     1e22, into ``[10**(p-1), 10**p)``. That one rounding leaves the scaled
@@ -244,33 +253,35 @@ def format_g(values: np.ndarray, precision: int) -> np.ndarray:
     digit as ``%`` does. Zeros, inf, nan and values whose scale is not an
     exact power of ten, or whose scaled value misses the range (log10 may be
     one off next to a power of ten), are formatted by ``%``, once per
-    distinct value of a block. The width depends only on the precision, so
-    blocks of :data:`FORMAT_BLOCK` values are formatted into one matrix.
+    distinct value of a block (see :func:`g_cells`).
     """
-    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    out = np.full((_LEAD + precision + 7, x.size), PAD, np.uint8)
-    for start in range(0, x.size, FORMAT_BLOCK):
-        _format_block(x[start:start + FORMAT_BLOCK], precision, out[:, start:start + FORMAT_BLOCK])
-    return out
+    return g_cells(np.ravel(values)[:, None], precision)
 
 
-def _format_block(x: np.ndarray, precision: int, out: np.ndarray) -> None:
-    """:func:`format_g` of the values ``x`` into the PAD-filled columns ``out``."""
-    n = x.size
+def _rounded(x: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``precision`` digits of each ``|x|`` rounded as ``%`` rounds them,
+    as a whole float64, with the decimal exponent of its first digit
+    (``int16``) and the mask of values done here; the others (see
+    :func:`format_g`) get the digits of ``10**(precision-1)``. Each
+    temporary lives only as long as it is needed."""
     low, high = _POW10[precision - 1], _POW10[precision]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = np.abs(x)
-        shift = (precision - 1) - np.floor(np.log10(a))
+        shift = np.log10(a)
+        np.subtract(precision - 1, np.floor(shift, out=shift), out=shift)
         fast = np.abs(shift) <= 22
-        shift = np.where(fast, shift, 0).astype(np.intp)
+        shift[~fast] = 0
+        shift = shift.astype(np.int16)
         scale = _POW10[np.abs(shift)]
         up = shift >= 0
-        y = np.where(up, a * scale, a / scale)
+        y = np.multiply(a, scale)
+        np.divide(a, scale, out=y, where=~up)
         fast &= (y >= low) & (y < high)
         whole = np.floor(y)
-        frac = y - whole
+        frac = np.subtract(y, whole)
         whole += frac > 0.5
     tie = np.flatnonzero(fast & (frac == 0.5))
+    del frac
     if tie.size:
         at, st, yt, wt = a[tie], scale[tie], y[tie], whole[tie]
         back = yt * st
@@ -280,56 +291,74 @@ def _format_block(x: np.ndarray, precision: int, out: np.ndarray) -> None:
             up[tie], _product_error(at, st, yt), (at - back) - _product_error(yt, st, back)
         )
         whole[tie] += (excess > 0) | ((excess == 0) & (wt % 2 == 1))
+    del a, scale, y, up
     carry = whole == high  # rounded up to the next power of ten
     exp = (precision - 1) - shift + carry
-    whole = np.where(fast & ~carry, whole, low)
+    whole[~(fast & ~carry)] = low
+    return whole, exp, fast
+
+
+def _format_block(x: np.ndarray, precision: int, out: np.ndarray) -> None:
+    """:func:`format_g` of the float64 vector ``x`` into the PAD-filled
+    rows of ``out``, ``g_width(precision)`` contiguous bytes each. Bytes go
+    in one column of ``out`` at a time: numpy copies a long strided column
+    faster than many short rows."""
+    n = x.size
+    whole, exp, fast = _rounded(x, precision)
     # The digits, one row each; every quotient is a whole number below 2**53,
     # so floor(whole / place) is exact. One spare row for the shift below.
     digits = np.zeros((precision + 1, n), np.uint8)
+    digit = np.empty(n)
     for k in range(precision):
-        place = _POW10[precision - 1 - k]
-        digit = np.floor(whole / place)
-        whole -= digit * place
+        np.floor(np.divide(whole, _POW10[precision - 1 - k], out=digit), out=digit)
         digits[k] = digit
+        whole -= np.multiply(digit, _POW10[precision - 1 - k], out=digit)
+    del whole, digit
     nonzero = np.not_equal(digits[:precision], 0)
     significant = (nonzero * np.arange(1, precision + 1, dtype=np.uint8)[:, None]).max(axis=0)
+    del nonzero
     digits += ord("0")
 
     fixed = (exp >= -4) & (exp < precision)
-    point = np.where(fixed, exp + 1, 1)  # digits before the point; <= 0 for "0.000ddd"
-    negative = np.signbit(x)
-    # Rows: the prefix right-aligned before _LEAD, then the digits with the
-    # point after the first `point` of them, then "e+dd". A text from `%`
-    # starts at _LEAD and is at most precision + 7 long ("-2.22507e-308").
-    prefixes = _PREFIXES.take(5 * negative + np.maximum(1 - point, 0))
-    out[:_LEAD] = prefixes.view(np.uint8).reshape(n, 8)[:, :_LEAD].T
+    point = np.where(fixed, exp + 1, np.int16(1))  # digits before the point; <= 0 for "0.000ddd"
+    # Bytes of a text: the prefix right-aligned before _LEAD, then the digits
+    # with the point after the first `point` of them, then "e+dd". A text
+    # from `%` starts at _LEAD and is at most precision + 7 long
+    # ("-2.22507e-308").
+    prefixes = _PREFIXES.take(5 * np.signbit(x) + np.maximum(1 - point, 0))
+    for j, byte in enumerate(prefixes.view(np.uint8).reshape(n, 8).T[:_LEAD]):
+        out[:, j] = byte
+    del prefixes
     at_point = np.where(point > 0, point, precision + 1).astype(np.uint8)
-    # Row _LEAD + c holds digits[c] before the point, the point, and
+    # Byte _LEAD + c holds digits[c] before the point, the point, and
     # digits[c - 1] after it: picked by uint8 arithmetic (which wraps), as
     # np.where is slow on uint8.
     column = np.arange(1, precision + 1, dtype=np.uint8)[:, None]
     zone = digits[1:] + (column >= at_point) * (digits[:-1] - digits[1:])
     zone += (column == at_point) * (ord(".") - digits[:-1])
-    out[_LEAD] = digits[0]
-    out[_LEAD + 1:_LEAD + precision + 1] = zone
+    digits[1:] = zone
+    del zone
     shown = np.maximum(significant, point)
     end = _LEAD + shown + (shown > at_point)
-    past_end = np.arange(_LEAD, _LEAD + precision + 1)[:, None] >= end
-    out[_LEAD:_LEAD + precision + 1] |= past_end * np.uint8(PAD)
+    past_end = np.arange(_LEAD, _LEAD + precision + 1, dtype=np.int16)[:, None] >= end
+    digits |= past_end * np.uint8(PAD)
+    del past_end
+    for j, byte in enumerate(digits, start=_LEAD):
+        out[:, j] = byte
 
     sci = np.flatnonzero(fast & ~fixed)
     if sci.size:
         e = exp[sci]
         tail = np.stack([np.full(sci.size, ord("e")), np.where(e < 0, ord("-"), ord("+")),
-                         np.abs(e) // 10 + ord("0"), np.abs(e) % 10 + ord("0")])
-        out[end[sci] + np.arange(4)[:, None], sci] = tail
+                         np.abs(e) // 10 + ord("0"), np.abs(e) % 10 + ord("0")], axis=1)
+        out[sci[:, None], end[sci][:, None] + np.arange(4)] = tail
     slow = np.flatnonzero(~fast)
     if slow.size:
         bits = x[slow].view(np.uint64)  # -0.0 and nan payloads stay apart
         distinct, which = _distinct(bits)
         texts = text_cells(["%.*g" % (precision, v) for v in distinct.view(np.float64).tolist()])
-        out[:, slow] = PAD  # the fast path's bytes for these columns are not their text
-        out[_LEAD:_LEAD + texts.shape[1], slow] = texts[which].T
+        out[slow] = PAD  # the fast path's bytes for these values are not their text
+        out[slow, _LEAD:_LEAD + texts.shape[1]] = texts[which]
 
 
 def text_cells(texts: Sequence[str]) -> np.ndarray:
@@ -367,12 +396,38 @@ def quoted_cells(columns: Sequence[Coded]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def g_cells(values: np.ndarray, precision: int) -> np.ndarray:
-    """One cell for each row of the 2-D ``values``: the :func:`format_g`
-    texts of its values, separated by ``,``."""
-    (n, k), chars = values.shape, format_g(values, precision)
-    used = chars[(chars != PAD).any(axis=1)]  # the character rows some text reaches
-    chars = np.vstack([used, np.full((1, n * k), ord(","), np.uint8)])  # and a "," after each
-    return chars.T.reshape(n, k * len(chars))[:, :-1]
+    """One cell for each row of the 2-D float64 ``values``: the
+    :func:`format_g` texts of its values, each in ``g_width(precision)``
+    bytes, separated by ``,``."""
+    cells = np.empty((len(values), _g_cell_width(values, precision) + 1), np.uint8)
+    _g_cells_into(values, precision, cells)
+    return cells[:, :-1]
+
+
+def _g_cell_width(values: np.ndarray, precision: int) -> int:
+    """The bytes of each :func:`g_cells` cell of ``values``."""
+    return max(values.shape[1] * (g_width(precision) + 1) - 1, 0)
+
+
+def _g_cells_into(values: np.ndarray, precision: int, out: np.ndarray) -> None:
+    """:func:`g_cells` of ``values`` into the rows of ``out``, one byte longer
+    than a cell, as a ``,`` follows each text. The rows of about
+    :data:`FORMAT_BLOCK` values at a time are formatted into one PAD-filled
+    scratch matrix with a row per value, which read in order are the bytes
+    of those rows' cells, and copied to ``out`` in one assignment."""
+    n, k = values.shape
+    if n == 0 or k == 0:
+        return
+    width = g_width(precision)
+    step = max(1, FORMAT_BLOCK // k)
+    scratch = np.empty((min(step, n) * k, width + 1), np.uint8)
+    for start in range(0, n, step):
+        block = values[start:start + step]
+        text = scratch[:block.size]
+        text.fill(PAD)
+        text[:, width] = ord(",")
+        _format_block(np.ravel(block), precision, text[:, :width])
+        out[start:start + len(block)] = text.reshape(len(block), -1)
 
 
 def write_rows(
@@ -381,14 +436,28 @@ def write_rows(
 ) -> None:
     """Write the data rows as ``csv.writer`` would, :data:`ROWS_PER_WRITE` at a time. A
     column ``(cells, index)`` puts ``cells[index[i]]`` in row i; its cells are a matrix of
-    cells or a 2-D float array and its precision, formatted per chunk by :func:`g_cells`."""
+    cells or a 2-D float array and its precision. Each chunk's cells are gathered, and its
+    floats formatted, into one line buffer that every chunk reuses; the padding is dropped
+    :data:`ROWS_PER_MASK` rows at a time."""
+    widths = [_g_cell_width(c[0], c[1]) if isinstance(c, tuple) else c.shape[1]
+              for c, _ in columns]
+    ends = np.cumsum([w + 1 for w in widths])  # each cell's "," or "\r", then "\n"
+    n = len(columns[0][1])
+    line = np.empty((min(n, ROWS_PER_WRITE), ends[-1] + 1), np.uint8)
+    keep = np.empty((min(n, ROWS_PER_MASK), line.shape[1]), bool)
     with _open_artifact(path, stamp) as fh:
         fh.write(csv_row(header).encode())
-        for start in range(0, len(columns[0][1]), ROWS_PER_WRITE):
-            chunks = [(c, index[start:start + ROWS_PER_WRITE]) for c, index in columns]
-            comma = np.full((len(chunks[0][1]), 1), ord(","), np.uint8)
-            cells = (g_cells(c[0][i], c[1]) if isinstance(c, tuple) else c[i] for c, i in chunks)
-            line = np.concatenate([*(x for cell in cells for x in (cell, comma)), comma], axis=1)
-            line[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # in place of the last ","
-            fh.write(np.compress((line != PAD).ravel(), line))
-            del line  # freed before the next chunk's floats are formatted
+        for start in range(0, n, ROWS_PER_WRITE):
+            part = line[:min(n - start, ROWS_PER_WRITE)]
+            for (cells, index), end, width in zip(columns, ends, widths):
+                rows = index[start:start + len(part)]
+                if isinstance(cells, tuple):
+                    _g_cells_into(cells[0][rows], cells[1], part[:, end - width - 1:end])
+                else:
+                    part[:, end - width - 1:end - 1] = cells[rows]
+            part[:, ends - 1] = ord(",")
+            part[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # in place of the last ","
+            for lo in range(0, len(part), ROWS_PER_MASK):
+                piece = part[lo:lo + ROWS_PER_MASK]
+                mask = np.not_equal(piece, PAD, out=keep[:len(piece)])
+                fh.write(np.compress(mask.ravel(), piece))

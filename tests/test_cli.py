@@ -637,6 +637,28 @@ class TestMain:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.skipif(
+        Path("/proc/sys/vm/overcommit_memory").is_file()
+        and Path("/proc/sys/vm/overcommit_memory").read_text(encoding="utf-8").strip() == "1",
+        reason="a kernel that always overcommits grants any size, so no allocation fails",
+    )
+    def test_impossible_bootstrap_size_exits_3_at_once(self, tmp_path, capsys):
+        # The replicate scores of the 7 queues, 7 x 10**12 floats, are
+        # allocated before the first draw, and that allocation fails without
+        # touching a page: the run exits at once, not after hours of draws.
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[synth]\nn_flows = 300\n\n[evaluation]\nbootstrap_resamples = 1000000000000\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "r"
+        rc = cli.main(["evaluate", "--config", str(ini), "--kappa", "0,0.5,1,2", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: "), err
+        assert "(7, 1000000000000)" in err[0]
+        assert not out.exists()
+
     def test_parser_lists_all_subcommands(self):
         parser = cli.build_parser()
         assert parser.prog == "fuzztriage"

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
+from fuzztriage import pipeline
+from fuzztriage.config import load_config
 from fuzztriage.detector import (
     ATTACK_THRESHOLD,
     DetectorConfig,
@@ -347,3 +351,36 @@ def test_linear_model_decision_linearity():
     model = LinearModel(weights=np.array([2.0, -1.0]), bias=0.5)
     X = np.array([[1.0, 1.0], [0.0, 0.0]])
     np.testing.assert_allclose(model.decision(X), [1.5, 0.5])
+
+
+class TestRunDetector:
+    def test_holds_one_split_matrix_at_a_time(self, tmp_path, monkeypatch):
+        # Each split's gathered matrix is scaled, used and dropped before the
+        # next one is gathered, and the probabilities are those of the three
+        # matrices gathered at once in the same layout.
+        config = load_config(None, seed=3, out_dir=str(tmp_path))
+        config = dataclasses.replace(config, synth=SynthConfig(n_flows=2000))
+        prep = pipeline.prepare_data(config)
+        scaled, alive = [], []
+
+        def recording(features, stats, *, out=None):
+            alive.append(sum(ref() is not None for ref in scaled))
+            scaled.append(weakref.ref(features))
+            return apply_normalization(features, stats, out=out)
+
+        monkeypatch.setattr(pipeline, "apply_normalization", recording)
+        result = pipeline.run_detector(config, prep)
+        assert alive == [0, 0, 0]
+
+        split, feats = prep.split, prep.dataset.features
+        keep = np.arange(feats.shape[1])
+        X_tr, X_va, X_te = (
+            feats.T[np.ix_(keep, rows)].T for rows in (split.train_idx, split.val_idx, split.test_idx)
+        )
+        stats = fit_normalization(X_tr)
+        for X in (X_tr, X_va, X_te):
+            apply_normalization(X, stats, out=X)
+        model = train_lr(X_tr, prep.y[split.train_idx], config.detector)
+        model = platt_calibrate(model, X_va, prep.y[split.val_idx])
+        assert np.array_equal(result.p_val, model.predict_proba(X_va))
+        assert np.array_equal(result.p_test, model.predict_proba(X_te))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import alert_columns, make_batch, make_record, random_batch
+from fuzztriage import evaluation
 from fuzztriage.alerts import AttackClassProfile, CfMode, Criticality, assemble, load_catalog
 from fuzztriage.calibration import HeightParams, heights_from_f1, instance_height
 from fuzztriage.config import EvaluationConfig
@@ -452,14 +453,22 @@ class TestBootstrapMatchesReference:
                 assert bits(results[name]) == bits(expected)
 
     def test_memory_stays_bounded(self, evaluate_shaped):
-        rel, baseline, queues = evaluate_shaped
-        tracemalloc.start()
-        try:
-            paired_bootstrap(baseline, queues, rel, k=500, resamples=1000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 2**20
+        assert bootstrap_peak(*evaluate_shaped, resamples=1000) <= 2 * 2**20
+
+    def test_memory_stays_bounded_at_ten_times_the_resamples(self, evaluate_shaped):
+        # One block of the draw at a time: the replicate scores, 7 x resamples
+        # floats, are all that grows with resamples.
+        assert bootstrap_peak(*evaluate_shaped, resamples=10_000) <= 2 * 2**20
+
+
+def bootstrap_peak(rel, baseline, queues, *, resamples):
+    """The traced peak of the evaluate-shaped bootstrap at k = 500."""
+    tracemalloc.start()
+    try:
+        paired_bootstrap(baseline, queues, rel, k=500, resamples=resamples, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bits(result):
@@ -617,6 +626,26 @@ class TestScenarioEval:
             assert result.ndcg_before == ndcg_of_queue(queue, rel, 20)
             again = rank(shifted, queue.method, RiskProfile(kappa))
             assert result.ndcg_after == ndcg_of_queue(again, rel, 20)
+
+    def test_severity_only_is_not_ranked_again(self, rng, monkeypatch):
+        # The shift keeps every core, so severity_only's "after" is its "before".
+        records = random_batch(rng, 60)
+        rel = relevance(records)
+        specs = [ScenarioSpec(kind, noise_sd=0.3, seed=4) for kind in ScenarioKind]
+        ranked = []
+
+        def counting_rank(batch, method, profile=RiskProfile()):
+            ranked.append(method)
+            return rank(batch, method, profile)
+
+        monkeypatch.setattr(evaluation, "rank", counting_rank)
+        results = scenario_eval(method_queues(records), rel, specs, k=20)
+        assert ranked == [m for _ in specs for m in Method if m is not Method.SEVERITY_ONLY]
+        for result in results:
+            if result.method is Method.SEVERITY_ONLY:
+                shifted = records.with_p(perturb(records.p, ScenarioSpec(result.scenario, 0.3, 4)))
+                again = ndcg_of_queue(rank(shifted, Method.SEVERITY_ONLY), rel, 20)
+                assert result.ndcg_after == result.ndcg_before == again
 
     def test_no_queues_rejected(self, rng):
         records = random_batch(rng, 5)

@@ -21,6 +21,7 @@ from fuzztriage.ingestion import (
     DENSE_BLOCKS,
     LINES_PER_BLOCK,
     SPARSE_REFUSALS,
+    SYNTH_ROWS,
     DEFAULT_CLASS_FLAG_FACTOR,
     DEFAULT_CLASS_MIX,
     FLAG_FEATURE_NAMES,
@@ -330,7 +331,7 @@ class TestFlowCsvProperties:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 2**20
+        assert peak <= 2.5 * 2**20, peak
 
     def test_writer_memory_follows_rows_written(self, tmp_path):
         # Writing 1,000 flows of a long dataset holds no copy of any column
@@ -684,6 +685,47 @@ class TestSynthGenerate:
         separated_f1 = strong_f1(3.2)
         assert noise_f1 < 0.45
         assert separated_f1 > noise_f1 + 0.3
+
+    @pytest.mark.parametrize("n", [1, SYNTH_ROWS - 1, SYNTH_ROWS, SYNTH_ROWS + 1, 2 * SYNTH_ROWS + 3])
+    def test_matches_whole_matrix_reference(self, n):
+        # The draws of one (n, 14) and one (n, 8) normal matrix, joined and
+        # shuffled as whole matrices: synth_generate must give their bits.
+        config = SynthConfig(n_flows=n)
+        rng = np.random.default_rng(11)
+        counts = class_counts(config)
+        n_attacks = sum(counts.values())
+        attack = np.arange(n) < n_attacks
+        strong = rng.normal(0.0, 1.0, size=(n, len(STRONG_FEATURE_NAMES)))
+        strong[attack] += config.separation * (np.ones(14) / np.sqrt(14))
+        level = np.empty(n)
+        detectable = rng.random(n_attacks) < config.attack_detectable_rate
+        mean = np.repeat([config.attack_flag_level * config.class_flag_factor[c] for c in sorted(counts)],
+                         [counts[c] for c in sorted(counts)])
+        level[attack] = np.where(detectable, rng.normal(mean, config.attack_flag_sd),
+                                 rng.normal(0.02, 0.05, size=n_attacks))
+        outlier = rng.random(n - n_attacks) < config.benign_outlier_rate
+        level[~attack] = np.where(
+            outlier,
+            rng.normal(config.benign_outlier_level, config.benign_outlier_sd, size=n - n_attacks),
+            rng.normal(0.0, 0.05, size=n - n_attacks),
+        )
+        loadings = [1.0, 0.9, 0.8, 1.1, 0.7, 0.6, 0.9, 0.8]
+        flags = np.outer(level, loadings) + rng.normal(0.0, 0.06, size=(n, len(FLAG_FEATURE_NAMES)))
+        expected = np.hstack([strong, flags])[rng.permutation(n)]
+        features = synth_generate(config, 11).features
+        assert features.flags.c_contiguous
+        assert features.tobytes() == expected.tobytes()
+
+    def test_memory_follows_the_feature_matrix(self):
+        # The strong and flag draws and the shuffled matrix: no whole-size
+        # temporary beside them.
+        tracemalloc.start()
+        try:
+            features = synth_generate(SynthConfig(n_flows=20_000), 4).features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * features.nbytes, peak / features.nbytes
 
     def test_attack_classes_cover_table(self):
         # every synthetic class has a severity profile in the bundled catalog

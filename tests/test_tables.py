@@ -16,7 +16,7 @@ from fuzztriage.alerts import AttackClassProfile, load_alerts_csv, load_catalog
 from fuzztriage.detector import load_external_scores, load_model
 from fuzztriage.errors import ParseError
 from fuzztriage.ingestion import load_class_map_override, load_csv
-from fuzztriage.tables import FORMAT_BLOCK, PAD, ROWS_PER_WRITE, format_g, write_rows
+from fuzztriage.tables import FORMAT_BLOCK, PAD, ROWS_PER_WRITE, format_g, g_width, write_rows
 
 # reader, header (spaced or in another case), data rows, check of the result
 READERS = {
@@ -144,12 +144,12 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
 
 
 def g_texts(values, precision):
-    """The text in each column of format_g's matrix, which must be PADs, one
+    """The text in each row of format_g's matrix, which must be PADs, one
     run of bytes with no PAD and no NUL in it, then PADs."""
     values = np.array(values, dtype=np.float64)
     chars = format_g(values, precision)
-    assert chars.dtype == np.uint8 and chars.shape[1] == values.size
-    texts = [column.tobytes().strip(bytes([PAD])) for column in chars.T]
+    assert chars.dtype == np.uint8 and chars.shape == (values.size, g_width(precision))
+    texts = [row.tobytes().strip(bytes([PAD])) for row in chars]
     assert all(text and PAD not in text and b"\0" not in text for text in texts)
     return [text.decode() for text in texts]
 
